@@ -10,15 +10,15 @@ reported loudly; there are none.
 
 from collections import Counter
 
-from planeschemes import classify_all
+from planeschemes import partitions_iter, run_sweep
 
 p = 5
 verdicts = Counter()
 samples = {}
-for P, res in classify_all(p):
-    assert not isinstance(res, str), f"unclassifiable: {res}"
-    verdicts[res.verdict] += 1
-    samples.setdefault(res.verdict, []).append((P, res))
+for rec in run_sweep(p, partitions_iter(p + 1)):
+    assert rec.error is None, f"unclassifiable: {rec.error}"
+    verdicts[rec.verdict] += 1
+    samples.setdefault(rec.verdict, []).append(rec)
 
 print(f"p = {p}: {sum(verdicts.values())} fusions")
 for verdict, count in verdicts.most_common():
@@ -26,10 +26,10 @@ for verdict, count in verdicts.most_common():
 
 print("\none witness per verdict:")
 for verdict, entries in sorted(samples.items()):
-    P, res = entries[0]
-    extra = f", inner = {res.witness.get('inner_partition')}" if res.inner else ""
-    print(f"  {verdict:<22} {P.as_string()}  witness keys "
-          f"{sorted(res.witness)}{extra}")
+    rec = entries[0]
+    extra = f", inner = {rec.witness['inner_partition']}" if "inner" in rec.witness else ""
+    print(f"  {verdict:<22} {rec.partition_rgs}  witness keys "
+          f"{sorted(rec.witness)}{extra}")
 
 schurian = sum(c for v, c in verdicts.items() if v != "NonSchurian")
 print(f"\nschurian fusions: {schurian} of {sum(verdicts.values())}; "

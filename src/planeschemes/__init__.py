@@ -17,11 +17,17 @@ from .affine import (
     partition_from_group,
     partitions_iter,
 )
-from .autsearch import AutGroup, automorphism_group, is_schurian, orbitals, refine
+from .autsearch import (
+    AutGroup,
+    automorphism_group,
+    is_schurian,
+    orbital_count,
+    orbitals,
+    refine,
+)
 from .classify import (
     ClassificationResult,
     classify,
-    classify_all,
     find_involutive_presentation,
     match_pgl_subgroup,
     verify_witness,
@@ -30,6 +36,7 @@ from .errors import (
     BudgetExceeded,
     ClosureBudgetExceeded,
     InconsistentIntersection,
+    InvariantViolated,
     NonCanonicalPartition,
     NotAlgebraic,
     NotStarClosed,
@@ -59,11 +66,11 @@ from .projline import (
     pgl_inv,
     pgl_mul,
     point_permutation,
-    slope_permutation,
 )
 from .report import (
     AutCache,
     ReportRecord,
+    classify_record,
     read_csv_report,
     report_digest,
     report_json_bytes,
@@ -100,6 +107,7 @@ from .subgroups import (
     SubgroupSpec,
     exceptional_subgroups,
     find_subgroup,
+    named_specs,
     parse_spec,
     subgroup_lattice,
 )

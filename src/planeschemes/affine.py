@@ -95,9 +95,6 @@ class SlopePartition:
             rgs.append(renum[b])
         return cls(tuple(rgs))
 
-    def identity_like(self) -> bool:
-        return self.num_blocks == self.n_labels
-
     def __str__(self) -> str:
         return self.as_string()
 
@@ -157,16 +154,6 @@ def build_affine_scheme(p: int) -> Scheme:
     return verify_scheme(m.astype(np.int16))
 
 
-def slope_of_color(color: int) -> int:
-    """Slope label of a nonzero affine color (label p means vertical)."""
-    assert color >= 1
-    return color - 1
-
-
-def color_of_slope(label: int) -> int:
-    return label + 1
-
-
 @dataclass(frozen=True)
 class FusionRecord:
     """One fusion of the affine scheme: partition, scheme, and its Lambda set."""
@@ -187,8 +174,7 @@ def fuse(p: int, partition: SlopePartition) -> FusionRecord:
     if partition.n_labels != p + 1:
         raise ValueError(f"partition has {partition.n_labels} labels, want {p + 1}")
     color_map = np.zeros(p + 2, dtype=np.int16)
-    for label, block in enumerate(partition.rgs):
-        color_map[color_of_slope(label)] = block + 1
+    color_map[1:] = np.array(partition.rgs) + 1     # slope label m has color m + 1
     fused = verify_scheme(color_map[base.matrix])
     return FusionRecord(p, partition, fused, partition.lambda_set())
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InvariantViolated
 from .permgroup import Perm, StabilizerChain
 from .scheme import Scheme
 
@@ -193,7 +193,8 @@ def automorphism_group(X: Scheme, node_cap: int = DEFAULT_NODE_CAP) -> AutGroup:
     search.run(col0, digest0)
     gens = []
     for _, g in search.generators:
-        assert search._is_automorphism(g), "search produced a non-automorphism"
+        if not search._is_automorphism(g):
+            raise InvariantViolated("search produced a non-automorphism")
         gens.append(tuple(int(v) for v in g))
     chain = StabilizerChain(gens, X.n)
     return AutGroup(X.n, tuple(gens), chain.order(), tuple(chain.base), search.nodes)
@@ -225,11 +226,20 @@ def orbitals(generators, n: int):
     return labels.reshape(n, n), nxt
 
 
+def orbital_count(X: Scheme, generators) -> int:
+    """Number of 2-orbits of the group generated by `generators`.
+
+    For automorphisms of X the 2-orbits refine the colors, so X is schurian
+    exactly when the count equals its rank.  Raises InvariantViolated when a
+    2-orbit crosses a color class.
+    """
+    labels, count = orbitals(generators, X.n)
+    pairs = np.unique(labels.ravel() * np.int64(X.rank) + X.matrix.ravel())
+    if len(pairs) != count:
+        raise InvariantViolated("an orbital crosses a color class")
+    return count
+
+
 def is_schurian(X: Scheme, node_cap: int = DEFAULT_NODE_CAP) -> bool:
     """Whether the 2-orbits of aut(X) are exactly the colors of X."""
-    aut = automorphism_group(X, node_cap)
-    labels, count = orbitals(aut.generators, X.n)
-    # the orbital partition refines the colors; equality is a cell count check
-    pairs = np.unique(labels.ravel() * np.int64(X.rank) + X.matrix.ravel())
-    assert len(pairs) == count, "an orbital crosses a color class"
-    return count == X.rank
+    return orbital_count(X, automorphism_group(X, node_cap).generators) == X.rank

@@ -22,17 +22,11 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .affine import (
-    SlopePartition,
-    fuse,
-    lambda_criteria,
-    partition_from_group,
-    partitions_iter,
-)
-from .autsearch import DEFAULT_NODE_CAP, automorphism_group, orbitals
-from .errors import BudgetExceeded, UnclassifiableSchurian
+from .affine import SlopePartition, fuse, lambda_criteria, partition_from_group
+from .autsearch import DEFAULT_NODE_CAP, automorphism_group, orbital_count
+from .errors import BudgetExceeded, InvariantViolated, UnclassifiableSchurian
 from .permgroup import group_closure
-from .projline import point_permutation
+from .projline import pgl_canonical, point_permutation
 from .scheme import (
     ParabolicSet,
     Scheme,
@@ -46,7 +40,17 @@ from .scheme import (
     trivial_scheme,
     wreath_product,
 )
-from .subgroups import PglSubgroup, exceptional_subgroups
+from .subgroups import (
+    _LATTICE_MAX_PRIME,
+    PglSubgroup,
+    conjugates,
+    exceptional_subgroups,
+    find_subgroup,
+    is_exceptional_group,
+    lattice_subgroup,
+    named_specs,
+    subgroup_lattice,
+)
 
 WREATH = "WreathOfTrivial"
 SUBTENSOR = "SubtensorOfTrivial"
@@ -58,6 +62,7 @@ NON_SCHURIAN = "NonSchurian"
 UNKNOWN = "Unknown"
 
 BASIC_VERDICTS = (WREATH, SUBTENSOR, PRIMITIVE_PC, EXCEPTIONAL_A4, EXCEPTIONAL_A5)
+_VERDICT_KIND = {EXCEPTIONAL_A4: "alt4", EXCEPTIONAL_A5: "alt5"}
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,7 @@ class ClassificationResult:
 def _exceptional_table(p: int) -> tuple[tuple[str, SlopePartition, PglSubgroup], ...]:
     """Orbit partitions of every alt(4) and alt(5) subgroup, deterministic order."""
     out = []
-    for kind, tag in (("alt4", EXCEPTIONAL_A4), ("alt5", EXCEPTIONAL_A5)):
+    for tag, kind in _VERDICT_KIND.items():
         for sub in exceptional_subgroups(p, kind):
             out.append((tag, partition_from_group(sub.group), sub))
     return tuple(out)
@@ -95,21 +100,7 @@ def _wreath_witness(X: Scheme, p: int) -> dict | None:
     if X.rank != 3:
         return None
     for e in parabolics(X):
-        if e.is_trivial(X.rank):
-            continue
-        assert e.num_classes == p and e.class_size == p
-        cls = parabolic_classes(X, e)
-        old_of_new = np.empty(X.n, dtype=np.int64)
-        for c in range(p):
-            members = np.nonzero(cls == c)[0]
-            old_of_new[np.arange(p) * p + c] = members
-        inner_color = max(e.colors)
-        color_map = np.full(X.rank, 2, dtype=np.int16)
-        color_map[0] = 0
-        color_map[inner_color] = 1
-        relabeled = color_map[X.matrix[np.ix_(old_of_new, old_of_new)]]
-        w = wreath_product(trivial_scheme(p), trivial_scheme(p))
-        if np.array_equal(relabeled, w.matrix):
+        if not e.is_trivial(X.rank) and _check_wreath_equality(X, e, p):
             return {"parabolic_colors": sorted(e.colors)}
     return None
 
@@ -196,18 +187,14 @@ class _Analyzer:
         X = rec.scheme
         prim = is_primitive(X)
         pc = is_pseudocyclic(X)
-        imprim_lam, pc_lam = lambda_criteria(rec)
-        assert imprim_lam == (not prim) and pc_lam == pc, \
-            "Lambda criteria disagree with the structural predicates"
+        if lambda_criteria(rec) != (not prim, pc):
+            raise InvariantViolated(
+                f"Lambda criteria disagree with the structural predicates for {P}")
         try:
             aut = self.aut_runner(X)
         except BudgetExceeded as exc:
             return rec, None, None, prim, pc, str(exc)
-        labels, count = orbitals(aut.generators, X.n)
-        # the orbital partition refines the colors (Aut preserves them)
-        pairs = np.unique(labels.ravel() * np.int64(X.rank) + X.matrix.ravel())
-        assert len(pairs) == count, "an orbital crosses a color class"
-        return rec, aut, count, prim, pc, None
+        return rec, aut, orbital_count(X, aut.generators), prim, pc, None
 
     def classify_basic(self, P: SlopePartition) -> ClassificationResult | None:
         """Cases (1)-(3) only; None when the fusion is not schurian-basic."""
@@ -324,9 +311,6 @@ def match_pgl_subgroup(p: int, P: SlopePartition,
     Exhaustive lattice enumeration for p <= 7 (the default there); for
     larger p only the named families and their conjugates are searched.
     """
-    from .subgroups import (SubgroupSpec, _LATTICE_MAX_PRIME, find_subgroup,
-                            lattice_subgroup, subgroup_lattice)
-
     if exhaustive is None:
         exhaustive = p <= _LATTICE_MAX_PRIME
     out = []
@@ -337,15 +321,11 @@ def match_pgl_subgroup(p: int, P: SlopePartition,
                 out.append(sub)
         return out
     seen: set[frozenset] = set()
-    specs = [SubgroupSpec("cyclic", d) for d in range(1, p + 2)]
-    specs += [SubgroupSpec("dihedral", d) for d in range(2, p + 2)]
-    specs += [SubgroupSpec("frobenius", d) for d in range(1, p) if (p - 1) % d == 0]
-    specs += [SubgroupSpec(k) for k in ("alt4", "sym4", "alt5")]
-    for spec in specs:
+    for spec in named_specs(p):
         rep = find_subgroup(p, spec)
         if rep is None:
             continue
-        for sub in _conjugates(rep):
+        for sub in conjugates(rep):
             key = frozenset(sub.group.elements)
             if key in seen:
                 continue
@@ -353,21 +333,6 @@ def match_pgl_subgroup(p: int, P: SlopePartition,
             if partition_from_group(sub.group) == P:
                 out.append(sub)
     return out
-
-
-def _conjugates(rep: PglSubgroup):
-    from .projline import pgl_canonical, pgl_elements, pgl_mul
-
-    p = rep.p
-    seen = set()
-    for g in pgl_elements(p):
-        ginv = pgl_canonical(g.d, -g.b, -g.c, g.a, p)
-        mats = tuple(pgl_mul(pgl_mul(g, x), ginv) for x in rep.matrices)
-        grp = group_closure([point_permutation(x) for x in mats], p + 1)
-        key = frozenset(grp.elements)
-        if key not in seen:
-            seen.add(key)
-            yield PglSubgroup(p, rep.spec, mats, grp)
 
 
 # ---------------------------------------------------------------------------
@@ -380,33 +345,22 @@ def verify_witness(p: int, P: SlopePartition, res: ClassificationResult) -> bool
     X = rec.scheme
     if res.verdict == WREATH:
         e = _parabolic_from_colors(X, res.witness["parabolic_colors"])
-        return _check_wreath_equality(X, e, p)
+        return e is not None and _check_wreath_equality(X, e, p)
     if res.verdict == SUBTENSOR:
-        c1, c2 = res.witness["parabolic_pair"]
-        e1 = _parabolic_from_colors(X, c1)
-        e2 = _parabolic_from_colors(X, c2)
-        return is_subtensor(X, e1, e2)
+        e1, e2 = (_parabolic_from_colors(X, c) for c in res.witness["parabolic_pair"])
+        return e1 is not None and e2 is not None and is_subtensor(X, e1, e2)
     if res.verdict == PRIMITIVE_PC:
         return is_primitive(X) and is_pseudocyclic(X)
-    if res.verdict in (EXCEPTIONAL_A4, EXCEPTIONAL_A5):
-        from .projline import pgl_canonical
-        from .subgroups import element_order_profile, _A4_PROFILE, _A5_PROFILE
-
+    if res.verdict in _VERDICT_KIND:
         mats = [pgl_canonical(*entries, p) for entries in res.witness["generators"]]
         grp = group_closure([point_permutation(m) for m in mats], p + 1)
-        want_order, want_profile = (
-            (12, _A4_PROFILE) if res.verdict == EXCEPTIONAL_A4 else (60, _A5_PROFILE)
-        )
-        if grp.order() != want_order:
-            return False
-        if element_order_profile(grp) != want_profile:
-            return False
-        return partition_from_group(grp) == P
+        return (is_exceptional_group(grp, _VERDICT_KIND[res.verdict])
+                and partition_from_group(grp) == P)
     if res.verdict == INVOLUTIVE:
         inner_p = SlopePartition.from_string(res.witness["inner_partition"])
         phi = tuple(res.witness["color_involution"])
         X2 = fuse(p, inner_p).scheme
-        if not is_algebraic_map(X2, phi):
+        if sorted(phi) != list(range(X2.rank)) or not is_algebraic_map(X2, phi):
             return False
         if any(phi[phi[s]] != s for s in range(len(phi))):
             return False
@@ -434,11 +388,9 @@ def _merge_partition(P2: SlopePartition, phi) -> SlopePartition:
     return SlopePartition.from_blocks(merged, P2.n_labels)
 
 
-def _parabolic_from_colors(X: Scheme, colors) -> ParabolicSet:
-    for e in parabolics(X):
-        if e.colors == frozenset(colors):
-            return e
-    raise AssertionError(f"witness colors {colors} are not a parabolic")
+def _parabolic_from_colors(X: Scheme, colors) -> ParabolicSet | None:
+    """The parabolic with exactly these colors; None when there is none."""
+    return next((e for e in parabolics(X) if e.colors == frozenset(colors)), None)
 
 
 def _check_wreath_equality(X: Scheme, e: ParabolicSet, p: int) -> bool:
@@ -457,33 +409,3 @@ def _check_wreath_equality(X: Scheme, e: ParabolicSet, p: int) -> bool:
     w = wreath_product(trivial_scheme(p), trivial_scheme(p))
     return bool(np.array_equal(relabeled, w.matrix))
 
-
-# ---------------------------------------------------------------------------
-# exhaustive sweeps
-
-
-def sweep_partitions(p: int):
-    """The canonical enumeration order of one full sweep."""
-    return partitions_iter(p + 1)
-
-
-def classify_all(p: int, partitions=None, node_cap: int = DEFAULT_NODE_CAP,
-                 aut_runner=None, check_witnesses: bool = True):
-    """Classify every partition; yields (partition, result-or-error string).
-
-    Errors other than UnclassifiableSchurian propagate; that one is reported
-    per record so a sweep never aborts on a single fusion.
-    """
-    analyzer = _Analyzer(p, node_cap, aut_runner)
-    if partitions is None:
-        partitions = sweep_partitions(p)
-    for P in partitions:
-        try:
-            res = analyzer.classify(P)
-        except UnclassifiableSchurian as exc:
-            yield P, str(exc)
-            continue
-        if check_witnesses and not verify_witness(p, P, res):
-            yield P, f"witness verification failed for {P} -> {res.verdict}"
-            continue
-        yield P, res

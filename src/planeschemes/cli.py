@@ -4,7 +4,8 @@ Subcommands: build (affine scheme summary + canonical scheme file), sweep
 (classify every fusion, JSON/CSV report), classify (one partition),
 subgroups (orbit report for the named families), verify-paper (the
 verification suite).  Exit codes: 0 success, 1 verification or
-classification failure, 2 usage error.
+classification failure (for classify: a record whose error is set), 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ from .affine import (
     partition_from_group,
     partitions_iter,
 )
-from .classify import classify, verify_witness
+from .autsearch import DEFAULT_NODE_CAP
+from .classify import _Analyzer
 from .errors import NonCanonicalPartition, PlaneSchemesError
 from .projline import is_prime
 from .report import (
     AutCache,
     cached_aut_runner,
-    record_from_result,
+    classify_record,
     record_to_dict,
     report_digest,
     run_sweep,
@@ -34,7 +36,7 @@ from .report import (
     write_json_report,
 )
 from .scheme import scheme_to_bytes
-from .subgroups import SubgroupSpec, find_subgroup, parse_spec
+from .subgroups import SubgroupSpec, find_subgroup, named_specs, parse_spec
 from .verifypaper import run_checks
 
 SWEEP_PRIMES = (3, 5, 7)
@@ -126,14 +128,11 @@ def cmd_classify(args) -> int:
         print(f"error: partition must have {args.p + 1} labels", file=sys.stderr)
         return 2
     cache = None if args.no_cache else AutCache()
-    start = time.perf_counter()
-    res = classify(args.p, P, aut_runner=cached_aut_runner(cache))
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    ok = verify_witness(args.p, P, res)
-    rec = record_from_result(args.p, P, res, elapsed_ms)
+    analyzer = _Analyzer(args.p, DEFAULT_NODE_CAP, cached_aut_runner(cache))
+    rec = classify_record(analyzer, P)
     print(json.dumps(record_to_dict(rec), sort_keys=True, indent=2))
-    if not ok:
-        print("witness verification FAILED", file=sys.stderr)
+    if rec.error is not None:
+        print(f"error: {rec.error}", file=sys.stderr)
         return 1
     return 0
 
@@ -156,11 +155,7 @@ def _subgroup_report(p: int, spec: SubgroupSpec) -> dict:
 
 def cmd_subgroups(args) -> int:
     if args.spec.lower() == "all":
-        specs = [SubgroupSpec("cyclic", d) for d in range(1, args.p + 2)]
-        specs += [SubgroupSpec("dihedral", d) for d in range(2, args.p + 2)]
-        specs += [SubgroupSpec("frobenius", d)
-                  for d in range(1, args.p) if (args.p - 1) % d == 0]
-        specs += [SubgroupSpec(k) for k in ("alt4", "sym4", "alt5")]
+        specs = named_specs(args.p)
     else:
         try:
             specs = [parse_spec(args.spec)]

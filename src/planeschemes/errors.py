@@ -48,6 +48,10 @@ class BudgetExceeded(PlaneSchemesError):
     """Automorphism search exceeded its node budget."""
 
 
+class InvariantViolated(PlaneSchemesError):
+    """An internal invariant failed: a bug, never a property of the input."""
+
+
 class UnclassifiableSchurian(PlaneSchemesError):
     """A schurian fusion matched no case of the classification.
 

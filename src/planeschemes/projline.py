@@ -119,16 +119,6 @@ def point_permutation(g: PglElement) -> tuple[int, ...]:
     return tuple(moebius_apply(g, x) for x in range(g.p + 1))
 
 
-def slope_permutation(g: PglElement) -> tuple[int, ...]:
-    """The permutation of the slope labels {0..p-1, infinity} induced by g.
-
-    Slopes are identified with projective points (m <-> [m:1], vertical <->
-    [1:0]), so this is by definition the same permutation as the Moebius
-    action; the two agree pointwise under that identification.
-    """
-    return point_permutation(g)
-
-
 @lru_cache(maxsize=None)
 def pgl_elements(p: int) -> tuple[PglElement, ...]:
     """All p^3 - p elements of PGL(2,p), sorted in canonical lexicographic order."""

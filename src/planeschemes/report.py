@@ -275,20 +275,29 @@ def cached_aut_runner(cache: AutCache | None, node_cap: int = DEFAULT_NODE_CAP):
 # sweeps with worker fan-out
 
 
-def _classify_one(args) -> dict:
-    p, rgs, node_cap, cache_dir = args
-    P = SlopePartition.from_string(rgs)
-    cache = AutCache(cache_dir) if cache_dir else None
-    analyzer = _Analyzer(p, node_cap, cached_aut_runner(cache, node_cap))
+def classify_record(analyzer: _Analyzer, P: SlopePartition) -> ReportRecord:
+    """Classify P, re-check its witness, and turn both into one record.
+
+    UnclassifiableSchurian and a failed witness check become the record's
+    error; every other exception propagates.  elapsed_ms times exactly the
+    classification and the check.
+    """
     start = time.perf_counter()
     try:
         res = analyzer.classify(P)
-        if not verify_witness(p, P, res):
-            res = f"witness verification failed for {rgs} -> {res.verdict}"
+        if not verify_witness(analyzer.p, P, res):
+            res = f"witness verification failed for {P} -> {res.verdict}"
     except UnclassifiableSchurian as exc:
         res = str(exc)
     elapsed = (time.perf_counter() - start) * 1000.0
-    rec = record_from_result(p, P, res, elapsed)
+    return record_from_result(analyzer.p, P, res, elapsed)
+
+
+def _classify_one(args) -> dict:
+    p, rgs, node_cap, cache_dir = args
+    cache = AutCache(cache_dir) if cache_dir else None
+    analyzer = _Analyzer(p, node_cap, cached_aut_runner(cache, node_cap))
+    rec = classify_record(analyzer, SlopePartition.from_string(rgs))
     return record_to_dict(rec) | {"_elapsed_ms": rec.elapsed_ms}
 
 
@@ -301,33 +310,22 @@ def run_sweep(p: int, partitions, jobs: int = 1,
     With jobs > 1 the partitions fan out over a process pool; record
     content is independent of the worker count.
     """
-    rgs_list = [P.as_string() for P in partitions]
-    cache_dir = cache.directory if cache is not None else None
+    partitions = list(partitions)
     records: list[ReportRecord] = []
     if jobs <= 1:
-        runner = cached_aut_runner(cache, node_cap)
-        analyzer = _Analyzer(p, node_cap, runner)
-        for i, rgs in enumerate(rgs_list):
-            P = SlopePartition.from_string(rgs)
-            start = time.perf_counter()
-            try:
-                res = analyzer.classify(P)
-                if not verify_witness(p, P, res):
-                    res = f"witness verification failed for {rgs} -> {res.verdict}"
-            except UnclassifiableSchurian as exc:
-                res = str(exc)
-            elapsed = (time.perf_counter() - start) * 1000.0
-            records.append(record_from_result(p, P, res, elapsed))
+        analyzer = _Analyzer(p, node_cap, cached_aut_runner(cache, node_cap))
+        for P in partitions:
+            records.append(classify_record(analyzer, P))
             if progress:
-                progress(i + 1, len(rgs_list))
+                progress(len(records), len(partitions))
     else:
-        args = [(p, rgs, node_cap, cache_dir) for rgs in rgs_list]
+        cache_dir = cache.directory if cache is not None else None
+        args = [(p, P.as_string(), node_cap, cache_dir) for P in partitions]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for i, d in enumerate(pool.map(_classify_one, args, chunksize=16)):
+            for d in pool.map(_classify_one, args, chunksize=16):
                 elapsed = d.pop("_elapsed_ms")
-                rec = replace(record_from_dict(d), elapsed_ms=elapsed)
-                records.append(rec)
+                records.append(replace(record_from_dict(d), elapsed_ms=elapsed))
                 if progress:
-                    progress(i + 1, len(rgs_list))
+                    progress(len(records), len(partitions))
     records.sort(key=lambda r: r.partition_rgs)
     return records

@@ -31,6 +31,7 @@ from .projline import (
     pgl_canonical,
     pgl_elements,
     pgl_identity,
+    pgl_inv,
     pgl_mul,
     point_permutation,
 )
@@ -70,6 +71,14 @@ class SubgroupSpec:
             "sym4": "Sym(4)",
             "alt5": "Alt(5)",
         }[self.kind]
+
+
+def named_specs(p: int) -> list[SubgroupSpec]:
+    """Every named family of the orbit-size table at p, in a fixed order."""
+    specs = [SubgroupSpec("cyclic", d) for d in range(1, p + 2)]
+    specs += [SubgroupSpec("dihedral", d) for d in range(2, p + 2)]
+    specs += [SubgroupSpec("frobenius", d) for d in range(1, p) if (p - 1) % d == 0]
+    return specs + [SubgroupSpec(k) for k in EXCEPTIONAL_KINDS]
 
 
 def parse_spec(text: str) -> SubgroupSpec:
@@ -123,9 +132,19 @@ def element_order_profile(group: PermGroup) -> dict[int, int]:
     return dict(Counter(perm_order(g) for g in group.elements))
 
 
-_A4_PROFILE = {1: 1, 2: 3, 3: 8}
-_S4_PROFILE = {1: 1, 2: 9, 3: 8, 4: 6}
-_A5_PROFILE = {1: 1, 2: 15, 3: 20, 5: 24}
+#: kind -> (order of the product of the generating involution and
+#: 3-element, group order, element order profile)
+EXCEPTIONAL_KINDS = {
+    "alt4": (3, 12, {1: 1, 2: 3, 3: 8}),
+    "sym4": (4, 24, {1: 1, 2: 9, 3: 8, 4: 6}),
+    "alt5": (5, 60, {1: 1, 2: 15, 3: 20, 5: 24}),
+}
+
+
+def is_exceptional_group(group: PermGroup, kind: str) -> bool:
+    """Whether the group has the order and element order profile of `kind`."""
+    _, size, profile = EXCEPTIONAL_KINDS[kind]
+    return group.order() == size and element_order_profile(group) == profile
 
 
 def _subgroup(p, spec, matrices) -> PglSubgroup:
@@ -149,7 +168,7 @@ def _find_dihedral(p: int, d: int) -> PglSubgroup | None:
     for r, o in zip(els, orders):
         if o != d:
             continue
-        rinv = pgl_canonical(r.d, -r.b, -r.c, r.a, p)
+        rinv = pgl_inv(r)
         powers = {r}
         q = r
         for _ in range(d - 1):
@@ -182,10 +201,7 @@ def _find_frobenius(p: int, d: int) -> PglSubgroup | None:
 
 
 def _find_exceptional(p: int, kind: str) -> PglSubgroup | None:
-    goal = {"alt4": (3, 12, _A4_PROFILE),
-            "sym4": (4, 24, _S4_PROFILE),
-            "alt5": (5, 60, _A5_PROFILE)}[kind]
-    prod_order, size, profile = goal
+    prod_order = EXCEPTIONAL_KINDS[kind][0]
     els, perms, orders = _element_perms(p)
     invol = [(g, q) for g, q, o in zip(els, perms, orders) if o == 2]
     threes = [(g, q) for g, q, o in zip(els, perms, orders) if o == 3]
@@ -196,7 +212,7 @@ def _find_exceptional(p: int, kind: str) -> PglSubgroup | None:
             if perm_order(compose(qx, qy)) != prod_order:
                 continue
             sub = _subgroup(p, SubgroupSpec(kind), (x, y))
-            if sub.order() == size and element_order_profile(sub.group) == profile:
+            if is_exceptional_group(sub.group, kind):
                 return sub
     return None
 
@@ -315,29 +331,23 @@ def exceptional_subgroups(p: int, kind: str) -> list[PglSubgroup]:
     Uses the exhaustive lattice for p <= 7 and conjugates of one
     representative for larger p.
     """
-    size, profile = {
-        "alt4": (12, _A4_PROFILE),
-        "alt5": (60, _A5_PROFILE),
-    }[kind]
-    out = []
     if p <= _LATTICE_MAX_PRIME:
-        for ids in subgroup_lattice(p):
-            if len(ids) != size:
-                continue
-            sub = lattice_subgroup(p, ids)
-            if element_order_profile(sub.group) == profile:
-                out.append(sub)
-        return out
+        size = EXCEPTIONAL_KINDS[kind][1]
+        subs = (lattice_subgroup(p, ids) for ids in subgroup_lattice(p) if len(ids) == size)
+        return [sub for sub in subs if is_exceptional_group(sub.group, kind)]
     rep = find_subgroup(p, SubgroupSpec(kind))
-    if rep is None:
-        return []
+    return [] if rep is None else list(conjugates(rep))
+
+
+def conjugates(rep: PglSubgroup):
+    """The distinct conjugates g rep g^-1, in the canonical order of g."""
+    p = rep.p
     seen: set[frozenset] = set()
     for g in pgl_elements(p):
-        ginv = pgl_canonical(g.d, -g.b, -g.c, g.a, p)
+        ginv = pgl_inv(g)
         mats = tuple(pgl_mul(pgl_mul(g, x), ginv) for x in rep.matrices)
-        key_group = group_closure([point_permutation(x) for x in mats], p + 1)
-        key = frozenset(key_group.elements)
+        grp = group_closure([point_permutation(x) for x in mats], p + 1)
+        key = frozenset(grp.elements)
         if key not in seen:
             seen.add(key)
-            out.append(PglSubgroup(p, rep.spec, mats, key_group))
-    return out
+            yield PglSubgroup(p, rep.spec, mats, grp)

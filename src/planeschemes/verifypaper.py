@@ -25,7 +25,6 @@ from .affine import (
     partition_from_group,
     partitions_iter,
 )
-from .classify import classify_all
 from .report import report_digest, run_sweep
 from .scheme import (
     all_color_permutations_fixing_zero,
@@ -33,7 +32,7 @@ from .scheme import (
     is_primitive,
     is_pseudocyclic,
 )
-from .subgroups import SubgroupSpec, find_subgroup, lemma_orbit_size_bound
+from .subgroups import SubgroupSpec, find_subgroup, lemma_orbit_size_bound, named_specs
 
 GOLFAND_SEED = 47
 
@@ -128,11 +127,10 @@ def check_orbit_tables(primes=(5, 7, 11, 13)) -> tuple[bool, str]:
     """N(K) lies in the stated set for every constructible named subgroup."""
     built = 0
     for p in primes:
-        specs = [SubgroupSpec("cyclic", d) for d in range(1, p + 2)]
-        specs += [SubgroupSpec("dihedral", d) for d in range(2, p + 2)]
-        specs += [SubgroupSpec("frobenius", d)
-                  for d in range(1, p) if (p - 1) % d == 0]
-        for spec in specs:
+        for spec in named_specs(p):
+            allowed = lemma_orbit_size_bound(spec, p)
+            if allowed is None:     # the exceptional kinds have no stated bound
+                continue
             sub = find_subgroup(p, spec)
             if sub is None:
                 continue
@@ -141,7 +139,6 @@ def check_orbit_tables(primes=(5, 7, 11, 13)) -> tuple[bool, str]:
                 return False, f"p={p} {spec.describe()}: sizes {data.sizes}"
             if any(sub.order() % s for s in data.size_set):
                 return False, f"p={p} {spec.describe()}: size not dividing order"
-            allowed = lemma_orbit_size_bound(spec, p)
             if not data.size_set <= allowed:
                 return False, (f"p={p} {spec.describe()}: N={sorted(data.size_set)} "
                                f"beyond {sorted(allowed)}")
@@ -170,18 +167,19 @@ def check_theorem_realization(primes=(3, 5)) -> tuple[bool, str]:
         achievable = set()
         for ids in subgroup_lattice(p):
             sub = lattice_subgroup(p, ids)
-            achievable.add(partition_from_group(sub.group).rgs)
+            achievable.add(partition_from_group(sub.group).as_string())
         listed = {math.factorial(p) ** 2,
                   math.factorial(p) ** p * math.factorial(p),
                   2 * math.factorial(p) ** 2,
                   math.factorial(p * p)}
-        for P, res in classify_all(p, check_witnesses=False):
-            if isinstance(res, str):
-                return False, f"p={p} {P}: {res}"
-            if not res.schurian:
+        for rec in run_sweep(p, partitions_iter(p + 1)):
+            if rec.error is not None:
+                return False, f"p={p} {rec.partition_rgs}: {rec.error}"
+            if not rec.schurian:
                 continue
-            if P.rgs not in achievable and res.aut_order not in listed:
-                return False, f"p={p} {P}: no subgroup and aut order {res.aut_order}"
+            if rec.partition_rgs not in achievable and rec.aut_order not in listed:
+                return False, (f"p={p} {rec.partition_rgs}: no subgroup and "
+                               f"aut order {rec.aut_order}")
     return True, f"realized for p in {tuple(primes)}"
 
 

@@ -9,10 +9,11 @@ from planeschemes.affine import SlopePartition, build_affine_scheme, fuse, parti
 from planeschemes.autsearch import (
     automorphism_group,
     is_schurian,
+    orbital_count,
     orbitals,
     refine,
 )
-from planeschemes.errors import BudgetExceeded
+from planeschemes.errors import BudgetExceeded, InvariantViolated
 from planeschemes.scheme import tensor_product, trivial_scheme, wreath_product
 
 
@@ -110,6 +111,15 @@ def test_orbitals_examples():
     for cell in range(count):
         colors = np.unique(X3.matrix[labels == cell])
         assert len(colors) == 1
+
+
+def test_orbital_count_rejects_a_non_automorphism():
+    X3 = build_affine_scheme(3)
+    assert orbital_count(X3, automorphism_group(X3).generators) == X3.rank
+    # swapping (0,1) and (1,0) alone moves a vertical pair onto a slope-0 pair
+    swap = (0, 3, 2, 1, 4, 5, 6, 7, 8)
+    with pytest.raises(InvariantViolated):
+        orbital_count(X3, [swap])
 
 
 def test_is_schurian_examples():

@@ -1,8 +1,16 @@
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
-from planeschemes.affine import SlopePartition, partition_from_group, partitions_iter
+from planeschemes.affine import (
+    SlopePartition,
+    lambda_criteria,
+    partition_from_group,
+    partitions_iter,
+)
 from planeschemes.classify import (
     EXCEPTIONAL_A4,
     INVOLUTIVE,
@@ -10,15 +18,16 @@ from planeschemes.classify import (
     PRIMITIVE_PC,
     SUBTENSOR,
     WREATH,
+    ClassificationResult,
     classify,
-    classify_all,
     find_involutive_presentation,
     involutive_candidates,
     match_pgl_subgroup,
     pairing_involution,
     verify_witness,
 )
-from planeschemes.errors import BudgetExceeded
+from planeschemes.errors import BudgetExceeded, InvariantViolated
+from planeschemes.report import run_sweep
 from planeschemes.subgroups import SubgroupSpec, find_subgroup
 
 
@@ -130,18 +139,16 @@ def test_match_pgl_subgroup_named_mode():
 
 
 def test_sweep_p3_counts():
-    verdicts = Counter()
-    for P, res in classify_all(3):
-        assert not isinstance(res, str), res
-        verdicts[res.verdict] += 1
+    records = run_sweep(3, partitions_iter(4))
+    assert [r.error for r in records if r.error is not None] == []
+    verdicts = Counter(r.verdict for r in records)
     assert verdicts == Counter({SUBTENSOR: 7, WREATH: 4, PRIMITIVE_PC: 4})
 
 
 def test_sweep_p5_counts():
-    verdicts = Counter()
-    for P, res in classify_all(5):
-        assert not isinstance(res, str), res
-        verdicts[res.verdict] += 1
+    records = run_sweep(5, partitions_iter(6))
+    assert [r.error for r in records if r.error is not None] == []
+    verdicts = Counter(r.verdict for r in records)
     assert verdicts == Counter({
         NON_SCHURIAN: 125,
         SUBTENSOR: 31,
@@ -154,9 +161,9 @@ def test_sweep_p5_counts():
 def test_verdict_disjointness():
     # imprimitive verdicts never carry the primitive flag
     for p in (3, 5):
-        for P, res in classify_all(p, check_witnesses=False):
-            if res.verdict in (WREATH, SUBTENSOR):
-                assert res.primitive is False
+        for rec in run_sweep(p, partitions_iter(p + 1)):
+            if rec.verdict in (WREATH, SUBTENSOR):
+                assert rec.primitive is False
 
 
 def test_budget_becomes_unknown():
@@ -171,3 +178,58 @@ def test_budget_propagates_from_is_schurian():
 
     with pytest.raises(BudgetExceeded):
         is_schurian(trivial_scheme(9), node_cap=3)
+
+
+def test_malformed_witness_fails_verification():
+    # at p=3, 0111 has parabolics {0}, {0,1}, {0,1,2}; {0,2} is none of them
+    P = SlopePartition.from_string("0111")
+    good = classify(3, P)
+    assert good.verdict == WREATH
+    bad = ClassificationResult(WREATH, {"parabolic_colors": [0, 2]},
+                               False, False, True, good.aut_order)
+    assert verify_witness(3, P, bad) is False
+    bad = ClassificationResult(SUBTENSOR, {"parabolic_pair": [[0, 1], [0, 2]]},
+                               False, False, True, good.aut_order)
+    assert verify_witness(3, P, bad) is False
+    # an involution that does not permute the colors of the inner fusion
+    P = SlopePartition.from_string("000011")
+    good = classify(5, P)
+    assert good.verdict == INVOLUTIVE
+    bad = ClassificationResult(
+        INVOLUTIVE, dict(good.witness, color_involution=[0, 1]),
+        True, False, True, good.aut_order, good.inner)
+    assert verify_witness(5, P, bad) is False
+
+
+def _flip_lambda(rec):
+    imprimitive, pseudocyclic = lambda_criteria(rec)
+    return not imprimitive, pseudocyclic
+
+
+def test_lambda_mismatch_raises_typed_error(monkeypatch):
+    # the package's classify function shadows the module of the same name
+    monkeypatch.setattr(sys.modules["planeschemes.classify"], "lambda_criteria",
+                        _flip_lambda)
+    with pytest.raises(InvariantViolated):
+        classify(3, SlopePartition.from_string("0111"))
+
+
+def test_lambda_mismatch_raises_under_python_O():
+    code = (
+        "import importlib\n"
+        "c = importlib.import_module('planeschemes.classify')\n"
+        "from planeschemes.affine import SlopePartition, lambda_criteria\n"
+        "from planeschemes.errors import InvariantViolated\n"
+        "c.lambda_criteria = lambda rec: (not lambda_criteria(rec)[0], "
+        "lambda_criteria(rec)[1])\n"
+        "try:\n"
+        "    c.classify(3, SlopePartition.from_string('0111'))\n"
+        "except InvariantViolated:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"

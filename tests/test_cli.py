@@ -59,6 +59,16 @@ def test_classify_wreath_0111(tmp_path, capsys, monkeypatch):
     assert record["witness"]
 
 
+def test_classify_failed_witness_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("AFS_CACHE", str(tmp_path / "cache"))
+    monkeypatch.setattr("planeschemes.report.verify_witness", lambda p, P, res: False)
+    code, out, err = run_cli(["classify", "--p", "3", "--partition", "0123"], capsys)
+    assert code == 1
+    record = json.loads(out)
+    assert record["error"] == "witness verification failed for 0123 -> SubtensorOfTrivial"
+    assert record["error"] in err
+
+
 def test_classify_non_canonical(capsys):
     code, _, err = run_cli(["classify", "--p", "3", "--partition", "0021"], capsys)
     assert code == 2

@@ -14,7 +14,6 @@ from planeschemes.projline import (
     pgl_inv,
     pgl_mul,
     point_permutation,
-    slope_permutation,
 )
 
 
@@ -96,9 +95,9 @@ def test_moebius_bijection_and_composition():
 
 def test_slope_permutation_examples():
     neg3 = pgl_canonical(2, 0, 0, 1, 3)          # z -> -z at p=3
-    assert slope_permutation(neg3) == (0, 2, 1, 3)
+    assert point_permutation(neg3) == (0, 2, 1, 3)
     inv5 = pgl_canonical(0, 1, 1, 0, 5)          # z -> 1/z at p=5
-    perm = slope_permutation(inv5)
+    perm = point_permutation(inv5)
     assert perm[0] == 5 and perm[5] == 0
     assert perm[1] == 1 and perm[4] == 4
     assert perm[2] == 3 and perm[3] == 2
@@ -111,7 +110,7 @@ def test_slope_agrees_with_moebius_randomly():
         for _ in range(1000):
             g = rng.choice(els)
             x = rng.randrange(p + 1)
-            assert slope_permutation(g)[x] == moebius_apply(g, x)
+            assert point_permutation(g)[x] == moebius_apply(g, x)
 
 
 def test_pgl_element_counts():

@@ -1,7 +1,9 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from planeschemes.affine import SlopePartition, build_affine_scheme, partitions_iter
 from planeschemes.autsearch import automorphism_group
@@ -19,6 +21,8 @@ from planeschemes.report import (
     write_json_report,
 )
 from planeschemes.scheme import scheme_digest, trivial_scheme
+
+REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
 
 
 def test_record_round_trip_json():
@@ -116,3 +120,10 @@ def test_cache_env_default(tmp_path, monkeypatch):
     assert cache.directory == str(tmp_path / "envcache")
     monkeypatch.delenv("AFS_CACHE")
     assert AutCache().directory == ".afs-cache"
+
+
+@pytest.mark.parametrize("p,jobs", [(3, 1), (3, 2), (5, 1)])
+def test_report_digest_pinned(p, jobs):
+    # the report bytes are a public contract: the digests are fixed values
+    want = json.loads(REFERENCE.read_text())[f"p{p}"]
+    assert report_digest(run_sweep(p, partitions_iter(p + 1), jobs=jobs)) == want
