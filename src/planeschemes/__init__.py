@@ -29,7 +29,6 @@ from .classify import (
     ClassificationResult,
     classify,
     find_involutive_presentation,
-    match_pgl_subgroup,
     verify_witness,
 )
 from .errors import (
@@ -107,6 +106,7 @@ from .subgroups import (
     SubgroupSpec,
     exceptional_subgroups,
     find_subgroup,
+    match_pgl_subgroup,
     named_specs,
     parse_spec,
     subgroup_lattice,

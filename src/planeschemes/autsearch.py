@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, InvariantViolated
-from .permgroup import Perm, StabilizerChain
+from .permgroup import Perm, StabilizerChain, orbit_of
 from .scheme import Scheme
 
 DEFAULT_NODE_CAP = 10**7
@@ -94,7 +94,6 @@ class _AutSearch:
         self.n = X.n
         self.cap = node_cap
         self.nodes = 0
-        self.base_points: list[int] = []
         self.base_cols: list[np.ndarray] = []
         self.base_digests: list[tuple] = []
         self.base_leaf_order: np.ndarray | None = None
@@ -120,20 +119,6 @@ class _AutSearch:
         sigma[self.base_leaf_order] = order
         return sigma
 
-    def _orbit_of_base(self, depth: int) -> set[int]:
-        gens = [g for d, g in self.generators if d >= depth]
-        seed = self.base_points[depth]
-        orbit = {seed}
-        queue = [seed]
-        while queue:
-            x = queue.pop()
-            for g in gens:
-                y = int(g[x])
-                if y not in orbit:
-                    orbit.add(y)
-                    queue.append(y)
-        return orbit
-
     def run(self, col0: np.ndarray, digest0: tuple):
         self.base_cols.append(col0)
         self.base_digests.append(digest0)
@@ -145,14 +130,13 @@ class _AutSearch:
             self.base_leaf_order = np.argsort(col)
             return
         b = int(cell[0])
-        self.base_points.append(b)
         child_col, child_dig = self._child(col, b)
         self.base_cols.append(child_col)
         self.base_digests.append(child_dig)
         self._base_node(child_col, depth + 1)
         for x in cell[1:]:
             x = int(x)
-            if x in self._orbit_of_base(depth):
+            if x in orbit_of([g for d, g in self.generators if d >= depth], b):
                 continue
             cand_col, cand_dig = self._child(col, x)
             if cand_dig != self.base_digests[depth + 1]:

@@ -24,7 +24,12 @@ import numpy as np
 
 from .affine import SlopePartition, fuse, lambda_criteria, partition_from_group
 from .autsearch import DEFAULT_NODE_CAP, automorphism_group, orbital_count
-from .errors import BudgetExceeded, InvariantViolated, UnclassifiableSchurian
+from .errors import (
+    BudgetExceeded,
+    InvariantViolated,
+    NonCanonicalPartition,
+    UnclassifiableSchurian,
+)
 from .permgroup import group_closure
 from .projline import pgl_canonical, point_permutation
 from .scheme import (
@@ -40,17 +45,7 @@ from .scheme import (
     trivial_scheme,
     wreath_product,
 )
-from .subgroups import (
-    _LATTICE_MAX_PRIME,
-    PglSubgroup,
-    conjugates,
-    exceptional_subgroups,
-    find_subgroup,
-    is_exceptional_group,
-    lattice_subgroup,
-    named_specs,
-    subgroup_lattice,
-)
+from .subgroups import PglSubgroup, exceptional_subgroups, is_exceptional_group
 
 WREATH = "WreathOfTrivial"
 SUBTENSOR = "SubtensorOfTrivial"
@@ -90,7 +85,7 @@ def _exceptional_table(p: int) -> tuple[tuple[str, SlopePartition, PglSubgroup],
 
 def _subgroup_witness(sub: PglSubgroup) -> dict:
     return {
-        "generators": [list(g.entries()) for g in sub.matrices[:4]],
+        "generators": [list(g.entries()) for g in sub.witness_generators()],
         "order": sub.order(),
     }
 
@@ -301,41 +296,6 @@ def find_involutive_presentation(p: int, P: SlopePartition,
 
 
 # ---------------------------------------------------------------------------
-# subgroup matching
-
-
-def match_pgl_subgroup(p: int, P: SlopePartition,
-                       exhaustive: bool | None = None) -> list[PglSubgroup]:
-    """All subgroups of PGL(2,p) whose slope-orbit partition equals P.
-
-    Exhaustive lattice enumeration for p <= 7 (the default there); for
-    larger p only the named families and their conjugates are searched.
-    """
-    if exhaustive is None:
-        exhaustive = p <= _LATTICE_MAX_PRIME
-    out = []
-    if exhaustive:
-        for ids in subgroup_lattice(p):
-            sub = lattice_subgroup(p, ids)
-            if partition_from_group(sub.group) == P:
-                out.append(sub)
-        return out
-    seen: set[frozenset] = set()
-    for spec in named_specs(p):
-        rep = find_subgroup(p, spec)
-        if rep is None:
-            continue
-        for sub in conjugates(rep):
-            key = frozenset(sub.group.elements)
-            if key in seen:
-                continue
-            seen.add(key)
-            if partition_from_group(sub.group) == P:
-                out.append(sub)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # witness re-verification (independent of the classification path)
 
 
@@ -357,8 +317,13 @@ def verify_witness(p: int, P: SlopePartition, res: ClassificationResult) -> bool
         return (is_exceptional_group(grp, _VERDICT_KIND[res.verdict])
                 and partition_from_group(grp) == P)
     if res.verdict == INVOLUTIVE:
-        inner_p = SlopePartition.from_string(res.witness["inner_partition"])
+        try:
+            inner_p = SlopePartition.from_string(res.witness["inner_partition"])
+        except NonCanonicalPartition:
+            return False
         phi = tuple(res.witness["color_involution"])
+        if inner_p.n_labels != p + 1:
+            return False
         X2 = fuse(p, inner_p).scheme
         if sorted(phi) != list(range(X2.rank)) or not is_algebraic_map(X2, phi):
             return False

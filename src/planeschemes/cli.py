@@ -113,7 +113,7 @@ def cmd_sweep(args) -> int:
     print(f"{len(records)} records -> {out} "
           f"(digest {report_digest(records)[:16]}, {elapsed_ms/1000.0:.1f}s)")
     if bad:
-        print(f"{len(bad)} unclassifiable records", file=sys.stderr)
+        print(f"{len(bad)} records with an error", file=sys.stderr)
         return 1
     return 0
 

@@ -278,19 +278,23 @@ def cached_aut_runner(cache: AutCache | None, node_cap: int = DEFAULT_NODE_CAP):
 def classify_record(analyzer: _Analyzer, P: SlopePartition) -> ReportRecord:
     """Classify P, re-check its witness, and turn both into one record.
 
-    UnclassifiableSchurian and a failed witness check become the record's
-    error; every other exception propagates.  elapsed_ms times exactly the
-    classification and the check.
+    UnclassifiableSchurian becomes the record's error, under that verdict
+    with flags, aut_order and witness cleared.  A failed witness check sets
+    only the error: the record keeps the verdict, flags and witness that
+    failed.  Every other exception propagates.  elapsed_ms times exactly
+    the classification and the check.
     """
     start = time.perf_counter()
     try:
         res = analyzer.classify(P)
-        if not verify_witness(analyzer.p, P, res):
-            res = f"witness verification failed for {P} -> {res.verdict}"
+        verified = verify_witness(analyzer.p, P, res)
     except UnclassifiableSchurian as exc:
-        res = str(exc)
+        res, verified = str(exc), True
     elapsed = (time.perf_counter() - start) * 1000.0
-    return record_from_result(analyzer.p, P, res, elapsed)
+    rec = record_from_result(analyzer.p, P, res, elapsed)
+    if verified:
+        return rec
+    return replace(rec, error=f"witness verification failed for {P} -> {res.verdict}")
 
 
 def _classify_one(args) -> dict:

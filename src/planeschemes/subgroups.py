@@ -1,7 +1,7 @@
 """Subgroup families of PGL(2,p) in its action on the projective line.
 
 Named families (cyclic, dihedral, C_p : C_d, alt(4), sym(4), alt(5)) are
-found by exhaustive search over elements and element pairs with prescribed
+found by a search over elements and element pairs with prescribed
 orders, deterministically (first hit in the lexicographic order of canonical
 matrices).  For small p the full subgroup lattice is enumerated by closure
 over generator pairs; every subgroup of PGL(2,p) is 2-generated, so pair
@@ -16,6 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .affine import SlopePartition, partition_from_group
 from .errors import UnsupportedPrime
 from .permgroup import (
     PermGroup,
@@ -115,6 +116,22 @@ class PglSubgroup:
 
     def orbit_data(self) -> OrbitData:
         return orbit_data(self.group)
+
+    def witness_generators(self) -> tuple[PglElement, ...]:
+        """Generators that depend on the subgroup only, not on how it was found.
+
+        The first four elements in canonical order; while they generate a
+        proper subgroup, the first canonical element outside it is appended.
+        """
+        els, perms, _ = _element_perms(self.p)
+        members = set(self.group.elements)
+        own = [(g, q) for g, q in zip(els, perms) if q in members]
+        gens = own[:4]
+        while True:
+            closed = set(group_closure([q for _, q in gens], self.p + 1).elements)
+            if len(closed) == len(members):
+                return tuple(g for g, _ in gens)
+            gens.append(next((g, q) for g, q in own if q not in closed))
 
 
 @lru_cache(maxsize=None)
@@ -269,12 +286,6 @@ def _mult_table(p: int):
 
 
 @lru_cache(maxsize=None)
-def _identity_index(p: int) -> int:
-    els, _, _ = _element_perms(p)
-    return els.index(pgl_identity(p))
-
-
-@lru_cache(maxsize=None)
 def subgroup_lattice(p: int) -> tuple[frozenset[int], ...]:
     """Every subgroup of PGL(2,p), as frozensets of element indices.
 
@@ -283,10 +294,10 @@ def subgroup_lattice(p: int) -> tuple[frozenset[int], ...]:
     check_prime(p)
     if p > _LATTICE_MAX_PRIME:
         raise UnsupportedPrime(
-            f"exhaustive subgroup enumeration is limited to p <= {_LATTICE_MAX_PRIME}"
+            f"subgroup lattice enumeration is limited to p <= {_LATTICE_MAX_PRIME}"
         )
     table, els, perms, orders = _mult_table(p)
-    ident = _identity_index(p)
+    ident = els.index(pgl_identity(p))
     m = len(els)
 
     # cyclic subgroups first, deduplicated
@@ -328,13 +339,9 @@ def lattice_subgroup(p: int, ids: frozenset[int]) -> PglSubgroup:
 def exceptional_subgroups(p: int, kind: str) -> list[PglSubgroup]:
     """All alt(4) (kind="alt4") or alt(5) subgroups of PGL(2,p).
 
-    Uses the exhaustive lattice for p <= 7 and conjugates of one
-    representative for larger p.
+    Each kind forms one conjugacy class of PGL(2,p) (Dickson), so these are
+    the distinct conjugates of one representative.
     """
-    if p <= _LATTICE_MAX_PRIME:
-        size = EXCEPTIONAL_KINDS[kind][1]
-        subs = (lattice_subgroup(p, ids) for ids in subgroup_lattice(p) if len(ids) == size)
-        return [sub for sub in subs if is_exceptional_group(sub.group, kind)]
     rep = find_subgroup(p, SubgroupSpec(kind))
     return [] if rep is None else list(conjugates(rep))
 
@@ -351,3 +358,25 @@ def conjugates(rep: PglSubgroup):
         if key not in seen:
             seen.add(key)
             yield PglSubgroup(p, rep.spec, mats, grp)
+
+
+def match_pgl_subgroup(p: int, P: SlopePartition) -> list[PglSubgroup]:
+    """All subgroups of PGL(2,p) whose slope-orbit partition equals P.
+
+    The full lattice is searched for p <= 7.  For larger p only the named
+    families and their conjugates are, so a subgroup outside every named
+    family (PSL(2,p) itself, say) is not found.
+    """
+    if p <= _LATTICE_MAX_PRIME:
+        subs = (lattice_subgroup(p, ids) for ids in subgroup_lattice(p))
+        return [sub for sub in subs if partition_from_group(sub.group) == P]
+    out = []
+    seen: set[frozenset] = set()
+    for rep in filter(None, (find_subgroup(p, spec) for spec in named_specs(p))):
+        for sub in conjugates(rep):
+            key = frozenset(sub.group.elements)
+            if key not in seen:
+                seen.add(key)
+                if partition_from_group(sub.group) == P:
+                    out.append(sub)
+    return out

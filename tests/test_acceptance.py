@@ -102,6 +102,9 @@ def test_p7_sweep_verdict_distribution(p7_records):
         "WreathOfTrivial": 8,
     }
     assert sum(counts.values()) == 4140
+    # the report bytes are a public contract
+    assert report_digest(records) == (
+        "e816a80a660ad6a358e85bcd4aac6b1d61b0c701a2bb28701f82e6a669651d67")
     # the big-group fusions carry the orders from the 2-closed classification
     by_rgs = {r.partition_rgs: r for r in records}
     assert by_rgs["00000000"].aut_order == math.factorial(49)

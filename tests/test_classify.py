@@ -22,13 +22,22 @@ from planeschemes.classify import (
     classify,
     find_involutive_presentation,
     involutive_candidates,
-    match_pgl_subgroup,
     pairing_involution,
     verify_witness,
 )
 from planeschemes.errors import BudgetExceeded, InvariantViolated
 from planeschemes.report import run_sweep
-from planeschemes.subgroups import SubgroupSpec, find_subgroup
+from planeschemes.subgroups import SubgroupSpec, find_subgroup, match_pgl_subgroup
+
+
+def _run_fresh(code: str, *flags: str) -> str:
+    """Stdout of `code` run in a fresh interpreter on this source tree."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
 
 
 def test_classify_p3_examples():
@@ -62,6 +71,17 @@ def test_exceptional_a4_at_p7():
     assert res.verdict == EXCEPTIONAL_A4
     assert res.primitive and res.pseudocyclic
     assert verify_witness(7, P, res)
+
+
+def test_exceptional_verdict_builds_no_subgroup_lattice():
+    code = (
+        "from planeschemes.affine import SlopePartition\n"
+        "from planeschemes.classify import _Analyzer\n"
+        "from planeschemes.subgroups import subgroup_lattice\n"
+        "res = _Analyzer(7, 10**7).classify(SlopePartition.from_string('00111010'))\n"
+        "print(res.verdict, subgroup_lattice.cache_info().currsize)\n"
+    )
+    assert _run_fresh(code).split() == [EXCEPTIONAL_A4, "0"]
 
 
 def test_involutive_verdict_d6_at_p7():
@@ -133,8 +153,7 @@ def test_match_pgl_subgroup_examples():
 
 
 def test_match_pgl_subgroup_named_mode():
-    subs = match_pgl_subgroup(11, SlopePartition.from_string("011111111111"),
-                              exhaustive=False)
+    subs = match_pgl_subgroup(11, SlopePartition.from_string("011111111111"))
     assert subs and all(s.order() % 11 == 0 for s in subs)
 
 
@@ -199,6 +218,12 @@ def test_malformed_witness_fails_verification():
         INVOLUTIVE, dict(good.witness, color_involution=[0, 1]),
         True, False, True, good.aut_order, good.inner)
     assert verify_witness(5, P, bad) is False
+    # an inner partition with too few labels, and one that is not canonical
+    for inner in ("00001", "000021"):
+        bad = ClassificationResult(
+            INVOLUTIVE, dict(good.witness, inner_partition=inner),
+            True, False, True, good.aut_order, good.inner)
+        assert verify_witness(5, P, bad) is False
 
 
 def _flip_lambda(rec):
@@ -227,9 +252,4 @@ def test_lambda_mismatch_raises_under_python_O():
         "except InvariantViolated:\n"
         "    print('raised')\n"
     )
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "raised"
+    assert _run_fresh(code, "-O").strip() == "raised"

@@ -67,6 +67,9 @@ def test_classify_failed_witness_exits_1(tmp_path, capsys, monkeypatch):
     record = json.loads(out)
     assert record["error"] == "witness verification failed for 0123 -> SubtensorOfTrivial"
     assert record["error"] in err
+    # the record keeps the verdict and flags whose witness failed
+    assert record["verdict"] == "SubtensorOfTrivial"
+    assert record["schurian"] is True
 
 
 def test_classify_non_canonical(capsys):

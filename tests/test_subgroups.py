@@ -1,12 +1,21 @@
 import pytest
 
+from planeschemes.affine import partition_from_group
+from planeschemes.classify import (
+    EXCEPTIONAL_A4,
+    EXCEPTIONAL_A5,
+    ClassificationResult,
+    verify_witness,
+)
 from planeschemes.errors import UnsupportedPrime
-from planeschemes.permgroup import perm_order
+from planeschemes.permgroup import group_closure, perm_order
+from planeschemes.projline import point_permutation
 from planeschemes.subgroups import (
     SubgroupSpec,
     element_order_profile,
     exceptional_subgroups,
     find_subgroup,
+    is_exceptional_group,
     lattice_subgroup,
     lemma_orbit_size_bound,
     parse_spec,
@@ -116,6 +125,31 @@ def test_exceptional_enumeration():
     assert len(a4s7) == 14
     for sub in a4s7:
         assert sub.orbit_data().sizes == (4, 4)
+    # the conjugates of one representative are exactly the lattice's members
+    counts = {}
+    for p in (3, 5, 7):
+        lattice = [lattice_subgroup(p, ids) for ids in subgroup_lattice(p)]
+        for kind in ("alt4", "alt5"):
+            found = {frozenset(s.group.elements) for s in exceptional_subgroups(p, kind)}
+            want = {frozenset(s.group.elements) for s in lattice
+                    if is_exceptional_group(s.group, kind)}
+            assert found == want, (p, kind)
+            counts[p, kind] = len(found)
+    assert counts == {(3, "alt4"): 1, (3, "alt5"): 0, (5, "alt4"): 5,
+                      (5, "alt5"): 1, (7, "alt4"): 14, (7, "alt5"): 0}
+
+
+def test_exceptional_witness_generates_the_subgroup():
+    for p in (5, 7, 11, 13):
+        for kind, verdict in (("alt4", EXCEPTIONAL_A4), ("alt5", EXCEPTIONAL_A5)):
+            for sub in exceptional_subgroups(p, kind):
+                gens = sub.witness_generators()
+                closed = group_closure([point_permutation(g) for g in gens], p + 1)
+                assert closed.elements == sub.group.elements, (p, kind, gens)
+                witness = {"generators": [list(g.entries()) for g in gens],
+                           "order": sub.order()}
+                res = ClassificationResult(verdict, witness, True, True, True, None)
+                assert verify_witness(p, partition_from_group(sub.group), res)
 
 
 def test_orbit_sizes_divide_group_order():
