@@ -27,7 +27,7 @@ from .autsearch import (
 )
 from .classify import (
     ClassificationResult,
-    classify,
+    classify_fusion,
     find_involutive_presentation,
     verify_witness,
 )

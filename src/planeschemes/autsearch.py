@@ -29,7 +29,6 @@ class AutGroup:
     degree: int
     generators: tuple[Perm, ...]
     order: int
-    base: tuple[int, ...]
     nodes: int
 
 
@@ -164,7 +163,7 @@ class _AutSearch:
 
 
 def automorphism_group(X: Scheme, node_cap: int = DEFAULT_NODE_CAP) -> AutGroup:
-    """Generators, base, and exact order of aut(X).
+    """Generators and exact order of aut(X), and the search nodes visited.
 
     Raises BudgetExceeded when the search tree outgrows `node_cap`.  Every
     returned generator is re-verified to fix every color class.
@@ -180,8 +179,7 @@ def automorphism_group(X: Scheme, node_cap: int = DEFAULT_NODE_CAP) -> AutGroup:
         if not search._is_automorphism(g):
             raise InvariantViolated("search produced a non-automorphism")
         gens.append(tuple(int(v) for v in g))
-    chain = StabilizerChain(gens, X.n)
-    return AutGroup(X.n, tuple(gens), chain.order(), tuple(chain.base), search.nodes)
+    return AutGroup(X.n, tuple(gens), StabilizerChain(gens, X.n).order(), search.nodes)
 
 
 def orbitals(generators, n: int):

@@ -16,18 +16,19 @@ either a bug or a counterexample, and is never swallowed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
 
 from .affine import SlopePartition, fuse, lambda_criteria, partition_from_group
-from .autsearch import DEFAULT_NODE_CAP, automorphism_group, orbital_count
+from .autsearch import automorphism_group, orbital_count
 from .errors import (
     BudgetExceeded,
     InvariantViolated,
     NonCanonicalPartition,
+    SingularMatrix,
     UnclassifiableSchurian,
 )
 from .permgroup import group_closure
@@ -57,6 +58,7 @@ NON_SCHURIAN = "NonSchurian"
 UNKNOWN = "Unknown"
 
 BASIC_VERDICTS = (WREATH, SUBTENSOR, PRIMITIVE_PC, EXCEPTIONAL_A4, EXCEPTIONAL_A5)
+_UNMATCHED = "SchurianUnmatched"   # internal: no basic case fits a schurian fusion
 _VERDICT_KIND = {EXCEPTIONAL_A4: "alt4", EXCEPTIONAL_A5: "alt5"}
 
 
@@ -169,16 +171,36 @@ def pairing_involution(P: SlopePartition, P2: SlopePartition) -> tuple[int, ...]
 
 
 class _Analyzer:
-    """Per-prime classification state: memoized basic verdicts and tables."""
+    """Per-prime classification state: one memoized analysis per fusion.
 
-    def __init__(self, p: int, node_cap: int, aut_runner=None):
+    The analysis of P (kept in basic_memo under P.rgs) is a basic verdict,
+    NonSchurian, Unknown, or a schurian fusion no basic case matches.
+    Automorphism groups come from `cache` (an AutCache, or None) when it
+    holds them and are stored there after a search.
+    """
+
+    def __init__(self, p: int, cache=None):
         self.p = p
-        self.node_cap = node_cap
-        self.aut_runner = aut_runner or (lambda X: automorphism_group(X, node_cap))
-        self.basic_memo: dict[tuple[int, ...], ClassificationResult | None] = {}
+        self.cache = cache
+        self.basic_memo: dict[tuple[int, ...], ClassificationResult] = {}
 
-    def analyze(self, P: SlopePartition):
-        rec = fuse(self.p, P)
+    def _automorphisms(self, X: Scheme):
+        aut = self.cache.load(X) if self.cache is not None else None
+        if aut is None:
+            aut = automorphism_group(X)
+            if self.cache is not None:
+                self.cache.store(X, aut)
+        return aut
+
+    def _analysis(self, P: SlopePartition) -> ClassificationResult:
+        res = self.basic_memo.get(P.rgs)
+        if res is None:
+            res = self.basic_memo[P.rgs] = self._analyze(P)
+        return res
+
+    def _analyze(self, P: SlopePartition) -> ClassificationResult:
+        p = self.p
+        rec = fuse(p, P)
         X = rec.scheme
         prim = is_primitive(X)
         pc = is_pseudocyclic(X)
@@ -186,44 +208,15 @@ class _Analyzer:
             raise InvariantViolated(
                 f"Lambda criteria disagree with the structural predicates for {P}")
         try:
-            aut = self.aut_runner(X)
+            aut = self._automorphisms(X)
         except BudgetExceeded as exc:
-            return rec, None, None, prim, pc, str(exc)
-        return rec, aut, orbital_count(X, aut.generators), prim, pc, None
-
-    def classify_basic(self, P: SlopePartition) -> ClassificationResult | None:
-        """Cases (1)-(3) only; None when the fusion is not schurian-basic."""
-        key = P.rgs
-        if key in self.basic_memo:
-            return self.basic_memo[key]
-        res = self._classify(P, basic_only=True)
-        self.basic_memo[key] = res
-        return res
-
-    def classify(self, P: SlopePartition) -> ClassificationResult:
-        res = self._classify(P, basic_only=False)
-        assert res is not None
-        return res
-
-    def _classify(self, P: SlopePartition, basic_only: bool):
-        p = self.p
-        rec, aut, orbital_count, prim, pc, budget_msg = self.analyze(P)
-        X = rec.scheme
-        if budget_msg is not None:
-            unknown = ClassificationResult(
-                UNKNOWN, {"reason": budget_msg}, prim, pc, None, None)
-            return None if basic_only else unknown
-        schurian = orbital_count == X.rank
+            return ClassificationResult(UNKNOWN, {"reason": str(exc)}, prim, pc, None, None)
+        orbits = orbital_count(X, aut.generators)
         flags = dict(primitive=prim, pseudocyclic=pc,
-                     schurian=schurian, aut_order=aut.order)
-        if not schurian:
-            if basic_only:
-                return None
+                     schurian=orbits == X.rank, aut_order=aut.order)
+        if orbits != X.rank:
             return ClassificationResult(
-                NON_SCHURIAN,
-                {"orbital_count": int(orbital_count), "rank": X.rank},
-                **flags,
-            )
+                NON_SCHURIAN, {"orbital_count": int(orbits), "rank": X.rank}, **flags)
         if not prim:
             w = _wreath_witness(X, p)
             if w is not None:
@@ -231,33 +224,35 @@ class _Analyzer:
             w = _subtensor_witness(X, p)
             if w is not None:
                 return ClassificationResult(SUBTENSOR, w, **flags)
-            if basic_only:
-                return None
-            raise UnclassifiableSchurian(
-                f"imprimitive schurian fusion {P} at p={p} is neither wreath "
-                f"nor subtensor of trivial schemes")
-        if X.rank == 2:
-            # the trivial scheme satisfies both predicates; no special-casing
+            return ClassificationResult(_UNMATCHED, {}, **flags)
+        if X.rank > 2:
+            for tag, part, sub in _exceptional_table(p):
+                if part == P:
+                    return ClassificationResult(tag, _subgroup_witness(sub), **flags)
+        if pc:   # the trivial scheme (rank 2) satisfies both predicates
             return ClassificationResult(PRIMITIVE_PC, {"lambda": sorted(rec.lam)}, **flags)
-        for tag, part, sub in _exceptional_table(p):
-            if part == P:
-                return ClassificationResult(tag, _subgroup_witness(sub), **flags)
-        if pc:
-            return ClassificationResult(
-                PRIMITIVE_PC, {"lambda": sorted(rec.lam)}, **flags)
-        if basic_only:
-            return None
+        return ClassificationResult(_UNMATCHED, {}, **flags)
+
+    def classify_basic(self, P: SlopePartition) -> ClassificationResult | None:
+        """Cases (1)-(3) only; None when the fusion is not schurian-basic."""
+        res = self._analysis(P)
+        return res if res.verdict in BASIC_VERDICTS else None
+
+    def classify(self, P: SlopePartition) -> ClassificationResult:
+        res = self._analysis(P)
+        if res.verdict != _UNMATCHED:
+            return res
+        if not res.primitive:
+            raise UnclassifiableSchurian(
+                f"imprimitive schurian fusion {P} at p={self.p} is neither wreath "
+                f"nor subtensor of trivial schemes")
         found = self.find_involutive(P)
-        if found is not None:
-            inner_p, phi, inner_res = found
-            witness = {
-                "inner_partition": inner_p.as_string(),
-                "color_involution": list(phi),
-            }
-            return ClassificationResult(
-                INVOLUTIVE, witness, inner=inner_res, **flags)
-        raise UnclassifiableSchurian(
-            f"schurian fusion {P} at p={p} matches no case of the classification")
+        if found is None:
+            raise UnclassifiableSchurian(
+                f"schurian fusion {P} at p={self.p} matches no case of the classification")
+        inner_p, phi, inner_res = found
+        witness = {"inner_partition": inner_p.as_string(), "color_involution": list(phi)}
+        return replace(res, verdict=INVOLUTIVE, witness=witness, inner=inner_res)
 
     def find_involutive(self, P: SlopePartition):
         """First (inner partition, involution, inner result) in canonical order."""
@@ -275,20 +270,18 @@ class _Analyzer:
         return None
 
 
-def classify(p: int, P: SlopePartition, node_cap: int = DEFAULT_NODE_CAP,
-             aut_runner=None) -> ClassificationResult:
+def classify_fusion(p: int, P: SlopePartition) -> ClassificationResult:
     """Classify one fusion of the affine scheme of order p."""
-    return _Analyzer(p, node_cap, aut_runner).classify(P)
+    return _Analyzer(p).classify(P)
 
 
-def find_involutive_presentation(p: int, P: SlopePartition,
-                                 node_cap: int = DEFAULT_NODE_CAP):
+def find_involutive_presentation(p: int, P: SlopePartition):
     """(inner partition, color involution) presenting P, or None.
 
     The degenerate presentation (P, identity) is returned first whenever the
     fusion of P itself falls into the basic cases.
     """
-    found = _Analyzer(p, node_cap).find_involutive(P)
+    found = _Analyzer(p).find_involutive(P)
     if found is None:
         return None
     inner_p, phi, _ = found
@@ -299,8 +292,23 @@ def find_involutive_presentation(p: int, P: SlopePartition,
 # witness re-verification (independent of the classification path)
 
 
+# what a malformed witness raises while it is read; it then fails the check
+_MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError,
+              NonCanonicalPartition, SingularMatrix)
+
+
 def verify_witness(p: int, P: SlopePartition, res: ClassificationResult) -> bool:
-    """Re-check the witness of a verdict by direct construction."""
+    """Re-check the witness of a verdict by direct construction.
+
+    A malformed witness returns False instead of raising.
+    """
+    try:
+        return _witness_holds(p, P, res)
+    except _MALFORMED:
+        return False
+
+
+def _witness_holds(p: int, P: SlopePartition, res: ClassificationResult) -> bool:
     rec = fuse(p, P)
     X = rec.scheme
     if res.verdict == WREATH:
@@ -317,24 +325,18 @@ def verify_witness(p: int, P: SlopePartition, res: ClassificationResult) -> bool
         return (is_exceptional_group(grp, _VERDICT_KIND[res.verdict])
                 and partition_from_group(grp) == P)
     if res.verdict == INVOLUTIVE:
-        try:
-            inner_p = SlopePartition.from_string(res.witness["inner_partition"])
-        except NonCanonicalPartition:
-            return False
+        inner_p = SlopePartition.from_string(res.witness["inner_partition"])
         phi = tuple(res.witness["color_involution"])
-        if inner_p.n_labels != p + 1:
-            return False
-        X2 = fuse(p, inner_p).scheme
+        X2 = fuse(p, inner_p).scheme    # ValueError for the wrong number of labels
         if sorted(phi) != list(range(X2.rank)) or not is_algebraic_map(X2, phi):
             return False
         if any(phi[phi[s]] != s for s in range(len(phi))):
             return False
-        merged = _merge_partition(inner_p, phi)
-        if merged != P:
+        if _merge_partition(inner_p, phi) != P:
             return False
         if res.inner is None or res.inner.verdict not in BASIC_VERDICTS:
             return False
-        return verify_witness(p, inner_p, res.inner)
+        return _witness_holds(p, inner_p, res.inner)
     if res.verdict in (NON_SCHURIAN, UNKNOWN):
         return True   # soundness is enforced inside the engine itself
     return False

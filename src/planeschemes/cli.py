@@ -21,13 +21,11 @@ from .affine import (
     partition_from_group,
     partitions_iter,
 )
-from .autsearch import DEFAULT_NODE_CAP
 from .classify import _Analyzer
 from .errors import NonCanonicalPartition, PlaneSchemesError
 from .projline import is_prime
 from .report import (
     AutCache,
-    cached_aut_runner,
     classify_record,
     record_to_dict,
     report_digest,
@@ -128,8 +126,7 @@ def cmd_classify(args) -> int:
         print(f"error: partition must have {args.p + 1} labels", file=sys.stderr)
         return 2
     cache = None if args.no_cache else AutCache()
-    analyzer = _Analyzer(args.p, DEFAULT_NODE_CAP, cached_aut_runner(cache))
-    rec = classify_record(analyzer, P)
+    rec = classify_record(_Analyzer(args.p, cache), P)
     print(json.dumps(record_to_dict(rec), sort_keys=True, indent=2))
     if rec.error is not None:
         print(f"error: {rec.error}", file=sys.stderr)

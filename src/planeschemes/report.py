@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .affine import SlopePartition
-from .autsearch import DEFAULT_NODE_CAP, AutGroup, automorphism_group
+from .autsearch import AutGroup
 from .classify import ClassificationResult, _Analyzer, verify_witness
 from .errors import UnclassifiableSchurian
 from .permgroup import StabilizerChain, is_permutation
@@ -237,9 +237,8 @@ class AutCache:
                 arr = np.array(g)
                 if not np.array_equal(X.matrix[np.ix_(arr, arr)], X.matrix):
                     return None
-            chain = StabilizerChain(gens, X.n)
-            return AutGroup(X.n, tuple(gens), chain.order(),
-                            tuple(chain.base), int(data.get("nodes", 0)))
+            return AutGroup(X.n, tuple(gens), StabilizerChain(gens, X.n).order(),
+                            int(data.get("nodes", 0)))
         except (OSError, ValueError, KeyError, TypeError):
             return None
 
@@ -256,19 +255,6 @@ class AutCache:
                           (json.dumps(data, sort_keys=True) + "\n").encode())
         except OSError:
             pass   # cache is advisory
-
-
-def cached_aut_runner(cache: AutCache | None, node_cap: int = DEFAULT_NODE_CAP):
-    def run(X: Scheme) -> AutGroup:
-        if cache is not None:
-            hit = cache.load(X)
-            if hit is not None:
-                return hit
-        aut = automorphism_group(X, node_cap)
-        if cache is not None:
-            cache.store(X, aut)
-        return aut
-    return run
 
 
 # ---------------------------------------------------------------------------
@@ -297,36 +283,40 @@ def classify_record(analyzer: _Analyzer, P: SlopePartition) -> ReportRecord:
     return replace(rec, error=f"witness verification failed for {P} -> {res.verdict}")
 
 
-def _classify_one(args) -> dict:
-    p, rgs, node_cap, cache_dir = args
-    cache = AutCache(cache_dir) if cache_dir else None
-    analyzer = _Analyzer(p, node_cap, cached_aut_runner(cache, node_cap))
-    rec = classify_record(analyzer, SlopePartition.from_string(rgs))
+_worker_analyzer: _Analyzer | None = None   # one per pool worker
+
+
+def _start_worker(p: int, cache: AutCache | None):
+    global _worker_analyzer
+    _worker_analyzer = _Analyzer(p, cache)
+
+
+def _classify_one(rgs: str) -> dict:
+    rec = classify_record(_worker_analyzer, SlopePartition.from_string(rgs))
     return record_to_dict(rec) | {"_elapsed_ms": rec.elapsed_ms}
 
 
 def run_sweep(p: int, partitions, jobs: int = 1,
-              node_cap: int = DEFAULT_NODE_CAP,
               cache: AutCache | None = None,
               progress=None) -> list[ReportRecord]:
     """Classify the given partitions; records sorted by canonical RGS.
 
-    With jobs > 1 the partitions fan out over a process pool; record
-    content is independent of the worker count.
+    With jobs > 1 the partitions fan out over a process pool with one
+    analyzer per worker; record content is independent of the worker count.
     """
     partitions = list(partitions)
     records: list[ReportRecord] = []
     if jobs <= 1:
-        analyzer = _Analyzer(p, node_cap, cached_aut_runner(cache, node_cap))
+        analyzer = _Analyzer(p, cache)
         for P in partitions:
             records.append(classify_record(analyzer, P))
             if progress:
                 progress(len(records), len(partitions))
     else:
-        cache_dir = cache.directory if cache is not None else None
-        args = [(p, P.as_string(), node_cap, cache_dir) for P in partitions]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for d in pool.map(_classify_one, args, chunksize=16):
+        rgs = [P.as_string() for P in partitions]
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker,
+                                 initargs=(p, cache)) as pool:
+            for d in pool.map(_classify_one, rgs, chunksize=16):
                 elapsed = d.pop("_elapsed_ms")
                 records.append(replace(record_from_dict(d), elapsed_ms=elapsed))
                 if progress:

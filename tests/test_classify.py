@@ -1,7 +1,9 @@
+import functools
 import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +13,7 @@ from planeschemes.affine import (
     partition_from_group,
     partitions_iter,
 )
+from planeschemes.autsearch import automorphism_group
 from planeschemes.classify import (
     EXCEPTIONAL_A4,
     INVOLUTIVE,
@@ -19,7 +22,7 @@ from planeschemes.classify import (
     SUBTENSOR,
     WREATH,
     ClassificationResult,
-    classify,
+    classify_fusion,
     find_involutive_presentation,
     involutive_candidates,
     pairing_involution,
@@ -51,23 +54,23 @@ def test_classify_p3_examples():
     }
     for rgs, want in cases.items():
         P = SlopePartition.from_string(rgs)
-        res = classify(3, P)
+        res = classify_fusion(3, P)
         assert res.verdict == want, rgs
         assert res.schurian is True
         assert verify_witness(3, P, res)
 
 
 def test_classify_flags_consistent():
-    res = classify(3, SlopePartition.from_string("0111"))
+    res = classify_fusion(3, SlopePartition.from_string("0111"))
     assert res.primitive is False and res.aut_order == 1296
-    res = classify(3, SlopePartition.from_string("0000"))
+    res = classify_fusion(3, SlopePartition.from_string("0000"))
     assert res.primitive and res.pseudocyclic and res.aut_order == 362880
 
 
 def test_exceptional_a4_at_p7():
     a4 = find_subgroup(7, SubgroupSpec("alt4"))
     P = partition_from_group(a4.group)
-    res = classify(7, P)
+    res = classify_fusion(7, P)
     assert res.verdict == EXCEPTIONAL_A4
     assert res.primitive and res.pseudocyclic
     assert verify_witness(7, P, res)
@@ -78,7 +81,7 @@ def test_exceptional_verdict_builds_no_subgroup_lattice():
         "from planeschemes.affine import SlopePartition\n"
         "from planeschemes.classify import _Analyzer\n"
         "from planeschemes.subgroups import subgroup_lattice\n"
-        "res = _Analyzer(7, 10**7).classify(SlopePartition.from_string('00111010'))\n"
+        "res = _Analyzer(7).classify(SlopePartition.from_string('00111010'))\n"
         "print(res.verdict, subgroup_lattice.cache_info().currsize)\n"
     )
     assert _run_fresh(code).split() == [EXCEPTIONAL_A4, "0"]
@@ -87,7 +90,7 @@ def test_exceptional_verdict_builds_no_subgroup_lattice():
 def test_involutive_verdict_d6_at_p7():
     d6 = find_subgroup(7, SubgroupSpec("dihedral", 3))
     P = partition_from_group(d6.group)
-    res = classify(7, P)
+    res = classify_fusion(7, P)
     assert res.verdict == INVOLUTIVE
     assert res.inner is not None and res.inner.verdict == SUBTENSOR
     assert verify_witness(7, P, res)
@@ -185,8 +188,10 @@ def test_verdict_disjointness():
                 assert rec.primitive is False
 
 
-def test_budget_becomes_unknown():
-    res = classify(3, SlopePartition.from_string("0000"), node_cap=3)
+def test_budget_becomes_unknown(monkeypatch):
+    monkeypatch.setattr("planeschemes.classify.automorphism_group",
+                        functools.partial(automorphism_group, node_cap=3))
+    res = classify_fusion(3, SlopePartition.from_string("0000"))
     assert res.verdict == "Unknown"
     assert res.schurian is None and res.aut_order is None
 
@@ -202,7 +207,7 @@ def test_budget_propagates_from_is_schurian():
 def test_malformed_witness_fails_verification():
     # at p=3, 0111 has parabolics {0}, {0,1}, {0,1,2}; {0,2} is none of them
     P = SlopePartition.from_string("0111")
-    good = classify(3, P)
+    good = classify_fusion(3, P)
     assert good.verdict == WREATH
     bad = ClassificationResult(WREATH, {"parabolic_colors": [0, 2]},
                                False, False, True, good.aut_order)
@@ -212,7 +217,7 @@ def test_malformed_witness_fails_verification():
     assert verify_witness(3, P, bad) is False
     # an involution that does not permute the colors of the inner fusion
     P = SlopePartition.from_string("000011")
-    good = classify(5, P)
+    good = classify_fusion(5, P)
     assert good.verdict == INVOLUTIVE
     bad = ClassificationResult(
         INVOLUTIVE, dict(good.witness, color_involution=[0, 1]),
@@ -225,6 +230,21 @@ def test_malformed_witness_fails_verification():
             True, False, True, good.aut_order, good.inner)
         assert verify_witness(5, P, bad) is False
 
+    # witnesses missing a field, or holding one of the wrong shape
+    for p, rgs, witness in [
+        (7, "00111010", {"generators": [[0, 0, 0, 0]]}),   # a singular matrix
+        (7, "00111010", {"generators": [[1, 2, 3]]}),      # three entries
+        (7, "00111010", {}),
+        (3, "0111", {}),
+        (3, "0111", {"parabolic_colors": None}),
+        (3, "0123", {}),
+        (3, "0123", {"parabolic_pair": [[0, 1]]}),
+    ]:
+        P = SlopePartition.from_string(rgs)
+        good = classify_fusion(p, P)
+        assert verify_witness(p, P, good)
+        assert verify_witness(p, P, replace(good, witness=witness)) is False, (rgs, witness)
+
 
 def _flip_lambda(rec):
     imprimitive, pseudocyclic = lambda_criteria(rec)
@@ -232,23 +252,20 @@ def _flip_lambda(rec):
 
 
 def test_lambda_mismatch_raises_typed_error(monkeypatch):
-    # the package's classify function shadows the module of the same name
-    monkeypatch.setattr(sys.modules["planeschemes.classify"], "lambda_criteria",
-                        _flip_lambda)
+    monkeypatch.setattr("planeschemes.classify.lambda_criteria", _flip_lambda)
     with pytest.raises(InvariantViolated):
-        classify(3, SlopePartition.from_string("0111"))
+        classify_fusion(3, SlopePartition.from_string("0111"))
 
 
 def test_lambda_mismatch_raises_under_python_O():
     code = (
-        "import importlib\n"
-        "c = importlib.import_module('planeschemes.classify')\n"
+        "import planeschemes.classify as c\n"
         "from planeschemes.affine import SlopePartition, lambda_criteria\n"
         "from planeschemes.errors import InvariantViolated\n"
         "c.lambda_criteria = lambda rec: (not lambda_criteria(rec)[0], "
         "lambda_criteria(rec)[1])\n"
         "try:\n"
-        "    c.classify(3, SlopePartition.from_string('0111'))\n"
+        "    c.classify_fusion(3, SlopePartition.from_string('0111'))\n"
         "except InvariantViolated:\n"
         "    print('raised')\n"
     )

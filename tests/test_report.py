@@ -5,12 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from planeschemes.affine import SlopePartition, build_affine_scheme, partitions_iter
+from planeschemes import autsearch
+from planeschemes.affine import SlopePartition, build_affine_scheme, fuse, partitions_iter
 from planeschemes.autsearch import automorphism_group
+from planeschemes.classify import _Analyzer
 from planeschemes.report import (
     AutCache,
     ReportRecord,
-    cached_aut_runner,
     read_csv_report,
     record_from_dict,
     record_to_dict,
@@ -20,7 +21,7 @@ from planeschemes.report import (
     write_csv_report,
     write_json_report,
 )
-from planeschemes.scheme import scheme_digest, trivial_scheme
+from planeschemes.scheme import scheme_digest
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
 
@@ -83,14 +84,13 @@ def test_cache_hit_and_miss(tmp_path):
 
 def test_cache_corruption_recomputes(tmp_path):
     cache = AutCache(str(tmp_path / "cache"))
-    X = trivial_scheme(5)
-    runner = cached_aut_runner(cache)
-    first = runner(X)
-    path = os.path.join(cache.directory, scheme_digest(X) + ".json")
+    P = SlopePartition.from_string("0000")     # the trivial scheme of degree 9
+    first = _Analyzer(3, cache).classify(P)
+    path = os.path.join(cache.directory, scheme_digest(fuse(3, P).scheme) + ".json")
     with open(path, "wb") as fh:
         fh.write(b"garbage not json")
-    again = runner(X)
-    assert again.order == first.order == 120
+    again = _Analyzer(3, cache).classify(P)
+    assert again.aut_order == first.aut_order == 362880
 
 
 def test_cache_rejects_wrong_generators(tmp_path):
@@ -122,7 +122,20 @@ def test_cache_env_default(tmp_path, monkeypatch):
     assert AutCache().directory == ".afs-cache"
 
 
-@pytest.mark.parametrize("p,jobs", [(3, 1), (3, 2), (5, 1)])
+def test_serial_sweep_searches_each_fusion_once(monkeypatch):
+    searches = []
+    run = autsearch._AutSearch.run
+
+    def counted(self, *args):
+        searches.append(1)
+        return run(self, *args)
+
+    monkeypatch.setattr(autsearch._AutSearch, "run", counted)
+    records = run_sweep(5, partitions_iter(6))
+    assert len(records) == len(searches) == 203
+
+
+@pytest.mark.parametrize("p,jobs", [(3, 1), (3, 2), (5, 1), (5, 2)])
 def test_report_digest_pinned(p, jobs):
     # the report bytes are a public contract: the digests are fixed values
     want = json.loads(REFERENCE.read_text())[f"p{p}"]
