@@ -93,7 +93,6 @@ class _AutSearch:
         self.n = X.n
         self.cap = node_cap
         self.nodes = 0
-        self.base_cols: list[np.ndarray] = []
         self.base_digests: list[tuple] = []
         self.base_leaf_order: np.ndarray | None = None
         self.generators: list[tuple[int, np.ndarray]] = []  # (deviation depth, perm)
@@ -119,7 +118,6 @@ class _AutSearch:
         return sigma
 
     def run(self, col0: np.ndarray, digest0: tuple):
-        self.base_cols.append(col0)
         self.base_digests.append(digest0)
         self._base_node(col0, 0)
 
@@ -130,7 +128,6 @@ class _AutSearch:
             return
         b = int(cell[0])
         child_col, child_dig = self._child(col, b)
-        self.base_cols.append(child_col)
         self.base_digests.append(child_dig)
         self._base_node(child_col, depth + 1)
         for x in cell[1:]:

@@ -106,7 +106,8 @@ def _subtensor_witness(X: Scheme, p: int) -> dict | None:
     pars = [e for e in parabolics(X) if not e.is_trivial(X.rank)]
     for e1, e2 in ((a, b) for a in pars for b in pars if a != b):
         if is_subtensor(X, e1, e2):
-            assert quotient(X, e1).rank == 2 and quotient(X, e2).rank == 2
+            if quotient(X, e1).rank != 2 or quotient(X, e2).rank != 2:
+                raise InvariantViolated("a subtensor factor quotient is not trivial")
             return {
                 "parabolic_pair": [sorted(e1.colors), sorted(e2.colors)],
             }

@@ -14,7 +14,7 @@ class SingularMatrix(PlaneSchemesError):
 
 
 class UnsupportedPrime(PlaneSchemesError):
-    """The modulus is not an odd prime within the configured bound."""
+    """The modulus is not an odd prime within the supported range."""
 
 
 class ClosureBudgetExceeded(PlaneSchemesError):

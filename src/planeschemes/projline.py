@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import SingularMatrix, UnsupportedPrime, ZeroInverse
+from .errors import InvariantViolated, SingularMatrix, UnsupportedPrime, ZeroInverse
 
 #: largest prime accepted by the constructors in this package
 MAX_PRIME = 31
@@ -28,12 +28,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def check_prime(p: int, bound: int = MAX_PRIME) -> None:
-    """Reject anything but an odd prime <= bound.  p = 2 is rejected everywhere."""
+def check_prime(p: int) -> None:
+    """Reject anything but an odd prime <= MAX_PRIME.  p = 2 is rejected everywhere."""
     if not is_prime(p) or p == 2:
         raise UnsupportedPrime(f"p must be an odd prime, got {p}")
-    if p > bound:
-        raise UnsupportedPrime(f"p = {p} exceeds the supported bound {bound}")
+    if p > MAX_PRIME:
+        raise UnsupportedPrime(f"p = {p} exceeds the supported bound {MAX_PRIME}")
 
 
 def fp_inv(a: int, p: int) -> int:
@@ -133,5 +133,6 @@ def pgl_elements(p: int) -> tuple[PglElement, ...]:
                 if (d - b * c) % p != 0:
                     out.append(PglElement(1, b, c, d, p))
     out.sort()
-    assert len(out) == p**3 - p
+    if len(out) != p**3 - p:
+        raise InvariantViolated(f"{len(out)} elements of PGL(2,{p}), want {p**3 - p}")
     return tuple(out)

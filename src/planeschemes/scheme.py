@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     InconsistentIntersection,
+    InvariantViolated,
     NotAlgebraic,
     NotStarClosed,
     RankTooLarge,
@@ -246,7 +247,8 @@ def parabolics(X: Scheme) -> list[ParabolicSet]:
         if not _closed_under_composition(X, colors):
             continue
         class_size = sum(X.valencies[s] for s in colors)
-        assert X.n % class_size == 0, "parabolic classes of unequal size"
+        if X.n % class_size:
+            raise InvariantViolated("parabolic classes of unequal size")
         out.append(ParabolicSet(colors, X.n // class_size, class_size))
     return out
 
@@ -264,7 +266,8 @@ def parabolic_classes(X: Scheme, e: ParabolicSet) -> np.ndarray:
         if labels[a] < 0:
             labels[in_e[a]] = nxt
             nxt += 1
-    assert nxt == e.num_classes
+    if nxt != e.num_classes:
+        raise InvariantViolated(f"{nxt} parabolic classes, want {e.num_classes}")
     return labels
 
 
@@ -294,7 +297,8 @@ def quotient(X: Scheme, e: ParabolicSet) -> Scheme:
             first_color[bid] = c
     root_of = [find(c) for c in range(X.rank)]
     labels = sorted({root_of[c] for c in range(X.rank)})
-    assert root_of[0] == 0
+    if root_of[0] != 0:
+        raise InvariantViolated("the diagonal merged with another quotient color")
     relabel = {root: i for i, root in enumerate(labels)}
     qm = np.zeros((k, k), dtype=np.int16)
     for bid, c in first_color.items():
@@ -469,7 +473,8 @@ def algebraic_fusion(X: Scheme, K: PermGroup) -> AlgebraicFusionResult:
     rep_to_new = {rep: i + 1 for i, rep in enumerate(nonzero)}
     for part in parts:
         if 0 in part:
-            assert part == [0]
+            if part != [0]:
+                raise InvariantViolated(f"an algebraic automorphism moves color 0: {part}")
             continue
         for c in part:
             color_map[c] = rep_to_new[part[0]]

@@ -3,9 +3,9 @@
 Named families (cyclic, dihedral, C_p : C_d, alt(4), sym(4), alt(5)) are
 found by a search over elements and element pairs with prescribed
 orders, deterministically (first hit in the lexicographic order of canonical
-matrices).  For small p the full subgroup lattice is enumerated by closure
-over generator pairs; every subgroup of PGL(2,p) is 2-generated, so pair
-closures reach all of them.
+matrices).  For small p the full subgroup lattice, the tests' reference,
+is enumerated by closure over generator pairs; every subgroup of PGL(2,p)
+is 2-generated, so pair closures reach all of them.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .affine import SlopePartition, partition_from_group
-from .errors import UnsupportedPrime
+from .errors import InvariantViolated, UnsupportedPrime
 from .permgroup import (
     PermGroup,
     group_closure,
@@ -26,7 +26,6 @@ from .permgroup import (
     perm_order,
 )
 from .projline import (
-    MAX_PRIME,
     PglElement,
     check_prime,
     pgl_canonical,
@@ -145,7 +144,8 @@ def _element_perms(p: int):
 
 def element_order_profile(group: PermGroup) -> dict[int, int]:
     """Multiset of element orders; identifies A4/S4/A5 among same-order groups."""
-    assert group.elements is not None
+    if group.elements is None:
+        raise InvariantViolated("element order profile of a group without its elements")
     return dict(Counter(perm_order(g) for g in group.elements))
 
 
@@ -234,9 +234,9 @@ def _find_exceptional(p: int, kind: str) -> PglSubgroup | None:
     return None
 
 
-def find_subgroup(p: int, spec: SubgroupSpec, bound: int = MAX_PRIME) -> PglSubgroup | None:
+def find_subgroup(p: int, spec: SubgroupSpec) -> PglSubgroup | None:
     """Deterministic representative of the requested family, or None if absent."""
-    check_prime(p, bound)
+    check_prime(p)
     if spec.kind == "cyclic":
         return _find_cyclic(p, spec.d)
     if spec.kind == "dihedral":
@@ -269,7 +269,7 @@ def lemma_orbit_size_bound(spec: SubgroupSpec, p: int) -> set[int] | None:
 
 
 # ---------------------------------------------------------------------------
-# full subgroup lattice for small p
+# full subgroup lattice for small p: no library path uses it, the tests do
 
 
 @lru_cache(maxsize=None)
@@ -360,23 +360,19 @@ def conjugates(rep: PglSubgroup):
             yield PglSubgroup(p, rep.spec, mats, grp)
 
 
-def match_pgl_subgroup(p: int, P: SlopePartition) -> list[PglSubgroup]:
-    """All subgroups of PGL(2,p) whose slope-orbit partition equals P.
+def match_pgl_subgroup(p: int, P: SlopePartition) -> PglSubgroup | None:
+    """K_P, the elements of PGL(2,p) keeping each block of P, or None.
 
-    The full lattice is searched for p <= 7.  For larger p only the named
-    families and their conjugates are, so a subgroup outside every named
-    family (PSL(2,p) itself, say) is not found.
+    K_P is returned when its slope orbits are the blocks of P.  A subgroup
+    whose orbits are the blocks lies in K_P, whose orbits lie within the
+    blocks, so K_P realises P whenever any subgroup does.
     """
-    if p <= _LATTICE_MAX_PRIME:
-        subs = (lattice_subgroup(p, ids) for ids in subgroup_lattice(p))
-        return [sub for sub in subs if partition_from_group(sub.group) == P]
-    out = []
-    seen: set[frozenset] = set()
-    for rep in filter(None, (find_subgroup(p, spec) for spec in named_specs(p))):
-        for sub in conjugates(rep):
-            key = frozenset(sub.group.elements)
-            if key not in seen:
-                seen.add(key)
-                if partition_from_group(sub.group) == P:
-                    out.append(sub)
-    return out
+    if P.n_labels != p + 1:
+        raise ValueError(f"partition has {P.n_labels} labels, want {p + 1}")
+    els, perms, _ = _element_perms(p)
+    label = np.array(P.rgs)
+    kept = np.flatnonzero((label[np.array(perms)] == label).all(axis=1))
+    keep = tuple(perms[i] for i in kept)
+    sub = PglSubgroup(p, None, tuple(els[i] for i in kept),
+                      PermGroup(p + 1, keep, tuple(sorted(keep))))
+    return sub if partition_from_group(sub.group) == P else None

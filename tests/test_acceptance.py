@@ -8,8 +8,9 @@ import math
 
 import pytest
 
-from planeschemes.affine import partitions_iter
+from planeschemes.affine import SlopePartition, partitions_iter
 from planeschemes.report import report_digest, run_sweep
+from planeschemes.subgroups import match_pgl_subgroup
 from planeschemes.verifypaper import (
     check_aaut_full,
     check_affine_laws,
@@ -111,3 +112,13 @@ def test_p7_sweep_verdict_distribution(p7_records):
     assert by_rgs["01111111"].aut_order == math.factorial(7) ** 7 * math.factorial(7)
     assert by_rgs["01222222"].aut_order == math.factorial(7) ** 2
     assert by_rgs["00111111"].aut_order == 2 * math.factorial(7) ** 2
+
+
+def test_p7_schurian_iff_block_stabiliser_realises(p7_records):
+    """Criterion 7 at p = 7: schurian exactly when K_P has the blocks as orbits."""
+    schurian = 0
+    for r in p7_records:
+        realised = match_pgl_subgroup(7, SlopePartition.from_string(r.partition_rgs))
+        assert r.schurian is (realised is not None), r.partition_rgs
+        schurian += r.schurian
+    assert len(p7_records) == 4140 and schurian == 248

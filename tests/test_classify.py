@@ -142,22 +142,25 @@ def test_pairing_involution():
 
 
 def test_match_pgl_subgroup_examples():
-    subs = match_pgl_subgroup(3, SlopePartition.from_string("0123"))
-    assert len(subs) == 1 and subs[0].order() == 1
-
-    subs = match_pgl_subgroup(3, SlopePartition.from_string("0112"))
-    orders = sorted(s.order() for s in subs)
-    assert 2 in orders   # includes the group generated by z -> -z
-
-    subs = match_pgl_subgroup(5, SlopePartition.from_string("000000"))
-    orders = [s.order() for s in subs]
-    assert 120 in orders               # the whole group
-    assert all(o >= 5 for o in orders)  # transitive subgroups only
+    # K_P: the elements keeping every block of P
+    cases = {(3, "0123"): 1,       # the discrete partition: the identity
+             (3, "0112"): 2,       # z -> -z swaps 1 and 2
+             (5, "000000"): 120,   # one block: the whole group
+             (5, "000112"): None}  # K_P = <z -> 2 - z> splits {0,1,2}
+    for (p, rgs), order in cases.items():
+        P = SlopePartition.from_string(rgs)
+        sub = match_pgl_subgroup(p, P)
+        assert (None if sub is None else sub.order()) == order, (p, rgs)
+        if sub is not None:
+            assert partition_from_group(sub.group) == P
+    with pytest.raises(ValueError):
+        match_pgl_subgroup(5, SlopePartition.from_string("0123"))
 
 
 def test_match_pgl_subgroup_named_mode():
-    subs = match_pgl_subgroup(11, SlopePartition.from_string("011111111111"))
-    assert subs and all(s.order() % 11 == 0 for s in subs)
+    # beyond the lattice's primes: the stabiliser of slope 0, of order p(p-1)
+    sub = match_pgl_subgroup(11, SlopePartition.from_string("011111111111"))
+    assert sub is not None and sub.order() == 110
 
 
 def test_sweep_p3_counts():

@@ -166,4 +166,4 @@ def test_verify_paper_quick(capsys, tmp_path, monkeypatch):
     code, out, _ = run_cli(["verify-paper", "--level", "quick"], capsys)
     assert code == 0
     assert "all checks passed" in out
-    assert out.count("[PASS]") >= 8
+    assert out.count("[PASS]") == 10

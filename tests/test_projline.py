@@ -35,7 +35,7 @@ def test_check_prime_rejects():
         with pytest.raises(UnsupportedPrime):
             check_prime(bad)
     with pytest.raises(UnsupportedPrime):
-        check_prime(37)   # beyond the default bound
+        check_prime(37)   # beyond MAX_PRIME
     check_prime(31)
 
 

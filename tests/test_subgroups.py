@@ -1,6 +1,6 @@
 import pytest
 
-from planeschemes.affine import partition_from_group
+from planeschemes.affine import partition_from_group, partitions_iter
 from planeschemes.classify import (
     EXCEPTIONAL_A4,
     EXCEPTIONAL_A5,
@@ -18,6 +18,7 @@ from planeschemes.subgroups import (
     is_exceptional_group,
     lattice_subgroup,
     lemma_orbit_size_bound,
+    match_pgl_subgroup,
     parse_spec,
     subgroup_lattice,
 )
@@ -137,6 +138,26 @@ def test_exceptional_enumeration():
             counts[p, kind] = len(found)
     assert counts == {(3, "alt4"): 1, (3, "alt5"): 0, (5, "alt4"): 5,
                       (5, "alt5"): 1, (7, "alt4"): 14, (7, "alt5"): 0}
+
+
+def test_block_stabiliser_realises_exactly_the_lattice_partitions():
+    counts = {}
+    for p in (3, 5, 7):
+        realising = {}
+        for ids in subgroup_lattice(p):
+            sub = lattice_subgroup(p, ids)
+            realising.setdefault(partition_from_group(sub.group), []).append(sub)
+        matched = {}
+        for P in partitions_iter(p + 1):
+            sub = match_pgl_subgroup(p, P)
+            if sub is not None:
+                matched[P] = set(sub.group.elements)
+        assert set(matched) == set(realising), p
+        for P, subs in realising.items():
+            for sub in subs:
+                assert set(sub.group.elements) <= matched[P], (p, P.as_string())
+        counts[p] = len(matched)
+    assert counts == {3: 15, 5: 78, 7: 248}
 
 
 def test_exceptional_witness_generates_the_subgroup():
