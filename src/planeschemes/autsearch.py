@@ -4,18 +4,26 @@ Color refinement plus individualization backtracking, in the standard
 partition-backtrack shape: the first path of the search tree is the base;
 sibling branches are pruned by refinement-trace mismatch and by orbits of
 the generators found so far; every leaf permutation is verified against the
-full color matrix before it is accepted.  Group order comes from a
-Schreier-Sims stabilizer chain over the returned generators.
+full color matrix before it is accepted.
+
+The group order is the product of the base-orbit lengths (McKay & Piperno's
+group-size rule; a base and strong generating set in Seress's terms).  At
+depth i every sibling of b_i that the generators of deviation depth >= i do
+not already reach is searched exhaustively, so those generators reach the
+whole orbit of b_i under the pointwise stabiliser of b_0..b_{i-1}; the base
+leaf is discrete, so the stabiliser of the whole base is trivial.  No
+Schreier-Sims run is needed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetExceeded, InvariantViolated
-from .permgroup import Perm, StabilizerChain, orbit_of
+from .permgroup import Perm, orbit_of
 from .scheme import Scheme
 
 DEFAULT_NODE_CAP = 10**7
@@ -40,7 +48,8 @@ def _refine(stack: np.ndarray, col: np.ndarray):
     sorted signature each round, so the numbering is deterministic and a
     step never merges cells.  Returns (coloring, trace) where the trace
     hashes the per-round signature tables; automorphic colorings and only
-    plausibly-automorphic ones share a trace.
+    plausibly-automorphic ones share a trace.  `col` must number its cells
+    0..k-1 with none empty.
     """
     r, n, _ = stack.shape
     ncells = int(col.max()) + 1
@@ -56,22 +65,41 @@ def _refine(stack: np.ndarray, col: np.ndarray):
             ],
             axis=1,
         )
-        uniq, new, cnt = np.unique(sig, axis=0, return_inverse=True, return_counts=True)
-        new = new.reshape(-1)
+        # rows in lexicographic order, as np.unique(sig, axis=0) sorts them;
+        # a column equal in every row cannot change that order (column 0 is
+        # kept so that lexsort always has a key)
+        keep = (sig != sig[0]).any(axis=0)
+        keep[0] = True
+        varying = np.flatnonzero(keep)
+        order = np.lexsort(sig[:, varying[::-1]].T)
+        rows = sig[order]
+        first = np.ones(n, dtype=bool)
+        first[1:] = (rows[1:, varying] != rows[:-1, varying]).any(axis=1)
+        starts = np.flatnonzero(first)
+        uniq = rows[starts]
+        cnt = np.diff(starts, append=n)
         trace = hash((trace, uniq.tobytes(), cnt.tobytes()))
-        new_ncells = len(uniq)
+        new_ncells = len(starts)
         if new_ncells == ncells:
             break
-        col = new.astype(np.int64)
+        col = np.empty(n, dtype=np.int64)
+        col[order] = np.cumsum(first) - 1
         ncells = new_ncells
     return col, (ncells, trace)
 
 
 def refine(X: Scheme, initial) -> np.ndarray:
-    """Public entry: stable refinement of `initial` under the colors of X."""
+    """Public entry: stable refinement of `initial` under the colors of X.
+
+    Labels need not be contiguous; they are renumbered 0..k-1 in increasing
+    order first.  Raises ValueError on a negative label.
+    """
     col = np.asarray(initial, dtype=np.int64)
     if col.shape != (X.n,):
         raise ValueError("initial coloring must assign one cell per point")
+    if col.min() < 0:
+        raise ValueError("initial coloring has a negative label")
+    _, col = np.unique(col, return_inverse=True)
     out, _ = _refine(X.color_stack, col)
     return out
 
@@ -96,6 +124,7 @@ class _AutSearch:
         self.base_digests: list[tuple] = []
         self.base_leaf_order: np.ndarray | None = None
         self.generators: list[tuple[int, np.ndarray]] = []  # (deviation depth, perm)
+        self.orbit_lengths: list[int] = []  # |orbit of b_i|, deepest base point first
 
     def _tick(self):
         self.nodes += 1
@@ -130,9 +159,12 @@ class _AutSearch:
         child_col, child_dig = self._child(col, b)
         self.base_digests.append(child_dig)
         self._base_node(child_col, depth + 1)
+        # every generator found so far fixes b_0..b_{depth-1}; the orbit of b
+        # grows only when a sibling below yields a new generator
+        orbit = self._orbit(b, depth)
         for x in cell[1:]:
             x = int(x)
-            if x in orbit_of([g for d, g in self.generators if d >= depth], b):
+            if x in orbit:
                 continue
             cand_col, cand_dig = self._child(col, x)
             if cand_dig != self.base_digests[depth + 1]:
@@ -140,6 +172,12 @@ class _AutSearch:
             sigma = self._subtree(cand_col, depth + 1)
             if sigma is not None:
                 self.generators.append((depth, sigma))
+                orbit = self._orbit(b, depth)
+        self.orbit_lengths.append(len(orbit))
+
+    def _orbit(self, b: int, depth: int) -> set[int]:
+        """Orbit of b under the generators of deviation depth >= depth."""
+        return set(orbit_of([g.tolist() for d, g in self.generators if d >= depth], b))
 
     def _subtree(self, col: np.ndarray, depth: int):
         """First verified automorphism whose leaf lies under this node, or None."""
@@ -162,8 +200,12 @@ class _AutSearch:
 def automorphism_group(X: Scheme, node_cap: int = DEFAULT_NODE_CAP) -> AutGroup:
     """Generators and exact order of aut(X), and the search nodes visited.
 
-    Raises BudgetExceeded when the search tree outgrows `node_cap`.  Every
-    returned generator is re-verified to fix every color class.
+    The order is the product of the base-orbit lengths the search leaves
+    behind: the orbit of b_i under the pointwise stabiliser of b_0..b_{i-1}
+    is complete because the sibling loop at depth i is exhaustive, and only
+    the identity fixes the whole base (see the module docstring).  Raises
+    BudgetExceeded when the search tree outgrows `node_cap`.  Every returned
+    generator is re-verified to fix every color class.
     """
     if X.n > MAX_AUT_POINTS:
         raise ValueError(f"automorphism search supports at most {MAX_AUT_POINTS} points")
@@ -176,33 +218,33 @@ def automorphism_group(X: Scheme, node_cap: int = DEFAULT_NODE_CAP) -> AutGroup:
         if not search._is_automorphism(g):
             raise InvariantViolated("search produced a non-automorphism")
         gens.append(tuple(int(v) for v in g))
-    return AutGroup(X.n, tuple(gens), StabilizerChain(gens, X.n).order(), search.nodes)
+    return AutGroup(X.n, tuple(gens), math.prod(search.orbit_lengths), search.nodes)
 
 
 def orbitals(generators, n: int):
     """2-orbit partition of the group generated by `generators` on n points.
 
     Returns (labels, count): labels is an (n, n) array of cell indices,
-    numbered by least pair in row-major order.
+    numbered by least pair in row-major order.  Each pair carries the least
+    pair known in its 2-orbit; the labels are pushed along every generator's
+    pair map, both ways, and shortened by pointer jumping until stable, when
+    each pair carries the least pair of its 2-orbit.
     """
     pmaps = [
         (np.asarray(g)[:, None] * n + np.asarray(g)[None, :]).ravel()
         for g in generators
     ]
-    labels = np.full(n * n, -1, dtype=np.int64)
-    nxt = 0
-    for pid in range(n * n):
-        if labels[pid] >= 0:
-            continue
-        labels[pid] = nxt
-        frontier = np.array([pid])
-        while frontier.size and pmaps:
-            imgs = np.unique(np.concatenate([pm[frontier] for pm in pmaps]))
-            fresh = imgs[labels[imgs] < 0]
-            labels[fresh] = nxt
-            frontier = fresh
-        nxt += 1
-    return labels.reshape(n, n), nxt
+    low = np.arange(n * n, dtype=np.int64)
+    while True:
+        before = low
+        for pm in pmaps:
+            low = np.minimum(low, low[pm])
+            low[pm] = np.minimum(low[pm], low)
+        low = low[low]
+        if np.array_equal(low, before):
+            break
+    least, labels = np.unique(low, return_inverse=True)
+    return labels.reshape(n, n), len(least)
 
 
 def orbital_count(X: Scheme, generators) -> int:

@@ -261,11 +261,11 @@ class _Analyzer:
             phi = pairing_involution(P, P2)
             if phi is None:
                 continue
+            # the colour test is cheap; classify_basic may run a search
+            if not is_algebraic_map(fuse(self.p, P2).scheme, phi):
+                continue
             inner = self.classify_basic(P2)
             if inner is None:
-                continue
-            X2 = fuse(self.p, P2).scheme
-            if not is_algebraic_map(X2, phi):
                 continue
             return P2, phi, inner
         return None

@@ -15,6 +15,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .affine import (
     partition_from_group,
     partitions_iter,
 )
-from .report import report_digest, run_sweep
+from .report import ReportRecord, report_digest, run_sweep
 from .scheme import (
     all_color_permutations_fixing_zero,
     is_algebraic_map,
@@ -153,11 +154,17 @@ def check_orbit_tables(primes=(5, 7, 11, 13)) -> tuple[bool, str]:
     return True, f"{built} subgroups within bounds"
 
 
-def check_main_sweep(primes=(3, 5, 7), jobs: int = 1) -> tuple[bool, str]:
+@lru_cache(maxsize=None)
+def _serial_sweep(p: int) -> tuple[ReportRecord, ...]:
+    """The full serial sweep at p, run once for the checks that read it."""
+    return tuple(run_sweep(p, partitions_iter(p + 1)))
+
+
+def check_main_sweep(primes=(3, 5, 7)) -> tuple[bool, str]:
     """Zero unclassifiable, zero unknown; every witness re-verified."""
     totals = []
     for p in primes:
-        records = run_sweep(p, partitions_iter(p + 1), jobs=jobs)
+        records = _serial_sweep(p)
         bad = [r for r in records if r.error is not None
                or r.verdict in ("Unknown", "UnclassifiableSchurian")]
         if bad:
@@ -170,7 +177,7 @@ def check_theorem_realization(primes=(3, 5, 7)) -> tuple[bool, str]:
     """A fusion is schurian exactly when K_P has the blocks of its partition P
     as orbits (K_P: the elements of PGL(2,p) keeping each block of P)."""
     for p in primes:
-        for rec in run_sweep(p, partitions_iter(p + 1)):
+        for rec in _serial_sweep(p):
             if rec.error is not None:
                 return False, f"p={p} {rec.partition_rgs}: {rec.error}"
             P = SlopePartition.from_string(rec.partition_rgs)

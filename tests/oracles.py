@@ -75,3 +75,58 @@ def enumerate_partitions_naive(n: int) -> set[tuple[int, ...]]:
 
     rec([0])
     return out
+
+
+def bfs_orbitals(generators, n: int):
+    """2-orbits by breadth-first search from each unlabelled pair in turn.
+
+    Returns (labels, count) with cells numbered by least pair in row-major
+    order, the contract of `autsearch.orbitals`.
+    """
+    pmaps = [
+        (np.asarray(g)[:, None] * n + np.asarray(g)[None, :]).ravel()
+        for g in generators
+    ]
+    labels = np.full(n * n, -1, dtype=np.int64)
+    nxt = 0
+    for pid in range(n * n):
+        if labels[pid] >= 0:
+            continue
+        labels[pid] = nxt
+        frontier = np.array([pid])
+        while frontier.size and pmaps:
+            imgs = np.unique(np.concatenate([pm[frontier] for pm in pmaps]))
+            fresh = imgs[labels[imgs] < 0]
+            labels[fresh] = nxt
+            frontier = fresh
+        nxt += 1
+    return labels.reshape(n, n), nxt
+
+
+def unique_refine(stack, col):
+    """Colour refinement that groups signature rows with np.unique(axis=0).
+
+    The reference for `autsearch._refine`: the same signatures, cell numbering
+    and trace, with the rows grouped by a different routine.
+    """
+    r, n, _ = stack.shape
+    ncells = int(col.max()) + 1
+    trace = ncells
+    while ncells < n:
+        onehot = np.zeros((n, ncells))
+        onehot[np.arange(n), col] = 1.0
+        counts = stack @ onehot
+        sig = np.concatenate(
+            [
+                col[:, None],
+                np.rint(counts).astype(np.int64).transpose(1, 0, 2).reshape(n, r * ncells),
+            ],
+            axis=1,
+        )
+        uniq, new, cnt = np.unique(sig, axis=0, return_inverse=True, return_counts=True)
+        trace = hash((trace, uniq.tobytes(), cnt.tobytes()))
+        if len(uniq) == ncells:
+            break
+        col = new.reshape(-1).astype(np.int64)
+        ncells = len(uniq)
+    return col, (ncells, trace)

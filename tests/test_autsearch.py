@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_force_aut_order
+from oracles import bfs_orbitals, brute_force_aut_order, unique_refine
 
 from planeschemes.affine import SlopePartition, build_affine_scheme, fuse, partitions_iter
 from planeschemes.autsearch import (
+    _refine,
     automorphism_group,
     is_schurian,
     orbital_count,
@@ -14,6 +15,7 @@ from planeschemes.autsearch import (
     refine,
 )
 from planeschemes.errors import BudgetExceeded, InvariantViolated
+from planeschemes.permgroup import StabilizerChain
 from planeschemes.scheme import tensor_product, trivial_scheme, wreath_product
 
 
@@ -33,6 +35,35 @@ def test_refine_examples():
     init[0] = 1
     col = refine(wreath, init)
     assert sorted(np.bincount(col).tolist()) == [1, 2, 6]
+
+
+def test_refine_renumbers_labels_that_skip_values():
+    wreath = fuse(3, SlopePartition.from_string("0111")).scheme
+    init = np.zeros(9, dtype=int)
+    init[0] = 2
+    col = refine(wreath, init)
+    assert sorted(np.bincount(col).tolist()) == [1, 2, 6]
+
+    col = refine(trivial_scheme(6), [0, 0, 0, 0, 0, 7])
+    assert col.tolist() == [0, 0, 0, 0, 0, 1]
+
+    with pytest.raises(ValueError):
+        refine(trivial_scheme(6), [0, 0, 0, 0, 0, -1])
+
+
+@pytest.mark.parametrize("p,rgs", [(5, "001122"), (5, "011111"), (5, "012345"),
+                                   (7, "00112233"), (7, "01111111"), (7, "00111010")])
+def test_refine_matches_unique_reference(p, rgs):
+    stack = fuse(p, SlopePartition.from_string(rgs)).scheme.color_stack
+    rng = np.random.default_rng(p * 1000 + len(rgs))
+    for _ in range(20):
+        labels = rng.integers(0, rng.integers(1, 5), size=p * p)
+        labels[rng.choice(p * p, size=3, replace=False)] = [5, 6, 7]
+        _, col = np.unique(labels, return_inverse=True)
+        got_col, got_trace = _refine(stack, col)
+        want_col, want_trace = unique_refine(stack, col)
+        assert np.array_equal(got_col, want_col)
+        assert got_trace == want_trace
 
 
 def test_refine_never_merges_and_idempotent():
@@ -77,6 +108,17 @@ def test_small_schemes_match_brute_force():
         assert aut.order == brute_force_aut_order(X.matrix)
 
 
+def test_order_from_base_orbits_matches_schreier_sims():
+    cases = [(p, P) for p in (3, 5) for P in partitions_iter(p + 1)]
+    cases += [(7, SlopePartition.from_string(rgs))
+              for rgs in ("00000000", "01234567", "01111111", "00111010", "00112233")]
+    assert len(cases) == 223
+    for p, P in cases:
+        X = fuse(p, P).scheme
+        aut = automorphism_group(X)
+        assert aut.order == StabilizerChain(aut.generators, X.n).order(), (p, P)
+
+
 def test_generator_soundness_and_determinism():
     rec = fuse(5, SlopePartition.from_string("010212"))
     a1 = automorphism_group(rec.scheme)
@@ -111,6 +153,20 @@ def test_orbitals_examples():
     for cell in range(count):
         colors = np.unique(X3.matrix[labels == cell])
         assert len(colors) == 1
+
+
+def test_orbitals_match_bfs_reference():
+    rng = np.random.default_rng(7)
+    gen_sets = [[], [tuple(rng.permutation(6))], [tuple(rng.permutation(6)) for _ in range(2)]]
+    for p in (3, 5):
+        for P in partitions_iter(p + 1):
+            gen_sets.append(automorphism_group(fuse(p, P).scheme).generators)
+    for gens in gen_sets:
+        n = len(gens[0]) if gens else 6
+        got_labels, got_count = orbitals(gens, n)
+        want_labels, want_count = bfs_orbitals(gens, n)
+        assert got_count == want_count
+        assert np.array_equal(got_labels, want_labels)
 
 
 def test_orbital_count_rejects_a_non_automorphism():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from planeschemes import verifypaper
 from planeschemes.cli import main
 from planeschemes.scheme import scheme_from_bytes
 
@@ -163,7 +164,19 @@ def test_sweep_unsupported_prime(capsys):
 
 def test_verify_paper_quick(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("AFS_CACHE", str(tmp_path / "cache"))
+    swept = []
+    run_sweep = verifypaper.run_sweep
+
+    def counted(p, *args, **kwargs):
+        swept.append(p)
+        return run_sweep(p, *args, **kwargs)
+
+    monkeypatch.setattr(verifypaper, "run_sweep", counted)
+    verifypaper._serial_sweep.cache_clear()
     code, out, _ = run_cli(["verify-paper", "--level", "quick"], capsys)
     assert code == 0
     assert "all checks passed" in out
     assert out.count("[PASS]") == 10
+    # main-theorem-sweep and theorem-realization read one sweep per prime;
+    # report-determinism runs its own three at p=3
+    assert sorted(swept) == [3, 3, 3, 3, 5]

@@ -9,6 +9,7 @@ from planeschemes import autsearch
 from planeschemes.affine import SlopePartition, build_affine_scheme, fuse, partitions_iter
 from planeschemes.autsearch import automorphism_group
 from planeschemes.classify import _Analyzer
+from planeschemes.permgroup import StabilizerChain
 from planeschemes.report import (
     AutCache,
     ReportRecord,
@@ -124,15 +125,24 @@ def test_cache_env_default(tmp_path, monkeypatch):
 
 def test_serial_sweep_searches_each_fusion_once(monkeypatch):
     searches = []
+    chains = []
     run = autsearch._AutSearch.run
+    chain_init = StabilizerChain.__init__
 
     def counted(self, *args):
         searches.append(1)
         return run(self, *args)
 
+    def counted_chain(self, *args):
+        chains.append(1)
+        return chain_init(self, *args)
+
     monkeypatch.setattr(autsearch._AutSearch, "run", counted)
+    monkeypatch.setattr(StabilizerChain, "__init__", counted_chain)
     records = run_sweep(5, partitions_iter(6))
     assert len(records) == len(searches) == 203
+    # the search counts the group order itself: no Schreier-Sims on a cold sweep
+    assert chains == []
 
 
 @pytest.mark.parametrize("p,jobs", [(3, 1), (3, 2), (5, 1), (5, 2)])
