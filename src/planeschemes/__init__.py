@@ -28,7 +28,6 @@ from .autsearch import (
 from .classify import (
     ClassificationResult,
     classify_fusion,
-    find_involutive_presentation,
     verify_witness,
 )
 from .errors import (

@@ -28,6 +28,7 @@ from .errors import (
     BudgetExceeded,
     InvariantViolated,
     NonCanonicalPartition,
+    NotAlgebraic,
     SingularMatrix,
     UnclassifiableSchurian,
 )
@@ -36,7 +37,7 @@ from .projline import pgl_canonical, point_permutation
 from .scheme import (
     ParabolicSet,
     Scheme,
-    is_algebraic_map,
+    algebraic_fusion,
     is_primitive,
     is_pseudocyclic,
     is_subtensor,
@@ -72,7 +73,6 @@ class ClassificationResult:
     pseudocyclic: bool | None
     schurian: bool | None          # None = undecided (budget)
     aut_order: int | None
-    inner: "ClassificationResult | None" = None
 
 
 @lru_cache(maxsize=None)
@@ -114,61 +114,34 @@ def _subtensor_witness(X: Scheme, p: int) -> dict | None:
     return None
 
 
-def _half_splits(block: tuple[int, ...]):
-    """Unordered splits of a block into two equal halves."""
-    k = len(block)
-    if k < 2 or k % 2:
-        return []
-    first, rest = block[0], block[1:]
-    out = []
-    for chosen in combinations(rest, k // 2 - 1):
-        h1 = (first,) + chosen
-        h2 = tuple(x for x in rest if x not in chosen)
-        out.append((h1, h2))
-    return out
+def involutive_presentations(P: SlopePartition):
+    """Each (P2, phi) presenting P as an involutive fusion, P2 in canonical order.
 
-
-def involutive_candidates(P: SlopePartition) -> list[SlopePartition]:
-    """Refinements splitting each block into at most two equal halves.
-
-    Includes P itself (the degenerate presentation with identity involution);
-    sorted in canonical partition order.
+    P2 splits one or more blocks of P into two equal halves and keeps the
+    rest; phi swaps the colors (block index + 1) of each pair of halves and
+    fixes every other color of the P2-fusion, so merging along phi gives P.
+    P itself is left out.
     """
     options = []
     for block in P.blocks():
-        opts = [(block,)]
-        opts.extend(_half_splits(block))
-        options.append(opts)
-    seen = set()
+        first, rest = block[0], block[1:]
+        halves = [] if len(block) % 2 else [
+            ((first,) + chosen, tuple(x for x in rest if x not in chosen))
+            for chosen in combinations(rest, len(block) // 2 - 1)]
+        options.append([(block,)] + halves)
+    out = []
     for combo in product(*options):
-        blocks = [b for part in combo for b in part]
-        seen.add(SlopePartition.from_blocks(blocks, P.n_labels))
-    return sorted(seen, key=lambda q: q.rgs)
-
-
-def pairing_involution(P: SlopePartition, P2: SlopePartition) -> tuple[int, ...] | None:
-    """The color involution of the P2-fusion that merges it back into P.
-
-    Colors of the P2-fusion are block index + 1.  Split halves are swapped,
-    intact blocks are fixed.  None when P2 does not refine P block-by-block
-    into at most two equal parts.
-    """
-    blocks2 = P2.blocks()
-    perm = list(range(P2.num_blocks + 1))
-    for pblock in P.blocks():
-        members = [i for i, b in enumerate(blocks2) if set(b) <= set(pblock)]
-        union = sorted(x for i in members for x in blocks2[i])
-        if union != sorted(pblock):
-            return None
-        if len(members) == 1:
+        splits = [parts for parts in combo if len(parts) == 2]
+        if not splits:
             continue
-        if len(members) != 2:
-            return None
-        i, j = members
-        if len(blocks2[i]) != len(blocks2[j]):
-            return None
-        perm[i + 1], perm[j + 1] = j + 1, i + 1
-    return tuple(perm)
+        P2 = SlopePartition.from_blocks([b for parts in combo for b in parts], P.n_labels)
+        phi = list(range(P2.num_blocks + 1))
+        for h1, h2 in splits:
+            a, b = P2.rgs[h1[0]] + 1, P2.rgs[h2[0]] + 1
+            phi[a], phi[b] = b, a
+        out.append((P2, tuple(phi)))
+    out.sort(key=lambda pair: pair[0].rgs)
+    yield from out
 
 
 class _Analyzer:
@@ -251,23 +224,17 @@ class _Analyzer:
         if found is None:
             raise UnclassifiableSchurian(
                 f"schurian fusion {P} at p={self.p} matches no case of the classification")
-        inner_p, phi, inner_res = found
-        witness = {"inner_partition": inner_p.as_string(), "color_involution": list(phi)}
-        return replace(res, verdict=INVOLUTIVE, witness=witness, inner=inner_res)
+        inner_p, phi, inner = found
+        witness = {"inner_partition": inner_p.as_string(), "color_involution": list(phi),
+                   "inner": {"verdict": inner.verdict, "witness": inner.witness}}
+        return replace(res, verdict=INVOLUTIVE, witness=witness)
 
     def find_involutive(self, P: SlopePartition):
         """First (inner partition, involution, inner result) in canonical order."""
-        for P2 in involutive_candidates(P):
-            phi = pairing_involution(P, P2)
-            if phi is None:
-                continue
-            # the colour test is cheap; classify_basic may run a search
-            if not is_algebraic_map(fuse(self.p, P2).scheme, phi):
-                continue
+        for P2, phi in involutive_presentations(P):
             inner = self.classify_basic(P2)
-            if inner is None:
-                continue
-            return P2, phi, inner
+            if inner is not None:
+                return P2, phi, inner
         return None
 
 
@@ -276,84 +243,61 @@ def classify_fusion(p: int, P: SlopePartition) -> ClassificationResult:
     return _Analyzer(p).classify(P)
 
 
-def find_involutive_presentation(p: int, P: SlopePartition):
-    """(inner partition, color involution) presenting P, or None.
-
-    The degenerate presentation (P, identity) is returned first whenever the
-    fusion of P itself falls into the basic cases.
-    """
-    found = _Analyzer(p).find_involutive(P)
-    if found is None:
-        return None
-    inner_p, phi, _ = found
-    return inner_p, phi
-
-
 # ---------------------------------------------------------------------------
 # witness re-verification (independent of the classification path)
 
 
-# what a malformed witness raises while it is read; it then fails the check
+# what a malformed or non-algebraic witness raises while it is read; it then
+# fails the check
 _MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError,
-              NonCanonicalPartition, SingularMatrix)
+              NonCanonicalPartition, NotAlgebraic, SingularMatrix)
 
 
 def verify_witness(p: int, P: SlopePartition, res: ClassificationResult) -> bool:
     """Re-check the witness of a verdict by direct construction.
 
+    The witness is read in its published form, the one in the report bytes.
     A malformed witness returns False instead of raising.
     """
     try:
-        return _witness_holds(p, P, res)
+        return _witness_holds(p, P, res.verdict, res.witness)
     except _MALFORMED:
         return False
 
 
-def _witness_holds(p: int, P: SlopePartition, res: ClassificationResult) -> bool:
-    rec = fuse(p, P)
-    X = rec.scheme
-    if res.verdict == WREATH:
-        e = _parabolic_from_colors(X, res.witness["parabolic_colors"])
+def _witness_holds(p: int, P: SlopePartition, verdict: str, witness: dict,
+                   X: Scheme | None = None) -> bool:
+    """Whether the witness holds for the P-fusion X (fused here when None)."""
+    if verdict in (NON_SCHURIAN, UNKNOWN):
+        return True   # soundness is enforced inside the engine itself
+    if X is None:
+        X = fuse(p, P).scheme
+    if verdict == WREATH:
+        e = _parabolic_from_colors(X, witness["parabolic_colors"])
         return e is not None and _check_wreath_equality(X, e, p)
-    if res.verdict == SUBTENSOR:
-        e1, e2 = (_parabolic_from_colors(X, c) for c in res.witness["parabolic_pair"])
+    if verdict == SUBTENSOR:
+        e1, e2 = (_parabolic_from_colors(X, c) for c in witness["parabolic_pair"])
         return e1 is not None and e2 is not None and is_subtensor(X, e1, e2)
-    if res.verdict == PRIMITIVE_PC:
+    if verdict == PRIMITIVE_PC:
         return is_primitive(X) and is_pseudocyclic(X)
-    if res.verdict in _VERDICT_KIND:
-        mats = [pgl_canonical(*entries, p) for entries in res.witness["generators"]]
+    if verdict in _VERDICT_KIND:
+        mats = [pgl_canonical(*entries, p) for entries in witness["generators"]]
         grp = group_closure([point_permutation(m) for m in mats], p + 1)
-        return (is_exceptional_group(grp, _VERDICT_KIND[res.verdict])
+        return (is_exceptional_group(grp, _VERDICT_KIND[verdict])
                 and partition_from_group(grp) == P)
-    if res.verdict == INVOLUTIVE:
-        inner_p = SlopePartition.from_string(res.witness["inner_partition"])
-        phi = tuple(res.witness["color_involution"])
+    if verdict == INVOLUTIVE:
+        # merge the inner fusion along phi; the inner verdict must be basic
+        inner_p = SlopePartition.from_string(witness["inner_partition"])
+        phi = tuple(witness["color_involution"])
+        inner = witness["inner"]
         X2 = fuse(p, inner_p).scheme    # ValueError for the wrong number of labels
-        if sorted(phi) != list(range(X2.rank)) or not is_algebraic_map(X2, phi):
-            return False
         if any(phi[phi[s]] != s for s in range(len(phi))):
             return False
-        if _merge_partition(inner_p, phi) != P:
+        if algebraic_fusion(X2, group_closure([phi], X2.rank)).scheme != X:
             return False
-        if res.inner is None or res.inner.verdict not in BASIC_VERDICTS:
-            return False
-        return _witness_holds(p, inner_p, res.inner)
-    if res.verdict in (NON_SCHURIAN, UNKNOWN):
-        return True   # soundness is enforced inside the engine itself
+        return (inner["verdict"] in BASIC_VERDICTS
+                and _witness_holds(p, inner_p, inner["verdict"], inner["witness"], X2))
     return False
-
-
-def _merge_partition(P2: SlopePartition, phi) -> SlopePartition:
-    blocks2 = P2.blocks()
-    merged = []
-    done = set()
-    for i, block in enumerate(blocks2):
-        if i in done:
-            continue
-        j = phi[i + 1] - 1
-        done.update((i, j))
-        merged.append(tuple(sorted(set(block) | set(blocks2[j]))))
-    return SlopePartition.from_blocks(merged, P2.n_labels)
 
 
 def _parabolic_from_colors(X: Scheme, colors) -> ParabolicSet | None:

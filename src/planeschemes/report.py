@@ -20,7 +20,7 @@ import numpy as np
 
 from .affine import SlopePartition
 from .autsearch import AutGroup
-from .classify import ClassificationResult, _Analyzer, verify_witness
+from .classify import _Analyzer, verify_witness
 from .errors import UnclassifiableSchurian
 from .permgroup import StabilizerChain, is_permutation
 from .scheme import Scheme, scheme_digest
@@ -54,16 +54,6 @@ class ReportRecord:
     elapsed_ms: float               # not serialized; totals go to the sidecar
 
 
-def _witness_jsonable(res: ClassificationResult) -> dict:
-    w = dict(res.witness)
-    if res.inner is not None:
-        w["inner"] = {
-            "verdict": res.inner.verdict,
-            "witness": _witness_jsonable(res.inner),
-        }
-    return w
-
-
 def record_from_result(p: int, P: SlopePartition, res, elapsed_ms: float) -> ReportRecord:
     """Build a record from a ClassificationResult or an error string."""
     sizes = P.block_sizes()
@@ -77,7 +67,7 @@ def record_from_result(p: int, P: SlopePartition, res, elapsed_ms: float) -> Rep
     return ReportRecord(
         p, P.as_string(), P.num_blocks + 1, valencies, lam,
         res.primitive, res.pseudocyclic, res.schurian, res.aut_order,
-        res.verdict, _witness_jsonable(res), None, elapsed_ms,
+        res.verdict, res.witness, None, elapsed_ms,
     )
 
 
@@ -228,11 +218,12 @@ class AutCache:
         try:
             with open(self._path(digest), "rb") as fh:
                 data = json.loads(fh.read())
-            if data.get("schema") != SCHEMA_VERSION or data.get("n") != X.n:
+            if (not isinstance(data, dict) or data.get("schema") != SCHEMA_VERSION
+                    or data.get("n") != X.n):
                 return None
             gens = [tuple(g) for g in data["generators"]]
             for g in gens:
-                if not is_permutation(g, X.n):
+                if not all(type(x) is int for x in g) or not is_permutation(g, X.n):
                     return None
                 arr = np.array(g)
                 if not np.array_equal(X.matrix[np.ix_(arr, arr)], X.matrix):

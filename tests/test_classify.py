@@ -1,4 +1,5 @@
 import functools
+import json
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 from planeschemes.affine import (
     SlopePartition,
+    fuse,
     lambda_criteria,
     partition_from_group,
     partitions_iter,
@@ -23,13 +25,13 @@ from planeschemes.classify import (
     WREATH,
     ClassificationResult,
     classify_fusion,
-    find_involutive_presentation,
-    involutive_candidates,
-    pairing_involution,
+    involutive_presentations,
     verify_witness,
 )
 from planeschemes.errors import BudgetExceeded, InvariantViolated
-from planeschemes.report import run_sweep
+from planeschemes.permgroup import group_closure
+from planeschemes.report import record_from_dict, record_to_dict, run_sweep
+from planeschemes.scheme import algebraic_fusion, is_algebraic_map
 from planeschemes.subgroups import SubgroupSpec, find_subgroup, match_pgl_subgroup
 
 
@@ -92,53 +94,81 @@ def test_involutive_verdict_d6_at_p7():
     P = partition_from_group(d6.group)
     res = classify_fusion(7, P)
     assert res.verdict == INVOLUTIVE
-    assert res.inner is not None and res.inner.verdict == SUBTENSOR
+    assert res.witness["inner"]["verdict"] == SUBTENSOR
     assert verify_witness(7, P, res)
+
+
+def test_verify_witness_fuses_only_what_it_checks(monkeypatch):
+    non_schurian = SlopePartition.from_string("000112")
+    involutive = SlopePartition.from_string("000011")
+    res_n = classify_fusion(5, non_schurian)
+    res_i = classify_fusion(5, involutive)
+    assert (res_n.verdict, res_i.verdict) == (NON_SCHURIAN, INVOLUTIVE)
+    fused = []
+
+    def counted_fuse(p, partition):
+        fused.append(partition.as_string())
+        return fuse(p, partition)
+
+    monkeypatch.setattr("planeschemes.classify.fuse", counted_fuse)
+    assert verify_witness(5, non_schurian, res_n) is True
+    assert fused == []
+    # an involutive witness fuses P and its inner partition once each
+    assert verify_witness(5, involutive, res_i)
+    assert sorted(fused) == ["000011", res_i.witness["inner_partition"]]
+
+
+def test_involutive_records_verify_in_published_form():
+    records = [r for r in run_sweep(5, partitions_iter(6)) if r.verdict == INVOLUTIVE]
+    assert len(records) == 15
+    for rec in records:
+        back = record_from_dict(json.loads(json.dumps(record_to_dict(rec))))
+        res = ClassificationResult(back.verdict, back.witness, back.primitive,
+                                   back.pseudocyclic, back.schurian, back.aut_order)
+        assert verify_witness(5, SlopePartition.from_string(back.partition_rgs), res)
 
 
 def test_involutive_presentation_degenerate_for_transitive_sym4():
     # sym(4) is transitive on the 6 points of the projective line over F_5,
-    # so its partition is the one-block one and the canonical-order search
-    # returns the degenerate presentation (P itself, identity involution)
+    # so its partition is the one-block one; P itself (the degenerate
+    # presentation with the identity involution) is not a presentation
     s4 = find_subgroup(5, SubgroupSpec("sym4"))
-    P = partition_from_group(s4.group)
-    assert P == SlopePartition.from_string("000000")
-    inner, phi = find_involutive_presentation(5, P)
-    assert inner == P
-    assert phi == (0, 1)
-
-    # the intended alt(4)-style presentation is nevertheless valid:
-    # splitting into halves and swapping them is an algebraic involution
-    from planeschemes.affine import fuse
-    from planeschemes.scheme import is_algebraic_map
-
-    half = SlopePartition.from_string("000111")
-    phi2 = pairing_involution(P, half)
-    assert phi2 == (0, 2, 1)
-    assert is_algebraic_map(fuse(5, half).scheme, phi2)
+    one = partition_from_group(s4.group)
+    assert one == SlopePartition.from_string("000000")
+    pairs = list(involutive_presentations(one))
+    assert one not in [P2 for P2, _ in pairs]
+    assert len(pairs) == 10
+    # splitting into halves and swapping them is an algebraic involution,
+    # and merging along it gives P back
+    assert ("000111", (0, 2, 1)) in [(P2.as_string(), phi) for P2, phi in pairs]
+    X = fuse(5, one).scheme
+    for P2, phi in pairs:
+        X2 = fuse(5, P2).scheme
+        assert is_algebraic_map(X2, phi)
+        assert algebraic_fusion(X2, group_closure([phi], X2.rank)).scheme == X
 
 
 def test_involutive_candidates_enumeration():
     P = SlopePartition.from_string("0011")
-    cands = [c.as_string() for c in involutive_candidates(P)]
-    assert set(cands) == {"0011", "0012", "0122", "0123"}
+    cands = [P2.as_string() for P2, _ in involutive_presentations(P)]
+    assert cands == ["0012", "0122", "0123"]
     assert cands == sorted(cands)
     P2 = SlopePartition.from_string("0000")
-    cands2 = [c.as_string() for c in involutive_candidates(P2)]
+    cands2 = [c.as_string() for c, _ in involutive_presentations(P2)]
     # only equal halves: unbalanced splits cannot be merged by an involution
-    assert set(cands2) == {"0000", "0011", "0101", "0110"}
+    assert cands2 == ["0011", "0101", "0110"]
 
 
 def test_pairing_involution():
+    # {2,3} or {0,1} split into singletons: their colors are swapped, the
+    # color of an intact block is fixed
     P = SlopePartition.from_string("0011")
-    # {2,3} split into singletons: swap their colors, fix the {0,1} color
-    assert pairing_involution(P, SlopePartition.from_string("0012")) == (0, 1, 3, 2)
-    assert pairing_involution(P, SlopePartition.from_string("0123")) == (0, 2, 1, 4, 3)
-    # not a refinement of P at all
-    assert pairing_involution(P, SlopePartition.from_string("0102")) is None
+    phis = {P2.as_string(): phi for P2, phi in involutive_presentations(P)}
+    assert phis == {"0012": (0, 1, 3, 2), "0122": (0, 2, 1, 3),
+                    "0123": (0, 2, 1, 4, 3)}
     # a three-way split of one block cannot come from an involution
     one = SlopePartition.from_string("000000")
-    assert pairing_involution(one, SlopePartition.from_string("001122")) is None
+    assert all(P2.num_blocks == 2 for P2, _ in involutive_presentations(one))
 
 
 def test_match_pgl_subgroup_examples():
@@ -222,16 +252,18 @@ def test_malformed_witness_fails_verification():
     P = SlopePartition.from_string("000011")
     good = classify_fusion(5, P)
     assert good.verdict == INVOLUTIVE
-    bad = ClassificationResult(
-        INVOLUTIVE, dict(good.witness, color_involution=[0, 1]),
-        True, False, True, good.aut_order, good.inner)
-    assert verify_witness(5, P, bad) is False
-    # an inner partition with too few labels, and one that is not canonical
-    for inner in ("00001", "000021"):
-        bad = ClassificationResult(
-            INVOLUTIVE, dict(good.witness, inner_partition=inner),
-            True, False, True, good.aut_order, good.inner)
-        assert verify_witness(5, P, bad) is False
+    assert good.witness["inner_partition"] == "000012"
+    no_inner = {k: v for k, v in good.witness.items() if k != "inner"}
+    non_basic = {"verdict": NON_SCHURIAN, "witness": {"orbital_count": 5, "rank": 4}}
+    for witness in [
+        dict(good.witness, color_involution=[0, 1]),
+        dict(good.witness, color_involution=[0, 2, 1, 3]),   # swaps unequal valencies
+        dict(good.witness, inner_partition="00001"),          # too few labels
+        dict(good.witness, inner_partition="000021"),         # not canonical
+        no_inner,
+        dict(good.witness, inner=non_basic),
+    ]:
+        assert verify_witness(5, P, replace(good, witness=witness)) is False, witness
 
     # witnesses missing a field, or holding one of the wrong shape
     for p, rgs, witness in [

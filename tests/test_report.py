@@ -94,6 +94,23 @@ def test_cache_corruption_recomputes(tmp_path):
     assert again.aut_order == first.aut_order == 362880
 
 
+def test_cache_malformed_entries_recompute(tmp_path):
+    # well-formed JSON of the wrong shape is recomputed, not raised
+    P = SlopePartition.from_string("0111")
+    X = fuse(3, P).scheme
+    cache = AutCache(str(tmp_path / "cache"))
+    cache.store(X, automorphism_group(X))
+    path = os.path.join(cache.directory, scheme_digest(X) + ".json")
+    entry = json.loads(open(path).read())
+    float_gens = dict(entry, generators=[[float(x) for x in g] for g in entry["generators"]])
+    for data in (float_gens, [entry]):
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        assert cache.load(X) is None
+        res = _Analyzer(3, cache).classify(P)
+        assert (res.verdict, res.aut_order) == ("WreathOfTrivial", 1296)
+
+
 def test_cache_rejects_wrong_generators(tmp_path):
     cache = AutCache(str(tmp_path / "cache"))
     X = build_affine_scheme(3)
