@@ -1,8 +1,11 @@
 """The decision procedure for classifying fusions of the affine scheme.
 
 Pipeline per fusion: build the scheme, decide schurity from the 2-orbits of
-the computed automorphism group, then assign exactly one principal verdict
-with a machine-checkable witness:
+the automorphism group, then assign exactly one principal verdict with a
+machine-checkable witness.  The fusions in one PGL(2,p) orbit are
+isomorphic, so the automorphism group is searched once per orbit, on its
+least member, and its order and orbital count are carried to each member
+along a point map that is checked first.  The verdicts are:
 
   imprimitive   -> wreath of trivial schemes, else subtensor of trivial schemes
   trivial       -> primitive pseudocyclic (rank 2 satisfies both predicates)
@@ -19,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +37,7 @@ from .errors import (
     UnclassifiableSchurian,
 )
 from .permgroup import group_closure
-from .projline import pgl_canonical, point_permutation
+from .projline import PglElement, pgl_canonical, point_permutation
 from .scheme import (
     ParabolicSet,
     Scheme,
@@ -47,7 +51,12 @@ from .scheme import (
     trivial_scheme,
     wreath_product,
 )
-from .subgroups import PglSubgroup, exceptional_subgroups, is_exceptional_group
+from .subgroups import (
+    PglSubgroup,
+    _element_perms,
+    exceptional_subgroups,
+    is_exceptional_group,
+)
 
 WREATH = "WreathOfTrivial"
 SUBTENSOR = "SubtensorOfTrivial"
@@ -144,19 +153,75 @@ def involutive_presentations(P: SlopePartition):
     yield from out
 
 
+@lru_cache(maxsize=None)
+def _slope_perm_array(p: int) -> np.ndarray:
+    """Row i: the slope permutation of the i-th PGL(2,p) element in canonical order."""
+    return np.array(_element_perms(p)[1])
+
+
+def least_in_orbit(p: int, P: SlopePartition) -> tuple[PglElement, SlopePartition]:
+    """(g, Q) with Q the least member of the PGL(2,p) orbit of P.
+
+    Q is the canonical form of P.rgs[pi_g], minimised over the whole group
+    at once; g is the first element in canonical order that gives it.
+    """
+    images = np.asarray(P.rgs)[_slope_perm_array(p)]      # row g: P.rgs[pi_g]
+    first = (images[:, :, None] == np.arange(P.num_blocks)).argmax(axis=1)
+    renumber = np.argsort(np.argsort(first, axis=1), axis=1)  # blocks by first slope
+    canon = np.take_along_axis(renumber, images, axis=1)
+    best = int(np.lexsort(canon.T[::-1])[0])
+    return _element_perms(p)[0][best], SlopePartition(tuple(canon[best].tolist()))
+
+
+def _point_map(p: int, g: PglElement) -> np.ndarray:
+    """sigma(x, y) = (d*x + c*y, b*x + a*y) for g = [[a, b], [c, d]].
+
+    sigma maps the direction (dx, dy), as the projective point [dy:dx], to
+    g[dy:dx], so it carries the fusion along P.rgs[pi_g] onto the P-fusion.
+    """
+    a, b, c, d = g.entries()
+    x, y = np.divmod(np.arange(p * p), p)
+    return (d * x + c * y) % p * p + (b * x + a * y) % p
+
+
+def _carries(sigma: np.ndarray, to_matrix: np.ndarray, from_matrix: np.ndarray) -> bool:
+    """Whether to_matrix[sigma][:, sigma] == lut[from_matrix] for a color bijection lut.
+
+    Then sigma is an isomorphism of the two schemes (a bijective lut also
+    makes sigma injective, since color 0 is the diagonal's alone).
+    """
+    carried = to_matrix[np.ix_(sigma, sigma)]
+    lut = np.zeros(int(from_matrix.max()) + 1, dtype=to_matrix.dtype)
+    lut[from_matrix] = carried        # one image per color; the comparison checks all
+    return (len(np.unique(lut)) == len(lut) == int(to_matrix.max()) + 1
+            and np.array_equal(lut[from_matrix], carried))
+
+
+class _OrbitInvariants(NamedTuple):
+    """What the search of an orbit's least member Q decides for every member."""
+
+    matrix: np.ndarray          # the Q-fusion's colors, to check each member's point map
+    orbital_count: int | None
+    aut_order: int | None
+    reason: str | None          # why the search gave up; None when it finished
+
+
 class _Analyzer:
     """Per-prime classification state: one memoized analysis per fusion.
 
     The analysis of P (kept in basic_memo under P.rgs) is a basic verdict,
     NonSchurian, Unknown, or a schurian fusion no basic case matches.
-    Automorphism groups come from `cache` (an AutCache, or None) when it
-    holds them and are stored there after a search.
+    Automorphism groups are searched once per PGL(2,p) orbit, on its least
+    member Q (orbit_memo holds what each search decided, under Q.rgs); they
+    come from `cache` (an AutCache, or None) when it holds them and are
+    stored there after a search.
     """
 
     def __init__(self, p: int, cache=None):
         self.p = p
         self.cache = cache
         self.basic_memo: dict[tuple[int, ...], ClassificationResult] = {}
+        self.orbit_memo: dict[tuple[int, ...], _OrbitInvariants] = {}
 
     def _automorphisms(self, X: Scheme):
         aut = self.cache.load(X) if self.cache is not None else None
@@ -165,6 +230,30 @@ class _Analyzer:
             if self.cache is not None:
                 self.cache.store(X, aut)
         return aut
+
+    def _orbit_invariants(self, P: SlopePartition, X: Scheme) -> _OrbitInvariants:
+        """The invariants of the orbit of P, carried to X, the P-fusion.
+
+        Raises InvariantViolated when the point map does not carry the
+        fusion of the orbit's least member onto X.
+        """
+        g, Q = least_in_orbit(self.p, P)
+        inv = self.orbit_memo.get(Q.rgs)
+        if inv is None:
+            XQ = X if Q == P else fuse(self.p, Q).scheme
+            try:
+                aut = self._automorphisms(XQ)
+            except BudgetExceeded as exc:
+                inv = _OrbitInvariants(XQ.matrix, None, None, str(exc))
+            else:
+                inv = _OrbitInvariants(XQ.matrix, orbital_count(XQ, aut.generators),
+                                       aut.order, None)
+            self.orbit_memo[Q.rgs] = inv
+        if not _carries(_point_map(self.p, g), X.matrix, inv.matrix):
+            raise InvariantViolated(
+                f"the point map of {g.entries()} does not carry the {Q}-fusion "
+                f"onto the {P}-fusion at p={self.p}")
+        return inv
 
     def _analysis(self, P: SlopePartition) -> ClassificationResult:
         res = self.basic_memo.get(P.rgs)
@@ -181,13 +270,12 @@ class _Analyzer:
         if lambda_criteria(rec) != (not prim, pc):
             raise InvariantViolated(
                 f"Lambda criteria disagree with the structural predicates for {P}")
-        try:
-            aut = self._automorphisms(X)
-        except BudgetExceeded as exc:
-            return ClassificationResult(UNKNOWN, {"reason": str(exc)}, prim, pc, None, None)
-        orbits = orbital_count(X, aut.generators)
+        inv = self._orbit_invariants(P, X)
+        if inv.reason is not None:
+            return ClassificationResult(UNKNOWN, {"reason": inv.reason}, prim, pc, None, None)
+        orbits = inv.orbital_count
         flags = dict(primitive=prim, pseudocyclic=pc,
-                     schurian=orbits == X.rank, aut_order=aut.order)
+                     schurian=orbits == X.rank, aut_order=inv.aut_order)
         if orbits != X.rank:
             return ClassificationResult(
                 NON_SCHURIAN, {"orbital_count": int(orbits), "rank": X.rank}, **flags)

@@ -9,6 +9,7 @@ import math
 import pytest
 
 from planeschemes.affine import SlopePartition, partitions_iter
+from planeschemes.classify import least_in_orbit
 from planeschemes.report import report_digest, run_sweep
 from planeschemes.subgroups import match_pgl_subgroup
 from planeschemes.verifypaper import (
@@ -122,3 +123,15 @@ def test_p7_schurian_iff_block_stabiliser_realises(p7_records):
         assert r.schurian is (realised is not None), r.partition_rgs
         schurian += r.schurian
     assert len(p7_records) == 4140 and schurian == 248
+
+
+def test_p7_orbit_members_agree(p7_records):
+    """The invariants carried along each PGL(2,7) orbit agree on all its members."""
+    by_orbit = {}
+    for r in p7_records:
+        Q = least_in_orbit(7, SlopePartition.from_string(r.partition_rgs))[1]
+        by_orbit.setdefault(Q, set()).add(
+            (r.verdict, r.aut_order, r.schurian, r.primitive, r.pseudocyclic))
+    assert len(by_orbit) == 47
+    assert all(len(shared) == 1 for shared in by_orbit.values()), [
+        (Q.as_string(), shared) for Q, shared in by_orbit.items() if len(shared) > 1]

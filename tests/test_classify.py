@@ -1,11 +1,13 @@
 import functools
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from planeschemes.affine import (
@@ -23,13 +25,19 @@ from planeschemes.classify import (
     PRIMITIVE_PC,
     SUBTENSOR,
     WREATH,
+    UNKNOWN,
     ClassificationResult,
+    _Analyzer,
+    _carries,
+    _point_map,
     classify_fusion,
     involutive_presentations,
+    least_in_orbit,
     verify_witness,
 )
 from planeschemes.errors import BudgetExceeded, InvariantViolated
 from planeschemes.permgroup import group_closure
+from planeschemes.projline import pgl_elements, point_permutation
 from planeschemes.report import record_from_dict, record_to_dict, run_sweep
 from planeschemes.scheme import algebraic_fusion, is_algebraic_map
 from planeschemes.subgroups import SubgroupSpec, find_subgroup, match_pgl_subgroup
@@ -305,3 +313,103 @@ def test_lambda_mismatch_raises_under_python_O():
         "    print('raised')\n"
     )
     assert _run_fresh(code, "-O").strip() == "raised"
+
+
+def _burnside_orbit_count(p: int) -> int:
+    """Orbits of PGL(2,p) on the slope partitions: the mean number fixed per element.
+
+    A partition is fixed by g when pi_g keeps its same-block relation.
+    """
+    same = np.array([[[a == b for b in P.rgs] for a in P.rgs]
+                     for P in partitions_iter(p + 1)])
+    fixed = 0
+    for g in pgl_elements(p):
+        pi = np.array(point_permutation(g))
+        fixed += int((same[:, pi][:, :, pi] == same).all(axis=(1, 2)).sum())
+    assert fixed % (p**3 - p) == 0
+    return fixed // (p**3 - p)
+
+
+def test_orbit_counts_match_burnside():
+    counts = []
+    for p in (3, 5, 7):
+        least = {}
+        for P in partitions_iter(p + 1):
+            g, Q = least_in_orbit(p, P)
+            assert Q <= P and least_in_orbit(p, Q)[1] == Q
+            least[P] = Q
+        counts.append(len(set(least.values())))
+        assert counts[-1] == _burnside_orbit_count(p)
+    assert counts == [5, 13, 47]
+
+
+def _sigma_carries(p: int, g, P: SlopePartition, Q: SlopePartition) -> bool:
+    """Point by point: sigma maps each pair of X_Q to a pair of X_P, colors bijectively."""
+    XP, XQ = fuse(p, P).scheme.matrix, fuse(p, Q).scheme.matrix
+    a, b, c, d = g.entries()
+    sigma = [(d * x + c * y) % p * p + (b * x + a * y) % p
+             for x in range(p) for y in range(p)]
+    lut = {}
+    for u in range(p * p):
+        for v in range(p * p):
+            image = int(XP[sigma[u], sigma[v]])
+            if lut.setdefault(int(XQ[u, v]), image) != image:
+                return False
+    return len(set(lut.values())) == len(lut) == P.num_blocks + 1
+
+
+def test_point_map_carries_least_member_onto_each_fusion():
+    sample = random.Random(7).sample(list(partitions_iter(8)), 40)
+    cases = [(p, P) for p in (3, 5) for P in partitions_iter(p + 1)]
+    for p, P in cases + [(7, P) for P in sample]:
+        g, Q = least_in_orbit(p, P)
+        assert _sigma_carries(p, g, P, Q), (p, P, g)
+        assert _carries(_point_map(p, g), fuse(p, P).scheme.matrix,
+                        fuse(p, Q).scheme.matrix)
+
+
+def test_wrong_point_map_raises(monkeypatch):
+    # 0111 is carried onto 0001, its orbit's least member, by a non-identity map
+    P = SlopePartition.from_string("0111")
+    assert least_in_orbit(3, P)[1] == SlopePartition.from_string("0001")
+    monkeypatch.setattr("planeschemes.classify._point_map", lambda p, g: np.arange(p * p))
+    with pytest.raises(InvariantViolated):
+        classify_fusion(3, P)
+
+
+def test_wrong_point_map_raises_under_python_O():
+    code = (
+        "import numpy as np\n"
+        "import planeschemes.classify as c\n"
+        "from planeschemes.affine import SlopePartition\n"
+        "from planeschemes.errors import InvariantViolated\n"
+        "c._point_map = lambda p, g: np.arange(p * p)\n"
+        "try:\n"
+        "    c.classify_fusion(3, SlopePartition.from_string('0111'))\n"
+        "except InvariantViolated:\n"
+        "    print('raised')\n"
+    )
+    assert _run_fresh(code, "-O").strip() == "raised"
+
+
+def test_budget_makes_whole_orbit_unknown(monkeypatch):
+    searched = []
+
+    def capped(X):
+        searched.append(X)
+        return automorphism_group(X, node_cap=3)
+
+    monkeypatch.setattr("planeschemes.classify.automorphism_group", capped)
+    analyzer = _Analyzer(5)
+    by_orbit = {}
+    for P in partitions_iter(6):
+        res = analyzer.classify(P)
+        by_orbit.setdefault(least_in_orbit(5, P)[1], []).append(res)
+    assert len(searched) == len(by_orbit) == 13
+    unknown = [members for members in by_orbit.values()
+               if any(r.verdict == UNKNOWN for r in members)]
+    assert any(len(members) > 1 for members in unknown)
+    for members in unknown:
+        assert all(r.verdict == UNKNOWN and r.schurian is None and r.aut_order is None
+                   for r in members)
+        assert len({r.witness["reason"] for r in members}) == 1

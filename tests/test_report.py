@@ -94,20 +94,31 @@ def test_cache_corruption_recomputes(tmp_path):
     assert again.aut_order == first.aut_order == 362880
 
 
-def test_cache_malformed_entries_recompute(tmp_path):
-    # well-formed JSON of the wrong shape is recomputed, not raised
+def test_cache_malformed_entries_recompute(tmp_path, monkeypatch):
+    # well-formed JSON of the wrong shape is recomputed, not raised; the
+    # analyzer of 0111 reads the entry of its orbit's least member 0001
     P = SlopePartition.from_string("0111")
-    X = fuse(3, P).scheme
+    X = fuse(3, SlopePartition.from_string("0001")).scheme
     cache = AutCache(str(tmp_path / "cache"))
     cache.store(X, automorphism_group(X))
     path = os.path.join(cache.directory, scheme_digest(X) + ".json")
     entry = json.loads(open(path).read())
     float_gens = dict(entry, generators=[[float(x) for x in g] for g in entry["generators"]])
+    load = cache.load
+    loads = []
+
+    def recorded(Y):
+        got = load(Y)
+        loads.append((scheme_digest(Y), got))
+        return got
+
+    monkeypatch.setattr(cache, "load", recorded)
     for data in (float_gens, [entry]):
         with open(path, "w") as fh:
             json.dump(data, fh)
-        assert cache.load(X) is None
+        loads.clear()
         res = _Analyzer(3, cache).classify(P)
+        assert loads == [(scheme_digest(X), None)]
         assert (res.verdict, res.aut_order) == ("WreathOfTrivial", 1296)
 
 
@@ -140,7 +151,7 @@ def test_cache_env_default(tmp_path, monkeypatch):
     assert AutCache().directory == ".afs-cache"
 
 
-def test_serial_sweep_searches_each_fusion_once(monkeypatch):
+def test_serial_sweep_searches_each_orbit_once(monkeypatch):
     searches = []
     chains = []
     run = autsearch._AutSearch.run
@@ -157,7 +168,8 @@ def test_serial_sweep_searches_each_fusion_once(monkeypatch):
     monkeypatch.setattr(autsearch._AutSearch, "run", counted)
     monkeypatch.setattr(StabilizerChain, "__init__", counted_chain)
     records = run_sweep(5, partitions_iter(6))
-    assert len(records) == len(searches) == 203
+    # one search per PGL(2,5) orbit, on its least member
+    assert (len(records), len(searches)) == (203, 13)
     # the search counts the group order itself: no Schreier-Sims on a cold sweep
     assert chains == []
 
