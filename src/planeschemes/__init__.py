@@ -105,6 +105,7 @@ from .subgroups import (
     SubgroupSpec,
     exceptional_subgroups,
     find_subgroup,
+    match_exceptional_subgroup,
     match_pgl_subgroup,
     named_specs,
     parse_spec,

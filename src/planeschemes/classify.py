@@ -9,9 +9,10 @@ along a point map that is checked first.  The verdicts are:
 
   imprimitive   -> wreath of trivial schemes, else subtensor of trivial schemes
   trivial       -> primitive pseudocyclic (rank 2 satisfies both predicates)
-  primitive     -> exceptional alt(4)/alt(5) orbit fusion (exact partition
-                   match), else primitive pseudocyclic, else an involutive
-                   fusion of one of the previous cases
+  primitive     -> exceptional (an alt(4)/alt(5) inside K_P, the block
+                   stabiliser, has the blocks as its slope orbits), else
+                   primitive pseudocyclic, else an involutive fusion of one
+                   of the previous cases
 
 A schurian fusion matching no case raises UnclassifiableSchurian: that is
 either a bug or a counterexample, and is never swallowed.
@@ -20,7 +21,6 @@ either a bug or a counterexample, and is never swallowed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import combinations, product
 from typing import NamedTuple
 
@@ -53,9 +53,9 @@ from .scheme import (
 )
 from .subgroups import (
     PglSubgroup,
-    _element_perms,
-    exceptional_subgroups,
     is_exceptional_group,
+    least_in_orbit,
+    match_exceptional_subgroup,
 )
 
 WREATH = "WreathOfTrivial"
@@ -70,6 +70,7 @@ UNKNOWN = "Unknown"
 BASIC_VERDICTS = (WREATH, SUBTENSOR, PRIMITIVE_PC, EXCEPTIONAL_A4, EXCEPTIONAL_A5)
 _UNMATCHED = "SchurianUnmatched"   # internal: no basic case fits a schurian fusion
 _VERDICT_KIND = {EXCEPTIONAL_A4: "alt4", EXCEPTIONAL_A5: "alt5"}
+_KIND_VERDICT = {kind: tag for tag, kind in _VERDICT_KIND.items()}
 
 
 @dataclass(frozen=True)
@@ -82,16 +83,6 @@ class ClassificationResult:
     pseudocyclic: bool | None
     schurian: bool | None          # None = undecided (budget)
     aut_order: int | None
-
-
-@lru_cache(maxsize=None)
-def _exceptional_table(p: int) -> tuple[tuple[str, SlopePartition, PglSubgroup], ...]:
-    """Orbit partitions of every alt(4) and alt(5) subgroup, deterministic order."""
-    out = []
-    for tag, kind in _VERDICT_KIND.items():
-        for sub in exceptional_subgroups(p, kind):
-            out.append((tag, partition_from_group(sub.group), sub))
-    return tuple(out)
 
 
 def _subgroup_witness(sub: PglSubgroup) -> dict:
@@ -153,26 +144,6 @@ def involutive_presentations(P: SlopePartition):
     yield from out
 
 
-@lru_cache(maxsize=None)
-def _slope_perm_array(p: int) -> np.ndarray:
-    """Row i: the slope permutation of the i-th PGL(2,p) element in canonical order."""
-    return np.array(_element_perms(p)[1])
-
-
-def least_in_orbit(p: int, P: SlopePartition) -> tuple[PglElement, SlopePartition]:
-    """(g, Q) with Q the least member of the PGL(2,p) orbit of P.
-
-    Q is the canonical form of P.rgs[pi_g], minimised over the whole group
-    at once; g is the first element in canonical order that gives it.
-    """
-    images = np.asarray(P.rgs)[_slope_perm_array(p)]      # row g: P.rgs[pi_g]
-    first = (images[:, :, None] == np.arange(P.num_blocks)).argmax(axis=1)
-    renumber = np.argsort(np.argsort(first, axis=1), axis=1)  # blocks by first slope
-    canon = np.take_along_axis(renumber, images, axis=1)
-    best = int(np.lexsort(canon.T[::-1])[0])
-    return _element_perms(p)[0][best], SlopePartition(tuple(canon[best].tolist()))
-
-
 def _point_map(p: int, g: PglElement) -> np.ndarray:
     """sigma(x, y) = (d*x + c*y, b*x + a*y) for g = [[a, b], [c, d]].
 
@@ -209,8 +180,9 @@ class _OrbitInvariants(NamedTuple):
 class _Analyzer:
     """Per-prime classification state: one memoized analysis per fusion.
 
-    The analysis of P (kept in basic_memo under P.rgs) is a basic verdict,
-    NonSchurian, Unknown, or a schurian fusion no basic case matches.
+    The analysis of P, basic_memo[P.rgs], is a basic verdict (exceptional
+    from `match_exceptional_subgroup`), NonSchurian, Unknown or an unmatched
+    schurian.
     Automorphism groups are searched once per PGL(2,p) orbit, on its least
     member Q (orbit_memo holds what each search decided, under Q.rgs); they
     come from `cache` (an AutCache, or None) when it holds them and are
@@ -287,10 +259,9 @@ class _Analyzer:
             if w is not None:
                 return ClassificationResult(SUBTENSOR, w, **flags)
             return ClassificationResult(_UNMATCHED, {}, **flags)
-        if X.rank > 2:
-            for tag, part, sub in _exceptional_table(p):
-                if part == P:
-                    return ClassificationResult(tag, _subgroup_witness(sub), **flags)
+        A = match_exceptional_subgroup(p, P)
+        if A is not None:
+            return ClassificationResult(_KIND_VERDICT[A.spec.kind], _subgroup_witness(A), **flags)
         if pc:   # the trivial scheme (rank 2) satisfies both predicates
             return ClassificationResult(PRIMITIVE_PC, {"lambda": sorted(rec.lam)}, **flags)
         return ClassificationResult(_UNMATCHED, {}, **flags)

@@ -47,6 +47,12 @@ def _prime_arg(value: str) -> int:
     return p
 
 
+def _jobs_arg(value: str) -> int:
+    if int(value) < 1:
+        raise argparse.ArgumentTypeError(f"{value} workers: want at least 1")
+    return int(value)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="afs",
@@ -63,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p", type=_prime_arg, required=True)
     s.add_argument("--out", default=None, help="report file (default report_p{p}.json)")
     s.add_argument("--format", choices=("json", "csv"), default="json")
-    s.add_argument("--jobs", type=int, default=1)
+    s.add_argument("--jobs", type=_jobs_arg, default=1)
     s.add_argument("--no-cache", action="store_true")
 
     c = sub.add_parser("classify", help="classify a single slope partition")

@@ -360,6 +360,21 @@ def conjugates(rep: PglSubgroup):
             yield PglSubgroup(p, rep.spec, mats, grp)
 
 
+@lru_cache(maxsize=None)
+def _slope_perm_array(p: int) -> np.ndarray:
+    """Row i: the slope permutation of the i-th PGL(2,p) element in canonical order."""
+    table = np.array(_element_perms(p)[1])
+    table.flags.writeable = False
+    return table
+
+
+def _slope_images(p: int, P: SlopePartition) -> np.ndarray:
+    """Row i: P.rgs[pi_g] for the i-th PGL(2,p) element g in canonical order."""
+    if P.n_labels != p + 1:
+        raise ValueError(f"partition has {P.n_labels} labels, want {p + 1}")
+    return np.asarray(P.rgs)[_slope_perm_array(p)]
+
+
 def match_pgl_subgroup(p: int, P: SlopePartition) -> PglSubgroup | None:
     """K_P, the elements of PGL(2,p) keeping each block of P, or None.
 
@@ -367,12 +382,45 @@ def match_pgl_subgroup(p: int, P: SlopePartition) -> PglSubgroup | None:
     whose orbits are the blocks lies in K_P, whose orbits lie within the
     blocks, so K_P realises P whenever any subgroup does.
     """
-    if P.n_labels != p + 1:
-        raise ValueError(f"partition has {P.n_labels} labels, want {p + 1}")
     els, perms, _ = _element_perms(p)
-    label = np.array(P.rgs)
-    kept = np.flatnonzero((label[np.array(perms)] == label).all(axis=1))
+    kept = np.flatnonzero((_slope_images(p, P) == P.rgs).all(axis=1))
     keep = tuple(perms[i] for i in kept)
     sub = PglSubgroup(p, None, tuple(els[i] for i in kept),
                       PermGroup(p + 1, keep, tuple(sorted(keep))))
     return sub if partition_from_group(sub.group) == P else None
+
+
+def match_exceptional_subgroup(p: int, P: SlopePartition) -> PglSubgroup | None:
+    """An alt(4) or alt(5) whose slope orbits are the blocks of P, or None.
+
+    None for one block.  Such a subgroup lies in K_P, which is then alt(4),
+    sym(4) or alt(5) (Dickson: PSL(2,p) and PGL(2,p) are transitive, and an
+    alt(5) with two orbits has one of 20, 30 or 60 slopes, unlike alt(4));
+    it is the subgroup generated by the elements of order 3 of K_P.
+    """
+    if P.num_blocks == 1:
+        return None
+    K = match_pgl_subgroup(p, P)
+    if K is None or K.order() % 12:
+        return None
+    A = group_closure([q for q in K.group.elements if perm_order(q) == 3], p + 1)
+    members = set(A.elements)
+    for kind in ("alt4", "alt5"):
+        if is_exceptional_group(A, kind) and partition_from_group(A) == P:
+            mats = tuple(g for g in K.matrices if point_permutation(g) in members)
+            return PglSubgroup(p, SubgroupSpec(kind), mats, A)
+    return None
+
+
+def least_in_orbit(p: int, P: SlopePartition) -> tuple[PglElement, SlopePartition]:
+    """(g, Q) with Q the least member of the PGL(2,p) orbit of P.
+
+    Q is the canonical form of P.rgs[pi_g], minimised over the whole group
+    at once; g is the first element in canonical order that gives it.
+    """
+    images = _slope_images(p, P)
+    first = (images[:, :, None] == np.arange(P.num_blocks)).argmax(axis=1)
+    renumber = np.argsort(np.argsort(first, axis=1), axis=1)  # blocks by first slope
+    canon = np.take_along_axis(renumber, images, axis=1)
+    best = int(np.lexsort(canon.T[::-1])[0])
+    return _element_perms(p)[0][best], SlopePartition(tuple(canon[best].tolist()))

@@ -8,10 +8,10 @@ import math
 
 import pytest
 
-from planeschemes.affine import SlopePartition, partitions_iter
+from planeschemes.affine import SlopePartition, partition_from_group, partitions_iter
 from planeschemes.classify import least_in_orbit
 from planeschemes.report import report_digest, run_sweep
-from planeschemes.subgroups import match_pgl_subgroup
+from planeschemes.subgroups import exceptional_subgroups, match_pgl_subgroup
 from planeschemes.verifypaper import (
     check_aaut_full,
     check_affine_laws,
@@ -123,6 +123,22 @@ def test_p7_schurian_iff_block_stabiliser_realises(p7_records):
         assert r.schurian is (realised is not None), r.partition_rgs
         schurian += r.schurian
     assert len(p7_records) == 4140 and schurian == 248
+
+
+def test_p7_exceptional_records_are_the_conjugates_orbit_fusions(p7_records):
+    """The classifier reads K_P; the conjugates of one alt(4)/alt(5) are the reference."""
+    want = {}
+    for verdict, kind in (("ExceptionalA4", "alt4"), ("ExceptionalA5", "alt5")):
+        for sub in exceptional_subgroups(7, kind):
+            P = partition_from_group(sub.group)
+            if P.num_blocks > 1:
+                want[P.as_string()] = (verdict, {
+                    "generators": [list(g.entries()) for g in sub.witness_generators()],
+                    "order": sub.order()})
+    got = {r.partition_rgs: (r.verdict, r.witness) for r in p7_records
+           if r.verdict in ("ExceptionalA4", "ExceptionalA5")}
+    assert len(want) == 14
+    assert got == want
 
 
 def test_p7_orbit_members_agree(p7_records):

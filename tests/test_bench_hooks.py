@@ -1,10 +1,12 @@
-"""The names the benchmark's tracer patches must exist in the library.
+"""The names the benchmark uses must exist in the library.
 
 bench/spans.py wraps library functions by (module, attribute) and relays
-pool results through two functions of planeschemes.report; a rename there
-would break every traced benchmark run without failing a test.
+pool results through two functions of planeschemes.report; bench/child.py
+and bench/test_checks.py import library names for their set-up and checks.
+A rename there would break every benchmark run without failing a test.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -12,7 +14,8 @@ from pathlib import Path
 from planeschemes import report
 from planeschemes.classify import _Analyzer
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SPANS = BENCH / "spans.py"
 
 
 def _targets():
@@ -36,3 +39,29 @@ def test_pool_relay_and_memo_hooks_exist():
     assert callable(report._classify_one)
     assert callable(report.record_from_dict)
     assert _Analyzer(3).basic_memo == {}
+
+
+def _library_names(path: Path):
+    """(module, name) for each planeschemes name the file imports or reads as alias.name."""
+    tree = ast.parse(path.read_text())
+    aliases, names = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "planeschemes":
+                    aliases[a.asname or a.name] = a.name
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("planeschemes"):
+            names += [(node.module, a.name) for a in node.names]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            names.append((aliases[node.value.id], node.attr))
+    return names
+
+
+def test_every_benchmark_import_resolves():
+    for file in ("child.py", "test_checks.py"):
+        names = _library_names(BENCH / file)
+        assert ("planeschemes", "run_sweep") in names, file
+        for module, name in names:
+            assert hasattr(importlib.import_module(module), name), (file, module, name)

@@ -86,11 +86,28 @@ def test_exceptional_a4_at_p7():
     assert verify_witness(7, P, res)
 
 
+def test_exceptional_a4_at_p17_inside_sym4():
+    # K_P is a sym(4) keeping both orbits of its alt(4); the verdict and
+    # witness are the alt(4)'s, as from a table of its conjugates
+    a4 = find_subgroup(17, SubgroupSpec("alt4"))
+    P = partition_from_group(a4.group)
+    assert match_pgl_subgroup(17, P).order() == 24
+    res = _Analyzer(17).classify(P)
+    assert res.verdict == EXCEPTIONAL_A4
+    assert res.witness == {"generators": [list(g.entries()) for g in a4.witness_generators()],
+                           "order": 12}
+    assert verify_witness(17, P, res)
+
+
 def test_exceptional_verdict_builds_no_subgroup_lattice():
     code = (
+        "from planeschemes import subgroups\n"
         "from planeschemes.affine import SlopePartition\n"
         "from planeschemes.classify import _Analyzer\n"
         "from planeschemes.subgroups import subgroup_lattice\n"
+        "def no_conjugates(rep):\n"
+        "    raise RuntimeError('the classifier enumerated conjugates')\n"
+        "subgroups.conjugates = no_conjugates\n"
         "res = _Analyzer(7).classify(SlopePartition.from_string('00111010'))\n"
         "print(res.verdict, subgroup_lattice.cache_info().currsize)\n"
     )
@@ -191,8 +208,11 @@ def test_match_pgl_subgroup_examples():
         assert (None if sub is None else sub.order()) == order, (p, rgs)
         if sub is not None:
             assert partition_from_group(sub.group) == P
-    with pytest.raises(ValueError):
-        match_pgl_subgroup(5, SlopePartition.from_string("0123"))
+    # the wrong number of labels, too many or too few
+    for fn, p, rgs in ((match_pgl_subgroup, 5, "0123"), (least_in_orbit, 3, "00001"),
+                       (least_in_orbit, 5, "0001")):
+        with pytest.raises(ValueError, match=f"labels, want {p + 1}"):
+            fn(p, SlopePartition.from_string(rgs))
 
 
 def test_match_pgl_subgroup_named_mode():

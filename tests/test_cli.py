@@ -30,9 +30,12 @@ def test_build_p13(tmp_path, capsys):
 
 
 def test_build_rejects_composite(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["build", "--p", "4"])
-    assert exc.value.code == 2
+    # and a sweep with fewer than one worker; argparse rejects each before it runs
+    for argv in (["build", "--p", "4"], ["sweep", "--p", "3", "--jobs", "0"],
+                 ["sweep", "--p", "3", "--jobs", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_classify_subtensor(tmp_path, capsys, monkeypatch):

@@ -18,6 +18,7 @@ from planeschemes.subgroups import (
     is_exceptional_group,
     lattice_subgroup,
     lemma_orbit_size_bound,
+    match_exceptional_subgroup,
     match_pgl_subgroup,
     parse_spec,
     subgroup_lattice,
@@ -158,6 +159,37 @@ def test_block_stabiliser_realises_exactly_the_lattice_partitions():
                 assert set(sub.group.elements) <= matched[P], (p, P.as_string())
         counts[p] = len(matched)
     assert counts == {3: 15, 5: 78, 7: 248}
+
+
+def test_exceptional_match_is_each_conjugate():
+    """From K_P the classifier finds the alt(4)/alt(5) itself, at each p <= 31.
+
+    Every conjugate up to p = 19, one representative beyond (a conjugate
+    table there takes seconds); one kind of conjugate is transitive on the
+    slopes exactly when its representative is.  alt(5) lies in PGL(2,p)
+    for p = 5 and p = +-1 mod 10 only.
+    """
+    stabilisers = {}
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for kind in ("alt4", "alt5") if p == 5 or p % 10 in (1, 9) else ("alt4",):
+            rep = find_subgroup(p, SubgroupSpec(kind))
+            transitive = partition_from_group(rep.group).num_blocks == 1
+            subs = [rep] if transitive or p > 19 else exceptional_subgroups(p, kind)
+            for sub in subs:
+                P = partition_from_group(sub.group)
+                A = match_exceptional_subgroup(p, P)
+                if transitive:
+                    assert A is None, (p, kind)
+                    continue
+                assert A.spec.kind == kind and A.group.elements == sub.group.elements
+                K = match_pgl_subgroup(p, P)
+                stabilisers[p, kind] = K.order()
+                assert set(sub.group.elements) <= set(K.group.elements)
+    # only at p = 17 does K_P exceed the subgroup: a sym(4) with the same
+    # two orbits, 6 and 12 slopes
+    assert stabilisers == {(7, "alt4"): 12, (13, "alt4"): 12, (17, "alt4"): 24,
+                           (19, "alt4"): 12, (23, "alt4"): 12, (29, "alt4"): 12,
+                           (31, "alt4"): 12, (31, "alt5"): 60}
 
 
 def test_exceptional_witness_generates_the_subgroup():
