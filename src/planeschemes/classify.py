@@ -14,6 +14,10 @@ along a point map that is checked first.  The verdicts are:
                    primitive pseudocyclic, else an involutive fusion of one
                    of the previous cases
 
+`_witness_holds` is the one definition of each basic verdict: the classifier
+gives the first candidate witness it accepts, and `verify_witness` re-checks
+the published witness with it on a freshly fused scheme.
+
 A schurian fusion matching no case raises UnclassifiableSchurian: that is
 either a bug or a counterexample, and is never swallowed.
 """
@@ -21,7 +25,7 @@ either a bug or a counterexample, and is never swallowed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from typing import NamedTuple
 
 import numpy as np
@@ -47,7 +51,6 @@ from .scheme import (
     is_subtensor,
     parabolic_classes,
     parabolics,
-    quotient,
     trivial_scheme,
     wreath_product,
 )
@@ -75,7 +78,7 @@ _KIND_VERDICT = {kind: tag for tag, kind in _VERDICT_KIND.items()}
 
 @dataclass(frozen=True)
 class ClassificationResult:
-    """Verdict plus flags and a witness that re-verifies independently."""
+    """Verdict plus flags and a witness that `verify_witness` re-checks."""
 
     verdict: str
     witness: dict
@@ -92,26 +95,17 @@ def _subgroup_witness(sub: PglSubgroup) -> dict:
     }
 
 
-def _wreath_witness(X: Scheme, p: int) -> dict | None:
-    """Exhibit X as the wreath product of two trivial degree-p schemes."""
-    if X.rank != 3:
-        return None
-    for e in parabolics(X):
-        if not e.is_trivial(X.rank) and _check_wreath_equality(X, e, p):
-            return {"parabolic_colors": sorted(e.colors)}
-    return None
-
-
-def _subtensor_witness(X: Scheme, p: int) -> dict | None:
+def _basic_candidates(p: int, P: SlopePartition, X: Scheme):
+    """Each (verdict, witness) that may hold for the P-fusion X, in the order tried."""
     pars = [e for e in parabolics(X) if not e.is_trivial(X.rank)]
-    for e1, e2 in ((a, b) for a in pars for b in pars if a != b):
-        if is_subtensor(X, e1, e2):
-            if quotient(X, e1).rank != 2 or quotient(X, e2).rank != 2:
-                raise InvariantViolated("a subtensor factor quotient is not trivial")
-            return {
-                "parabolic_pair": [sorted(e1.colors), sorted(e2.colors)],
-            }
-    return None
+    for e in pars:
+        yield WREATH, {"parabolic_colors": sorted(e.colors)}
+    for e1, e2 in permutations(pars, 2):
+        yield SUBTENSOR, {"parabolic_pair": [sorted(e1.colors), sorted(e2.colors)]}
+    A = match_exceptional_subgroup(p, P)
+    if A is not None:
+        yield _KIND_VERDICT[A.spec.kind], _subgroup_witness(A)
+    yield PRIMITIVE_PC, {"lambda": sorted(P.lambda_set())}
 
 
 def involutive_presentations(P: SlopePartition):
@@ -180,9 +174,9 @@ class _OrbitInvariants(NamedTuple):
 class _Analyzer:
     """Per-prime classification state: one memoized analysis per fusion.
 
-    The analysis of P, basic_memo[P.rgs], is a basic verdict (exceptional
-    from `match_exceptional_subgroup`), NonSchurian, Unknown or an unmatched
-    schurian.
+    The analysis of P, basic_memo[P.rgs], is NonSchurian, Unknown, the
+    first of `_basic_candidates` that `_witness_holds` accepts, or an
+    unmatched schurian.
     Automorphism groups are searched once per PGL(2,p) orbit, on its least
     member Q (orbit_memo holds what each search decided, under Q.rgs); they
     come from `cache` (an AutCache, or None) when it holds them and are
@@ -251,19 +245,9 @@ class _Analyzer:
         if orbits != X.rank:
             return ClassificationResult(
                 NON_SCHURIAN, {"orbital_count": int(orbits), "rank": X.rank}, **flags)
-        if not prim:
-            w = _wreath_witness(X, p)
-            if w is not None:
-                return ClassificationResult(WREATH, w, **flags)
-            w = _subtensor_witness(X, p)
-            if w is not None:
-                return ClassificationResult(SUBTENSOR, w, **flags)
-            return ClassificationResult(_UNMATCHED, {}, **flags)
-        A = match_exceptional_subgroup(p, P)
-        if A is not None:
-            return ClassificationResult(_KIND_VERDICT[A.spec.kind], _subgroup_witness(A), **flags)
-        if pc:   # the trivial scheme (rank 2) satisfies both predicates
-            return ClassificationResult(PRIMITIVE_PC, {"lambda": sorted(rec.lam)}, **flags)
+        for verdict, witness in _basic_candidates(p, P, X):
+            if _witness_holds(p, P, verdict, witness, X):
+                return ClassificationResult(verdict, witness, **flags)
         return ClassificationResult(_UNMATCHED, {}, **flags)
 
     def classify_basic(self, P: SlopePartition) -> ClassificationResult | None:
@@ -303,7 +287,7 @@ def classify_fusion(p: int, P: SlopePartition) -> ClassificationResult:
 
 
 # ---------------------------------------------------------------------------
-# witness re-verification (independent of the classification path)
+# witness checks: the definition of each verdict
 
 
 # what a malformed or non-algebraic witness raises while it is read; it then
@@ -326,23 +310,32 @@ def verify_witness(p: int, P: SlopePartition, res: ClassificationResult) -> bool
 
 def _witness_holds(p: int, P: SlopePartition, verdict: str, witness: dict,
                    X: Scheme | None = None) -> bool:
-    """Whether the witness holds for the P-fusion X (fused here when None)."""
-    if verdict in (NON_SCHURIAN, UNKNOWN):
-        return True   # soundness is enforced inside the engine itself
+    """Whether the witness holds for the P-fusion X (fused here when None).
+
+    NonSchurian and Unknown are checked for consistency with P only.
+    """
+    if verdict == NON_SCHURIAN:
+        orbits = witness["orbital_count"]
+        return isinstance(orbits, int) and witness["rank"] == P.num_blocks + 1 < orbits
+    if verdict == UNKNOWN:
+        return isinstance(witness["reason"], str)
     if X is None:
         X = fuse(p, P).scheme
     if verdict == WREATH:
-        e = _parabolic_from_colors(X, witness["parabolic_colors"])
+        e = _parabolic_from_colors(X, witness["parabolic_colors"]) if X.rank == 3 else None
         return e is not None and _check_wreath_equality(X, e, p)
     if verdict == SUBTENSOR:
         e1, e2 = (_parabolic_from_colors(X, c) for c in witness["parabolic_pair"])
-        return e1 is not None and e2 is not None and is_subtensor(X, e1, e2)
+        quotients = e1 is not None and e2 is not None and is_subtensor(X, e1, e2)
+        return bool(quotients) and quotients[0].rank == quotients[1].rank == 2
     if verdict == PRIMITIVE_PC:
-        return is_primitive(X) and is_pseudocyclic(X)
+        return (witness["lambda"] == sorted(P.lambda_set())
+                and is_primitive(X) and is_pseudocyclic(X))
     if verdict in _VERDICT_KIND:
         mats = [pgl_canonical(*entries, p) for entries in witness["generators"]]
         grp = group_closure([point_permutation(m) for m in mats], p + 1)
-        return (is_exceptional_group(grp, _VERDICT_KIND[verdict])
+        return (P.num_blocks > 1 and is_primitive(X) and witness["order"] == grp.order()
+                and is_exceptional_group(grp, _VERDICT_KIND[verdict])
                 and partition_from_group(grp) == P)
     if verdict == INVOLUTIVE:
         # merge the inner fusion along phi; the inner verdict must be basic

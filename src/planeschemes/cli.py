@@ -21,9 +21,10 @@ from .affine import (
     partition_from_group,
     partitions_iter,
 )
+from .autsearch import MAX_AUT_POINTS
 from .classify import _Analyzer
 from .errors import NonCanonicalPartition, PlaneSchemesError
-from .projline import is_prime
+from .projline import MAX_PRIME, is_prime
 from .report import (
     AutCache,
     classify_record,
@@ -44,6 +45,8 @@ def _prime_arg(value: str) -> int:
     p = int(value)
     if not is_prime(p) or p == 2:
         raise argparse.ArgumentTypeError(f"{p} is not an odd prime")
+    if p > MAX_PRIME:
+        raise argparse.ArgumentTypeError(f"p = {p} exceeds the supported bound {MAX_PRIME}")
     return p
 
 
@@ -130,6 +133,9 @@ def cmd_classify(args) -> int:
         return 2
     if P.n_labels != args.p + 1:
         print(f"error: partition must have {args.p + 1} labels", file=sys.stderr)
+        return 2
+    if args.p ** 2 > MAX_AUT_POINTS:
+        print(f"error: classify supports p^2 <= {MAX_AUT_POINTS} points", file=sys.stderr)
         return 2
     cache = None if args.no_cache else AutCache()
     rec = classify_record(_Analyzer(args.p, cache), P)

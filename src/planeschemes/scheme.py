@@ -349,8 +349,8 @@ def tensor_product(x1: Scheme, x2: Scheme) -> Scheme:
     return verify_scheme(c1 * x2.rank + c2)
 
 
-def is_subtensor(X: Scheme, e1: ParabolicSet, e2: ParabolicSet) -> bool:
-    """Whether (e1, e2) exhibit X inside the tensor product of its two quotients.
+def is_subtensor(X: Scheme, e1: ParabolicSet, e2: ParabolicSet) -> tuple[Scheme, Scheme] | None:
+    """The quotients (X/e1, X/e2) when X lies inside their tensor product, else None.
 
     Requires the class systems to form a grid (each point determined by its
     pair of classes) and every color of X to lie inside one product of
@@ -358,14 +358,14 @@ def is_subtensor(X: Scheme, e1: ParabolicSet, e2: ParabolicSet) -> bool:
     """
     all_parabolics = parabolics(X)
     if e1 not in all_parabolics or e2 not in all_parabolics:
-        return False
+        return None
     k1, k2 = e1.num_classes, e2.num_classes
     if k1 * k2 != X.n:
-        return False
+        return None
     cls1 = parabolic_classes(X, e1)
     cls2 = parabolic_classes(X, e2)
     if len(np.unique(cls1 * k2 + cls2)) != X.n:
-        return False
+        return None
     q1 = quotient(X, e1)
     q2 = quotient(X, e2)
     p1 = q1.matrix[np.ix_(cls1, cls1)]
@@ -373,8 +373,8 @@ def is_subtensor(X: Scheme, e1: ParabolicSet, e2: ParabolicSet) -> bool:
     key = p1.astype(np.int64) * q2.rank + p2
     for s in range(X.rank):
         if len(np.unique(key[X.matrix == s])) != 1:
-            return False
-    return True
+            return None
+    return q1, q2
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from planeschemes import classify
 from planeschemes.affine import (
     SlopePartition,
     fuse,
@@ -20,6 +21,7 @@ from planeschemes.affine import (
 from planeschemes.autsearch import automorphism_group
 from planeschemes.classify import (
     EXCEPTIONAL_A4,
+    EXCEPTIONAL_A5,
     INVOLUTIVE,
     NON_SCHURIAN,
     PRIMITIVE_PC,
@@ -30,6 +32,7 @@ from planeschemes.classify import (
     _Analyzer,
     _carries,
     _point_map,
+    _subgroup_witness,
     classify_fusion,
     involutive_presentations,
     least_in_orbit,
@@ -144,13 +147,18 @@ def test_verify_witness_fuses_only_what_it_checks(monkeypatch):
 
 
 def test_involutive_records_verify_in_published_form():
-    records = [r for r in run_sweep(5, partitions_iter(6)) if r.verdict == INVOLUTIVE]
-    assert len(records) == 15
-    for rec in records:
-        back = record_from_dict(json.loads(json.dumps(record_to_dict(rec))))
-        res = ClassificationResult(back.verdict, back.witness, back.primitive,
-                                   back.pseudocyclic, back.schurian, back.aut_order)
-        assert verify_witness(5, SlopePartition.from_string(back.partition_rgs), res)
+    # every record, not only the involutive ones, after a JSON round trip
+    verdicts = Counter()
+    for p in (3, 5):
+        for rec in run_sweep(p, partitions_iter(p + 1)):
+            back = record_from_dict(json.loads(json.dumps(record_to_dict(rec))))
+            res = ClassificationResult(back.verdict, back.witness, back.primitive,
+                                       back.pseudocyclic, back.schurian, back.aut_order)
+            P = SlopePartition.from_string(back.partition_rgs)
+            assert verify_witness(p, P, res), (p, back.partition_rgs)
+            verdicts[p] += 1
+            verdicts[INVOLUTIVE] += back.verdict == INVOLUTIVE
+    assert verdicts == {3: 15, 5: 203, INVOLUTIVE: 15}
 
 
 def test_involutive_presentation_degenerate_for_transitive_sym4():
@@ -293,6 +301,30 @@ def test_malformed_witness_fails_verification():
     ]:
         assert verify_witness(5, P, replace(good, witness=witness)) is False, witness
 
+    # well-formed witnesses of verdicts the classifier never gives: a wreath
+    # parabolic of a rank-4 and a rank-5 fusion, the trivial parabolic pair
+    # (its quotient by 1_Omega is not trivial), a transitive alt(4)/alt(5),
+    # a wrong order or Lambda set, a NonSchurian count no larger than the
+    # rank, and an Unknown without a reason
+    a4_p3, a4_p5, a5_p5 = (_subgroup_witness(find_subgroup(p, SubgroupSpec(kind)))
+                           for p, kind in ((3, "alt4"), (5, "alt4"), (5, "alt5")))
+    exceptional = classify_fusion(7, SlopePartition.from_string("00111010"))
+    assert exceptional.verdict == EXCEPTIONAL_A4
+    for p, rgs, verdict, witness in [
+        (3, "0112", WREATH, {"parabolic_colors": [0, 1]}),
+        (7, "01222223", WREATH, {"parabolic_colors": [0, 1]}),
+        (3, "0000", SUBTENSOR, {"parabolic_pair": [[0], [0, 1]]}),
+        (3, "0000", EXCEPTIONAL_A4, a4_p3),
+        (5, "000000", EXCEPTIONAL_A4, a4_p5),
+        (5, "000000", EXCEPTIONAL_A5, a5_p5),
+        (7, "00111010", EXCEPTIONAL_A4, dict(exceptional.witness, order=999)),
+        (3, "0000", PRIMITIVE_PC, {"lambda": [1, 3]}),
+        (5, "000112", NON_SCHURIAN, {"orbital_count": 4, "rank": 4}),
+        (3, "0000", UNKNOWN, {"reason": None}),
+    ]:
+        res = ClassificationResult(verdict, witness, None, None, None, None)
+        assert verify_witness(p, SlopePartition.from_string(rgs), res) is False, (rgs, verdict)
+
     # witnesses missing a field, or holding one of the wrong shape
     for p, rgs, witness in [
         (7, "00111010", {"generators": [[0, 0, 0, 0]]}),   # a singular matrix
@@ -307,6 +339,31 @@ def test_malformed_witness_fails_verification():
         good = classify_fusion(p, P)
         assert verify_witness(p, P, good)
         assert verify_witness(p, P, replace(good, witness=witness)) is False, (rgs, witness)
+
+
+def test_no_verdict_is_accepted_unconditionally():
+    # for each verdict, a well-typed witness that does not hold; a new
+    # verdict needs an entry here
+    a4, a5 = (_subgroup_witness(find_subgroup(5, SubgroupSpec(kind)))
+              for kind in ("alt4", "alt5"))
+    inner = {"verdict": SUBTENSOR, "witness": {"parabolic_pair": [[0, 1], [0, 2]]}}
+    false_witnesses = {
+        WREATH: (3, "0112", {"parabolic_colors": [0, 1]}),
+        SUBTENSOR: (3, "0000", {"parabolic_pair": [[0], [0, 1]]}),
+        PRIMITIVE_PC: (3, "0000", {"lambda": [1, 3]}),
+        EXCEPTIONAL_A4: (5, "000000", a4),
+        EXCEPTIONAL_A5: (5, "000000", dict(a5, order=12)),
+        INVOLUTIVE: (3, "0011", {"inner_partition": "0012",
+                                 "color_involution": [0, 1, 2, 3], "inner": inner}),
+        NON_SCHURIAN: (5, "000112", {"orbital_count": 4, "rank": 4}),
+        UNKNOWN: (3, "0000", {"reason": None}),
+    }
+    verdicts = {v for name, v in vars(classify).items()
+                if name.isupper() and not name.startswith("_") and isinstance(v, str)}
+    assert set(false_witnesses) == verdicts
+    for verdict, (p, rgs, witness) in false_witnesses.items():
+        res = ClassificationResult(verdict, witness, None, None, None, None)
+        assert verify_witness(p, SlopePartition.from_string(rgs), res) is False, verdict
 
 
 def _flip_lambda(rec):

@@ -13,6 +13,10 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
+def _no_scheme(*args):
+    raise RuntimeError("a scheme was built")
+
+
 def test_build_p3(tmp_path, capsys):
     out_file = tmp_path / "xa.afsc"
     code, out, _ = run_cli(["build", "--p", "3", "--out", str(out_file)], capsys)
@@ -29,9 +33,13 @@ def test_build_p13(tmp_path, capsys):
     assert "degree 169, rank 15" in out
 
 
-def test_build_rejects_composite(capsys):
-    # and a sweep with fewer than one worker; argparse rejects each before it runs
-    for argv in (["build", "--p", "4"], ["sweep", "--p", "3", "--jobs", "0"],
+def test_build_rejects_composite(capsys, monkeypatch):
+    # and a prime above the supported bound, and a sweep with fewer than one
+    # worker; argparse rejects each before it runs
+    monkeypatch.setattr("planeschemes.cli.build_affine_scheme", _no_scheme)
+    for argv in (["build", "--p", "4"], ["build", "--p", "37"],
+                 ["subgroups", "--p", "37", "--spec", "A4"],
+                 ["sweep", "--p", "3", "--jobs", "0"],
                  ["sweep", "--p", "3", "--jobs", "-1"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -85,6 +93,16 @@ def test_classify_non_canonical(capsys):
 def test_classify_wrong_length(capsys):
     code, _, err = run_cli(["classify", "--p", "5", "--partition", "0123"], capsys)
     assert code == 2
+
+
+def test_classify_beyond_the_search_bound(capsys, monkeypatch):
+    # 23^2 = 529 points exceed the automorphism search's bound: a usage
+    # error before anything is fused
+    monkeypatch.setattr("planeschemes.cli.classify_record", _no_scheme)
+    code, _, err = run_cli(["classify", "--p", "23", "--partition", "0" * 23 + "1",
+                            "--no-cache"], capsys)
+    assert code == 2
+    assert "400" in err
 
 
 def test_subgroups_cyclic2_p5(capsys):

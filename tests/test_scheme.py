@@ -196,14 +196,16 @@ def test_is_subtensor():
     pars = [e for e in parabolics(X3) if not e.is_trivial(X3.rank)]
     vertical = [e for e in pars if 4 in e.colors][0]   # slope-infinity color
     horizontal = [e for e in pars if 1 in e.colors][0]  # slope-0 color
-    assert is_subtensor(X3, vertical, horizontal)
+    quotients = is_subtensor(X3, vertical, horizontal)
+    assert [(q.n, q.rank) for q in quotients] == [(3, 2), (3, 2)]
+    assert is_subtensor(X3, vertical, vertical) is None   # the same classes twice: no grid
     t = tensor_product(trivial_scheme(3), trivial_scheme(3))
     tp = [e for e in parabolics(t) if not e.is_trivial(t.rank)]
     assert is_subtensor(t, tp[0], tp[1])
     w = wreath_product(trivial_scheme(3), trivial_scheme(3))
     wp = [e for e in parabolics(w) if not e.is_trivial(w.rank)]
     assert len(wp) == 1
-    assert not is_subtensor(w, wp[0], wp[0])
+    assert is_subtensor(w, wp[0], wp[0]) is None
 
 
 def test_algebraic_automorphisms_orders():

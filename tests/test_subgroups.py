@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from planeschemes.affine import partition_from_group, partitions_iter
@@ -193,6 +195,10 @@ def test_exceptional_match_is_each_conjugate():
 
 
 def test_exceptional_witness_generates_the_subgroup():
+    # the witness of every conjugate generates it; it verifies only where
+    # the orbits are two blocks or more, as the classifier never calls the
+    # one-block fusion exceptional
+    verified = Counter()
     for p in (5, 7, 11, 13):
         for kind, verdict in (("alt4", EXCEPTIONAL_A4), ("alt5", EXCEPTIONAL_A5)):
             for sub in exceptional_subgroups(p, kind):
@@ -202,7 +208,13 @@ def test_exceptional_witness_generates_the_subgroup():
                 witness = {"generators": [list(g.entries()) for g in gens],
                            "order": sub.order()}
                 res = ClassificationResult(verdict, witness, True, True, True, None)
-                assert verify_witness(p, partition_from_group(sub.group), res)
+                P = partition_from_group(sub.group)
+                holds = verify_witness(p, P, res)
+                assert holds == (P.num_blocks > 1), (p, kind, P)
+                verified[p, kind, holds] += 1
+    assert verified == {(5, "alt4", False): 5, (5, "alt5", False): 1,
+                        (7, "alt4", True): 14, (11, "alt4", False): 55,
+                        (11, "alt5", False): 22, (13, "alt4", True): 91}
 
 
 def test_orbit_sizes_divide_group_order():
