@@ -81,7 +81,6 @@ from .scheme import (
     ParabolicSet,
     RelationStats,
     Scheme,
-    algebraic_automorphisms,
     algebraic_fusion,
     is_algebraic_map,
     is_primitive,

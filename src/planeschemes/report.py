@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
 import tempfile
@@ -162,8 +163,6 @@ def write_csv_report(path: str, records: list[ReportRecord]):
             ("" if d[col] is None else str(d[col]))
             for col in CSV_COLUMNS
         ])
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_ALL, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)

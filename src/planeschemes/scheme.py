@@ -25,7 +25,7 @@ from .errors import (
     NotStarClosed,
     RankTooLarge,
 )
-from .permgroup import PermGroup
+from .permgroup import PermGroup, orbits
 
 _MAGIC = b"AFSC"
 _VERSION = 1
@@ -69,6 +69,11 @@ class Scheme:
         """(r, r) bitmasks: bit t of entry (a, b) set iff c(a, b, t) > 0."""
         bits = (np.int64(1) << np.arange(self.rank, dtype=np.int64))
         return ((self.tensor > 0) * bits).sum(axis=2)
+
+    @cached_property
+    def parabolic_sets(self) -> tuple[ParabolicSet, ...]:
+        """The parabolics of this scheme, enumerated once; see `parabolics`."""
+        return _enumerate_parabolics(self)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Scheme) and np.array_equal(self.matrix, other.matrix)
@@ -224,8 +229,12 @@ def _closed_under_composition(X: Scheme, colors: frozenset[int]) -> bool:
     )
 
 
-def parabolics(X: Scheme) -> list[ParabolicSet]:
+def parabolics(X: Scheme) -> tuple[ParabolicSet, ...]:
     """All parabolics, from 1_Omega (mask 0) up to Omega^2, in mask order."""
+    return X.parabolic_sets
+
+
+def _enumerate_parabolics(X: Scheme) -> tuple[ParabolicSet, ...]:
     r = X.rank
     if r > 32:
         raise RankTooLarge(f"rank {r} exceeds the subset-enumeration bound 32")
@@ -250,7 +259,7 @@ def parabolics(X: Scheme) -> list[ParabolicSet]:
         if X.n % class_size:
             raise InvariantViolated("parabolic classes of unequal size")
         out.append(ParabolicSet(colors, X.n // class_size, class_size))
-    return out
+    return tuple(out)
 
 
 def is_primitive(X: Scheme) -> bool:
@@ -356,8 +365,7 @@ def is_subtensor(X: Scheme, e1: ParabolicSet, e2: ParabolicSet) -> tuple[Scheme,
     pair of classes) and every color of X to lie inside one product of
     quotient colors.
     """
-    all_parabolics = parabolics(X)
-    if e1 not in all_parabolics or e2 not in all_parabolics:
+    if e1 not in parabolics(X) or e2 not in parabolics(X):
         return None
     k1, k2 = e1.num_classes, e2.num_classes
     if k1 * k2 != X.n:
@@ -392,66 +400,6 @@ def is_algebraic_map(X: Scheme, perm) -> bool:
     return bool(np.array_equal(X.tensor[np.ix_(p, p, p)], X.tensor))
 
 
-def algebraic_automorphisms(X: Scheme) -> PermGroup:
-    """The group of all algebraic automorphisms, as permutations of the colors.
-
-    Backtracking over color images with valency-class pruning; the full
-    element list is returned (ranks here are small).
-    """
-    r = X.rank
-    if r > 16:
-        raise RankTooLarge(f"rank {r} exceeds the Aaut search bound 16")
-    profile = [
-        (X.valencies[s], X.star[s] == s, s) for s in range(1, r)
-    ]
-    # assign colors in (valency, self-pairedness) order for strong pruning
-    cols = [s for _, _, s in sorted(profile)]
-    candidates = {
-        s: [t for t in range(1, r)
-            if X.valencies[t] == X.valencies[s]
-            and (X.star[t] == t) == (X.star[s] == s)]
-        for s in cols
-    }
-    found: list[tuple[int, ...]] = []
-    image = [0] * r
-    used = [False] * r
-
-    def consistent(k: int) -> bool:
-        new = cols[k]
-        assigned = cols[:k + 1] + [0]
-        for a in assigned:
-            for b in assigned:
-                for t in assigned:
-                    if new not in (a, b, t):
-                        continue
-                    if X.tensor[a, b, t] != X.tensor[image[a], image[b], image[t]]:
-                        return False
-        return True
-
-    def extend(k: int):
-        if k == len(cols):
-            if is_algebraic_map(X, image):
-                found.append(tuple(image))
-            return
-        s = cols[k]
-        for t in candidates[s]:
-            if used[t]:
-                continue
-            st = X.star[s]
-            if st != s and image[st] and image[st] != X.star[t]:
-                continue
-            image[s] = t
-            used[t] = True
-            if consistent(k):
-                extend(k + 1)
-            image[s] = 0
-            used[t] = False
-
-    extend(0)
-    elements = tuple(sorted(found))
-    return PermGroup(r, elements, elements)
-
-
 @dataclass(frozen=True)
 class AlgebraicFusionResult:
     scheme: Scheme
@@ -465,9 +413,7 @@ def algebraic_fusion(X: Scheme, K: PermGroup) -> AlgebraicFusionResult:
         if not is_algebraic_map(X, g):
             raise NotAlgebraic(f"generator {g} violates the intersection numbers")
     order = K.order()
-    from .permgroup import orbits as _orbits
-
-    parts = _orbits(K.generators, X.rank)
+    parts = orbits(K.generators, X.rank)
     color_map = np.zeros(X.rank, dtype=np.int16)
     nonzero = sorted(p[0] for p in parts if 0 not in p)
     rep_to_new = {rep: i + 1 for i, rep in enumerate(nonzero)}

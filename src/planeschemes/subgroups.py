@@ -1,11 +1,15 @@
 """Subgroup families of PGL(2,p) in its action on the projective line.
 
 Named families (cyclic, dihedral, C_p : C_d, alt(4), sym(4), alt(5)) are
-found by a search over elements and element pairs with prescribed
-orders, deterministically (first hit in the lexicographic order of canonical
-matrices).  For small p the full subgroup lattice, the tests' reference,
-is enumerated by closure over generator pairs; every subgroup of PGL(2,p)
-is 2-generated, so pair closures reach all of them.
+found deterministically, as the first hit in the lexicographic order of
+canonical matrices.  D_2d, alt(4), sym(4) and alt(5) are the triangle groups
+Δ(d,2,2), Δ(2,3,3), Δ(2,3,4) and Δ(2,3,5), so one presentation search
+finds all four: the first pair of elements with the three orders of the
+presentation that generates a group of its order.  C_d is one element, and
+C_p : C_d the shift z -> z + 1 with a diagonal element.  For small p the
+full subgroup lattice, the tests' reference, is enumerated by closure over
+generator pairs; every subgroup of PGL(2,p) is 2-generated, so pair
+closures reach all of them.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .affine import SlopePartition, partition_from_group
 from .errors import InvariantViolated, UnsupportedPrime
 from .permgroup import (
     PermGroup,
+    compose,
     group_closure,
     orbit_data,
     OrbitData,
@@ -164,86 +169,54 @@ def is_exceptional_group(group: PermGroup, kind: str) -> bool:
     return group.order() == size and element_order_profile(group) == profile
 
 
-def _subgroup(p, spec, matrices) -> PglSubgroup:
-    perms = [point_permutation(g) for g in matrices]
-    return PglSubgroup(p, spec, tuple(matrices), group_closure(perms, p + 1))
+def _presentation(p: int, spec: SubgroupSpec, a: int, b: int, c: int,
+                  size: int) -> PglSubgroup | None:
+    """<x, y> for the first pair, x of order a and y of order b in canonical
+    order of x then y, with x·y of order c and |<x, y>| = size; else None.
 
-
-def _find_cyclic(p: int, d: int) -> PglSubgroup | None:
-    els, _, orders = _element_perms(p)
-    if d == 1:
-        return _subgroup(p, SubgroupSpec("cyclic", 1), (pgl_identity(p),))
-    for g, o in zip(els, orders):
-        if o == d:
-            return _subgroup(p, SubgroupSpec("cyclic", d), (g,))
-    return None
-
-
-def _find_dihedral(p: int, d: int) -> PglSubgroup | None:
+    Such a pair satisfies the relations of the triangle group
+    Δ(a,b,c) = <x, y | x^a = y^b = (xy)^c = 1>, so <x, y> is a quotient of
+    it (von Dyck) and is Δ(a,b,c) itself when `size` is its order:
+    D_2d = Δ(d,2,2), and alt(4), sym(4), alt(5) = Δ(2,3,c) for c = 3, 4, 5.
+    """
     els, perms, orders = _element_perms(p)
-    involutions = [g for g, o in zip(els, orders) if o == 2]
-    for r, o in zip(els, orders):
-        if o != d:
+    ys = [(y, qy) for y, qy, o in zip(els, perms, orders) if o == b]
+    for x, qx, o in zip(els, perms, orders):
+        if o != a:
             continue
-        rinv = pgl_inv(r)
-        powers = {r}
-        q = r
-        for _ in range(d - 1):
-            q = pgl_mul(q, r)
-            powers.add(q)
-        for s in involutions:
-            if s in powers:
-                continue
-            if pgl_mul(pgl_mul(s, r), s) == rinv:
-                sub = _subgroup(p, SubgroupSpec("dihedral", d), (r, s))
-                if sub.order() == 2 * d:
-                    return sub
-    return None
-
-
-def _find_frobenius(p: int, d: int) -> PglSubgroup | None:
-    if (p - 1) % d != 0:
-        return None
-    shift = pgl_canonical(1, 1, 0, 1, p)   # z -> z + 1
-    if d == 1:
-        return _subgroup(p, SubgroupSpec("frobenius", 1), (shift,))
-    els, _, orders = _element_perms(p)
-    for g, o in zip(els, orders):
-        # diagonal torus elements z -> az fix 0 and infinity
-        if o == d and g.b == 0 and g.c == 0:
-            sub = _subgroup(p, SubgroupSpec("frobenius", d), (shift, g))
-            if sub.order() == p * d:
-                return sub
-    return None
-
-
-def _find_exceptional(p: int, kind: str) -> PglSubgroup | None:
-    prod_order = EXCEPTIONAL_KINDS[kind][0]
-    els, perms, orders = _element_perms(p)
-    invol = [(g, q) for g, q, o in zip(els, perms, orders) if o == 2]
-    threes = [(g, q) for g, q, o in zip(els, perms, orders) if o == 3]
-    from .permgroup import compose
-
-    for x, qx in invol:
-        for y, qy in threes:
-            if perm_order(compose(qx, qy)) != prod_order:
-                continue
-            sub = _subgroup(p, SubgroupSpec(kind), (x, y))
-            if is_exceptional_group(sub.group, kind):
-                return sub
+        for y, qy in ys:
+            if perm_order(compose(qx, qy)) == c:
+                group = group_closure([qx, qy], p + 1)
+                if group.order() == size:
+                    return PglSubgroup(p, spec, (x, y), group)
     return None
 
 
 def find_subgroup(p: int, spec: SubgroupSpec) -> PglSubgroup | None:
-    """Deterministic representative of the requested family, or None if absent."""
+    """Deterministic representative of the requested family, or None if absent.
+
+    The dihedral and exceptional kinds come from `_presentation`.  C_d is
+    the first element of order d; C_p : C_d is the shift z -> z + 1 with,
+    for d > 1, the first diagonal element z -> az of order d.
+    """
     check_prime(p)
-    if spec.kind == "cyclic":
-        return _find_cyclic(p, spec.d)
     if spec.kind == "dihedral":
-        return _find_dihedral(p, spec.d)
-    if spec.kind == "frobenius":
-        return _find_frobenius(p, spec.d)
-    return _find_exceptional(p, spec.kind)
+        return _presentation(p, spec, spec.d, 2, 2, 2 * spec.d)
+    if spec.kind in EXCEPTIONAL_KINDS:
+        c, size, _ = EXCEPTIONAL_KINDS[spec.kind]
+        return _presentation(p, spec, 2, 3, c, size)
+    els, _, orders = _element_perms(p)
+    diagonal = spec.kind == "frobenius"
+    g = next((g for g, o in zip(els, orders)
+              if o == spec.d and not (diagonal and (g.b or g.c))), None)
+    if g is None:
+        return None
+    gens = (g,)
+    if diagonal:
+        shift = pgl_canonical(1, 1, 0, 1, p)
+        gens = (shift,) if spec.d == 1 else (shift, g)
+    perms = [point_permutation(m) for m in gens]
+    return PglSubgroup(p, spec, gens, group_closure(perms, p + 1))
 
 
 def lemma_orbit_size_bound(spec: SubgroupSpec, p: int) -> set[int] | None:

@@ -27,6 +27,7 @@ from .affine import (
     partition_from_group,
     partitions_iter,
 )
+from .autsearch import automorphism_group
 from .report import ReportRecord, report_digest, run_sweep
 from .scheme import (
     all_color_permutations_fixing_zero,
@@ -61,28 +62,13 @@ def check_affine_laws(primes=(3, 5, 7, 11, 13)) -> tuple[bool, str]:
             return False, f"p={p}: degree/rank {X.n}/{X.rank}"
         if set(X.valencies[1:]) != {p - 1}:
             return False, f"p={p}: valencies {set(X.valencies[1:])}"
+        eye = np.eye(X.n, dtype=np.int64)
         for s in range(1, X.rank):
-            rows, cols = np.nonzero(X.matrix == s)
-            comp = {}
-            for a, b in zip(rows.tolist(), cols.tolist()):
-                comp.setdefault(a, set()).add(b)
-            # clique decomposition: each point sees p-1 others, closed under s
-            seen: set[int] = set()
-            cliques = 0
-            for a in range(X.n):
-                if a in seen or a not in comp:
-                    continue
-                members = {a} | comp[a]
-                if len(members) != p:
-                    return False, f"p={p} color {s}: component size {len(members)}"
-                for u in members:
-                    for v in members:
-                        if u != v and X.matrix[u, v] != s:
-                            return False, f"p={p} color {s}: not a clique"
-                seen |= members
-                cliques += 1
-            if cliques != p:
-                return False, f"p={p} color {s}: {cliques} cliques"
+            # M @ M == p M with rows summing to p: color s plus the diagonal
+            # is an equivalence relation whose classes have p points
+            M = (X.matrix == s) + eye
+            if not ((M.sum(axis=1) == p).all() and np.array_equal(M @ M, p * M)):
+                return False, f"p={p} color {s}: not p cliques of size p"
     return True, f"checked p in {tuple(primes)}"
 
 
@@ -188,8 +174,6 @@ def check_theorem_realization(primes=(3, 5, 7)) -> tuple[bool, str]:
 
 def check_group_orders_p3() -> tuple[bool, str]:
     """Aut orders at p=3: trivial 9!, Hamming 72, wreath 1296 (and grid 36)."""
-    from .autsearch import automorphism_group
-
     cases = [
         ("0000", math.factorial(9)),   # trivial scheme: sym(9)
         ("0110", 72),                  # Hamming scheme: sym(3) wr sym(2)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -15,6 +16,26 @@ def run_cli(args, capsys):
 
 def _no_scheme(*args):
     raise RuntimeError("a scheme was built")
+
+
+#: sha256 of the stdout of `afs subgroups --p P --spec all --json`
+SUBGROUP_TABLE_DIGESTS = {
+    5: "6b7cec5f6e0421899d0de3d5fc0e25bcfcad0beddd1dc638101a2beb67396064",
+    7: "c7e1dee1820ec3a2c3e65305172d45a9c7a938e6c52ff74ebb2dabff1b47e5f1",
+    11: "9c0051768bcae58dfe9891c48f4b3364be8efe6c9690446a3b30ee5d79886cfd",
+    13: "e2ccbd8bdc423639297db1cd0ae8ad901dd976f137292b122bd80e9fdb0c3bd2",
+    17: "c97b1c62bcffc349abee59d08d51d326a16b85cc5fea5d089336e44a8649357c",
+    19: "c7876ac38f763c976b04e99d78328aa1633584d278254f82ba403f70310e7ed6",
+}
+
+
+@pytest.mark.parametrize("p", sorted(SUBGROUP_TABLE_DIGESTS))
+def test_subgroup_tables_pinned(p, capsys):
+    # orders, orbit sizes and generators of every named family, byte for byte
+    argv = ["subgroups", "--p", str(p), "--spec", "all", "--json"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SUBGROUP_TABLE_DIGESTS[p]
 
 
 def test_build_p3(tmp_path, capsys):

@@ -23,6 +23,7 @@ from planeschemes.report import (
     write_json_report,
 )
 from planeschemes.scheme import scheme_digest
+from test_classify import _run_fresh
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
 
@@ -179,3 +180,16 @@ def test_report_digest_pinned(p, jobs):
     # the report bytes are a public contract: the digests are fixed values
     want = json.loads(REFERENCE.read_text())[f"p{p}"]
     assert report_digest(run_sweep(p, partitions_iter(p + 1), jobs=jobs)) == want
+
+
+@pytest.mark.parametrize("seed,flags", [("0", ()), ("1", ()), ("2", ("-O",))])
+def test_report_digest_independent_of_hash_seed_and_optimize(seed, flags, monkeypatch):
+    # _refine hashes traces with the salted builtin hash(); no report field may
+    # depend on the salt, and none on whether asserts are compiled out
+    monkeypatch.setenv("PYTHONHASHSEED", seed)
+    code = ("from planeschemes.affine import partitions_iter\n"
+            "from planeschemes.report import report_digest, run_sweep\n"
+            "for p in (3, 5):\n"
+            "    print(report_digest(run_sweep(p, partitions_iter(p + 1))))\n")
+    want = json.loads(REFERENCE.read_text())
+    assert _run_fresh(code, *flags).split() == [want["p3"], want["p5"]]
