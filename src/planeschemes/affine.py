@@ -154,6 +154,22 @@ def build_affine_scheme(p: int) -> Scheme:
     return verify_scheme(m.astype(np.int16))
 
 
+@lru_cache(maxsize=None)
+def affine_automorphisms(p: int) -> tuple[tuple[int, ...], ...]:
+    """Point maps of x -> x + (1,0), x -> x + (0,1) and x -> lam*x, with lam
+    the least primitive root mod p.
+
+    They generate the maps x -> lam^k*x + v, which keep the direction of
+    every line and so every color of every slope fusion.
+    """
+    check_prime(p)
+    lam = next(g for g in range(2, p + 1)
+               if len({pow(g, k, p) for k in range(1, p)}) == p - 1)
+    x, y = np.divmod(np.arange(p * p), p)
+    maps = ((x + 1) % p * p + y, x * p + (y + 1) % p, lam * x % p * p + lam * y % p)
+    return tuple(tuple(int(v) for v in m) for m in maps)
+
+
 @dataclass(frozen=True)
 class FusionRecord:
     """One fusion of the affine scheme: partition, scheme, and its Lambda set."""

@@ -13,6 +13,13 @@ not already reach is searched exhaustively, so those generators reach the
 whole orbit of b_i under the pointwise stabiliser of b_0..b_{i-1}; the base
 leaf is discrete, so the stabiliser of the whole base is trivial.  No
 Schreier-Sims run is needed.
+
+The caller may pass automorphisms it already knows.  They are checked up
+front and join the generators when the first descent reaches the base leaf,
+each at its deviation depth: the first i with g[b_i] != b_i, so that it fixes
+b_0..b_{i-1}.  The sibling loops stay exhaustive, so the order rule above is
+unchanged; the known maps only put more siblings in the orbits already
+reached, and those are pruned.
 """
 
 from __future__ import annotations
@@ -65,19 +72,18 @@ def _refine(stack: np.ndarray, col: np.ndarray):
             ],
             axis=1,
         )
-        # rows in lexicographic order, as np.unique(sig, axis=0) sorts them;
-        # a column equal in every row cannot change that order (column 0 is
-        # kept so that lexsort always has a key)
-        keep = (sig != sig[0]).any(axis=0)
-        keep[0] = True
-        varying = np.flatnonzero(keep)
-        order = np.lexsort(sig[:, varying[::-1]].T)
-        rows = sig[order]
+        # every entry lies in 0..n and n <= MAX_AUT_POINTS < 2**16, so each
+        # row packs into one fixed-width key of big-endian 16-bit words, and
+        # byte order on the keys is the lexicographic row order that
+        # np.unique(sig, axis=0) sorts by
+        keys = np.ascontiguousarray(sig, dtype=">u2").view(f"S{2 * sig.shape[1]}").ravel()
+        order = np.argsort(keys, kind="stable")
+        k = keys[order]
         first = np.ones(n, dtype=bool)
-        first[1:] = (rows[1:, varying] != rows[:-1, varying]).any(axis=1)
+        first[1:] = k[1:] != k[:-1]
         starts = np.flatnonzero(first)
-        uniq = rows[starts]
-        cnt = np.diff(starts, append=n)
+        uniq = sig[order[starts]]
+        cnt = np.append(starts[1:], n) - starts
         trace = hash((trace, uniq.tobytes(), cnt.tobytes()))
         new_ncells = len(starts)
         if new_ncells == ncells:
@@ -115,12 +121,14 @@ def _target_cell(col: np.ndarray):
 
 
 class _AutSearch:
-    def __init__(self, X: Scheme, node_cap: int):
+    def __init__(self, X: Scheme, node_cap: int, known: list[np.ndarray]):
         self.M = X.matrix
         self.stack = X.color_stack
         self.n = X.n
         self.cap = node_cap
+        self.known = known
         self.nodes = 0
+        self.base: list[int] = []
         self.base_digests: list[tuple] = []
         self.base_leaf_order: np.ndarray | None = None
         self.generators: list[tuple[int, np.ndarray]] = []  # (deviation depth, perm)
@@ -154,8 +162,10 @@ class _AutSearch:
         cell = _target_cell(col)
         if cell is None:
             self.base_leaf_order = np.argsort(col)
+            self._add_known()
             return
         b = int(cell[0])
+        self.base.append(b)
         child_col, child_dig = self._child(col, b)
         self.base_digests.append(child_dig)
         self._base_node(child_col, depth + 1)
@@ -174,6 +184,15 @@ class _AutSearch:
                 self.generators.append((depth, sigma))
                 orbit = self._orbit(b, depth)
         self.orbit_lengths.append(len(orbit))
+
+    def _add_known(self):
+        """Enter each known automorphism at its deviation depth, the first i
+        with g[b_i] != b_i; one that fixes the whole base is the identity."""
+        base = np.array(self.base, dtype=np.int64)
+        for g in self.known:
+            moved = np.flatnonzero(g[base] != base)
+            if moved.size:
+                self.generators.append((int(moved[0]), g))
 
     def _orbit(self, b: int, depth: int) -> set[int]:
         """Orbit of b under the generators of deviation depth >= depth."""
@@ -197,19 +216,28 @@ class _AutSearch:
         return None
 
 
-def automorphism_group(X: Scheme, node_cap: int = DEFAULT_NODE_CAP) -> AutGroup:
+def automorphism_group(X: Scheme, node_cap: int = DEFAULT_NODE_CAP,
+                       known=()) -> AutGroup:
     """Generators and exact order of aut(X), and the search nodes visited.
 
     The order is the product of the base-orbit lengths the search leaves
     behind: the orbit of b_i under the pointwise stabiliser of b_0..b_{i-1}
     is complete because the sibling loop at depth i is exhaustive, and only
-    the identity fixes the whole base (see the module docstring).  Raises
-    BudgetExceeded when the search tree outgrows `node_cap`.  Every returned
-    generator is re-verified to fix every color class.
+    the identity fixes the whole base (see the module docstring).  `known`
+    automorphisms of X join the generators at the base leaf, so siblings
+    they reach are pruned; the result's generators and nodes depend on them,
+    its order does not.  Raises ValueError when a known map is not an
+    automorphism of X, and BudgetExceeded when the search tree outgrows
+    `node_cap`.  Every returned generator is re-verified to fix every color
+    class.
     """
     if X.n > MAX_AUT_POINTS:
         raise ValueError(f"automorphism search supports at most {MAX_AUT_POINTS} points")
-    search = _AutSearch(X, node_cap)
+    known = [np.asarray(g, dtype=np.int64) for g in known]
+    search = _AutSearch(X, node_cap, known)
+    for g in known:
+        if not (np.array_equal(np.sort(g), np.arange(X.n)) and search._is_automorphism(g)):
+            raise ValueError("a known map is not an automorphism of the scheme")
     col0 = np.zeros(X.n, dtype=np.int64)
     col0, digest0 = _refine(X.color_stack, col0)
     search.run(col0, digest0)

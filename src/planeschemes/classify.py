@@ -30,7 +30,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .affine import SlopePartition, fuse, lambda_criteria, partition_from_group
+from .affine import (
+    SlopePartition,
+    affine_automorphisms,
+    fuse,
+    lambda_criteria,
+    partition_from_group,
+)
 from .autsearch import automorphism_group, orbital_count
 from .errors import (
     BudgetExceeded,
@@ -192,7 +198,7 @@ class _Analyzer:
     def _automorphisms(self, X: Scheme):
         aut = self.cache.load(X) if self.cache is not None else None
         if aut is None:
-            aut = automorphism_group(X)
+            aut = automorphism_group(X, known=affine_automorphisms(self.p))
             if self.cache is not None:
                 self.cache.store(X, aut)
         return aut

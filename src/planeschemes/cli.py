@@ -27,6 +27,7 @@ from .errors import NonCanonicalPartition, PlaneSchemesError
 from .projline import MAX_PRIME, is_prime
 from .report import (
     AutCache,
+    _atomic_write,
     classify_record,
     record_to_dict,
     report_digest,
@@ -96,8 +97,7 @@ def cmd_build(args) -> int:
     vals = json.dumps(list(X.valencies[1:]), separators=(",", ":"))
     print(f"degree {X.n}, rank {X.rank}, valencies {vals}")
     out = args.out or f"xa_p{args.p}.afsc"
-    with open(out, "wb") as fh:
-        fh.write(scheme_to_bytes(X))
+    _atomic_write(out, scheme_to_bytes(X))
     print(f"wrote {out}")
     return 0
 

@@ -5,8 +5,15 @@ import pytest
 
 from oracles import bfs_orbitals, brute_force_aut_order, unique_refine
 
-from planeschemes.affine import SlopePartition, build_affine_scheme, fuse, partitions_iter
+from planeschemes.affine import (
+    SlopePartition,
+    affine_automorphisms,
+    build_affine_scheme,
+    fuse,
+    partitions_iter,
+)
 from planeschemes.autsearch import (
+    MAX_AUT_POINTS,
     _refine,
     automorphism_group,
     is_schurian,
@@ -17,6 +24,7 @@ from planeschemes.autsearch import (
 from planeschemes.errors import BudgetExceeded, InvariantViolated
 from planeschemes.permgroup import StabilizerChain
 from planeschemes.scheme import tensor_product, trivial_scheme, wreath_product
+from planeschemes.subgroups import least_in_orbit
 
 
 def test_refine_examples():
@@ -62,6 +70,22 @@ def test_refine_matches_unique_reference(p, rgs):
         _, col = np.unique(labels, return_inverse=True)
         got_col, got_trace = _refine(stack, col)
         want_col, want_trace = unique_refine(stack, col)
+        assert np.array_equal(got_col, want_col)
+        assert got_trace == want_trace
+
+
+def test_refine_matches_unique_reference_at_the_size_cap():
+    # n = MAX_AUT_POINTS: cell numbers pass 255 and counts pass 255, so both
+    # bytes of each 16-bit key word are exercised
+    X = tensor_product(trivial_scheme(20), trivial_scheme(20))
+    assert X.n == MAX_AUT_POINTS
+    rng = np.random.default_rng(400)
+    for k in (1, 2, 3, 1000):
+        labels = rng.integers(0, k, size=X.n)
+        labels[rng.choice(X.n, size=2, replace=False)] = [k, k + 1]
+        _, col = np.unique(labels, return_inverse=True)
+        got_col, got_trace = _refine(X.color_stack, col)
+        want_col, want_trace = unique_refine(X.color_stack, col)
         assert np.array_equal(got_col, want_col)
         assert got_trace == want_trace
 
@@ -117,6 +141,37 @@ def test_order_from_base_orbits_matches_schreier_sims():
         X = fuse(p, P).scheme
         aut = automorphism_group(X)
         assert aut.order == StabilizerChain(aut.generators, X.n).order(), (p, P)
+
+
+def test_affine_maps_keep_every_fusion_color():
+    for p in (3, 5):
+        maps = [np.array(g) for g in affine_automorphisms(p)]
+        assert len(maps) == 3
+        for P in partitions_iter(p + 1):
+            m = fuse(p, P).scheme.matrix
+            for g in maps:
+                assert np.array_equal(m[np.ix_(g, g)], m), (p, P)
+
+
+def test_known_automorphisms_keep_the_order():
+    cases = [(p, P) for p in (3, 5) for P in partitions_iter(p + 1)]
+    cases += [(7, Q) for Q in sorted({least_in_orbit(7, P)[1] for P in partitions_iter(8)})]
+    assert len(cases) == 218 + 47
+    for p, P in cases:
+        X = fuse(p, P).scheme
+        seeded = automorphism_group(X, known=affine_automorphisms(p))
+        assert seeded.order == automorphism_group(X).order, (p, P)
+
+
+def test_known_maps_are_checked():
+    X = build_affine_scheme(3)
+    swap = (1, 0, 2, 3, 4, 5, 6, 7, 8)
+    with pytest.raises(ValueError):
+        automorphism_group(X, known=[swap])
+    with pytest.raises(ValueError):
+        automorphism_group(X, known=[(0, 1, 2)])
+    # the identity moves no base point and adds nothing
+    assert automorphism_group(X, known=[tuple(range(9))]) == automorphism_group(X)
 
 
 def test_generator_soundness_and_determinism():

@@ -472,9 +472,9 @@ def test_wrong_point_map_raises_under_python_O():
 def test_budget_makes_whole_orbit_unknown(monkeypatch):
     searched = []
 
-    def capped(X):
+    def capped(X, **kw):
         searched.append(X)
-        return automorphism_group(X, node_cap=3)
+        return automorphism_group(X, node_cap=3, **kw)
 
     monkeypatch.setattr("planeschemes.classify.automorphism_group", capped)
     analyzer = _Analyzer(5)

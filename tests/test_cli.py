@@ -4,8 +4,9 @@ import json
 import pytest
 
 from planeschemes import verifypaper
+from planeschemes.affine import build_affine_scheme
 from planeschemes.cli import main
-from planeschemes.scheme import scheme_from_bytes
+from planeschemes.scheme import scheme_from_bytes, scheme_to_bytes
 
 
 def run_cli(args, capsys):
@@ -45,6 +46,13 @@ def test_build_p3(tmp_path, capsys):
     assert "degree 9, rank 5, valencies [2,2,2,2]" in out
     X = scheme_from_bytes(out_file.read_bytes())
     assert X.n == 9 and X.rank == 5
+
+
+def test_build_creates_missing_directories(tmp_path, capsys):
+    out_file = tmp_path / "a" / "b" / "x.afsc"
+    code, _, _ = run_cli(["build", "--p", "3", "--out", str(out_file)], capsys)
+    assert code == 0
+    assert out_file.read_bytes() == scheme_to_bytes(build_affine_scheme(3))
 
 
 def test_build_p13(tmp_path, capsys):
