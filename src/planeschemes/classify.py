@@ -184,9 +184,11 @@ class _Analyzer:
     first of `_basic_candidates` that `_witness_holds` accepts, or an
     unmatched schurian.
     Automorphism groups are searched once per PGL(2,p) orbit, on its least
-    member Q (orbit_memo holds what each search decided, under Q.rgs); they
-    come from `cache` (an AutCache, or None) when it holds them and are
-    stored there after a search.
+    member Q (orbit_memo holds what each search decided, under Q.rgs).
+    Each search starts from the affine maps x -> lam*x + v and from the
+    generators `cache` (an AutCache, or None) holds for the fusion; it stays
+    exhaustive, so the cache changes the nodes visited and never |Aut| or
+    the orbital count.  A search the cache held nothing for is stored there.
     """
 
     def __init__(self, p: int, cache=None):
@@ -196,11 +198,12 @@ class _Analyzer:
         self.orbit_memo: dict[tuple[int, ...], _OrbitInvariants] = {}
 
     def _automorphisms(self, X: Scheme):
-        aut = self.cache.load(X) if self.cache is not None else None
-        if aut is None:
-            aut = automorphism_group(X, known=affine_automorphisms(self.p))
-            if self.cache is not None:
-                self.cache.store(X, aut)
+        cached = self.cache.load(X) if self.cache is not None else None
+        # a stored entry already holds the affine maps: seed each map once
+        known = tuple(dict.fromkeys(affine_automorphisms(self.p) + (cached or ())))
+        aut = automorphism_group(X, known=known)
+        if cached is None and self.cache is not None:
+            self.cache.store(X, aut)
         return aut
 
     def _orbit_invariants(self, P: SlopePartition, X: Scheme) -> _OrbitInvariants:

@@ -20,10 +20,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .affine import SlopePartition
-from .autsearch import AutGroup
 from .classify import _Analyzer, verify_witness
 from .errors import UnclassifiableSchurian
-from .permgroup import StabilizerChain, is_permutation
+from .permgroup import is_permutation
 from .scheme import Scheme, scheme_digest
 
 SCHEMA_VERSION = 1
@@ -195,15 +194,18 @@ def read_csv_report(path: str) -> list[ReportRecord]:
 
 
 # ---------------------------------------------------------------------------
-# advisory cache of automorphism groups, keyed by scheme digest
+# advisory cache of automorphism generators, keyed by scheme digest
 
 
 class AutCache:
-    """File cache of Aut results; corrupt or stale entries are recomputed.
+    """File cache of automorphism generators, keyed by scheme digest.
 
-    A hit never changes a report: the cached generators are revalidated
-    against the scheme and the order is recomputed from the stabilizer
-    chain, which is exactly what a fresh run would produce.
+    An entry only seeds the automorphism search: `load` returns its
+    generators once each is checked to be an automorphism of the scheme,
+    and the search that takes them as known maps stays exhaustive, so the
+    order and the orbital count are what a run without the cache gives.
+    A truncated, padded or emptied entry only seeds less or more; a corrupt
+    or stale one is ignored.
     """
 
     def __init__(self, directory: str | None = None):
@@ -212,7 +214,8 @@ class AutCache:
     def _path(self, digest: str) -> str:
         return os.path.join(self.directory, digest + ".json")
 
-    def load(self, X: Scheme) -> AutGroup | None:
+    def load(self, X: Scheme) -> tuple[tuple[int, ...], ...] | None:
+        """The stored generators of aut(X), each a checked automorphism, or None."""
         digest = scheme_digest(X)
         try:
             with open(self._path(digest), "rb") as fh:
@@ -220,19 +223,19 @@ class AutCache:
             if (not isinstance(data, dict) or data.get("schema") != SCHEMA_VERSION
                     or data.get("n") != X.n):
                 return None
-            gens = [tuple(g) for g in data["generators"]]
+            gens = tuple(tuple(g) for g in data["generators"])
             for g in gens:
                 if not all(type(x) is int for x in g) or not is_permutation(g, X.n):
                     return None
                 arr = np.array(g)
                 if not np.array_equal(X.matrix[np.ix_(arr, arr)], X.matrix):
                     return None
-            return AutGroup(X.n, tuple(gens), StabilizerChain(gens, X.n).order(),
-                            int(data.get("nodes", 0)))
+            return gens
         except (OSError, ValueError, KeyError, TypeError):
             return None
 
-    def store(self, X: Scheme, aut: AutGroup):
+    def store(self, X: Scheme, aut):
+        """Write the generators and search nodes of `aut`, an AutGroup of X."""
         digest = scheme_digest(X)
         data = {
             "schema": SCHEMA_VERSION,

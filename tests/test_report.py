@@ -78,10 +78,8 @@ def test_cache_hit_and_miss(tmp_path):
     assert cache.load(X) is None
     aut = automorphism_group(X)
     cache.store(X, aut)
-    hit = cache.load(X)
-    assert hit is not None
-    assert hit.order == aut.order
-    assert hit.generators == aut.generators
+    # a hit is the stored generators, checked; the search recounts the order
+    assert cache.load(X) == aut.generators
 
 
 def test_cache_corruption_recomputes(tmp_path):
@@ -136,6 +134,28 @@ def test_cache_rejects_wrong_generators(tmp_path):
     assert cache.load(X) is None
 
 
+@pytest.mark.parametrize("tamper", ["empty", "first", "identity", "repeat"])
+def test_tampered_cache_entry_changes_no_record(tmp_path, tamper):
+    # a hit only seeds the search, so an entry that holds too few or too many
+    # automorphisms changes no record; 0111 reads the entry of 0001
+    X = fuse(3, SlopePartition.from_string("0001")).scheme
+    cache = AutCache(str(tmp_path / "cache"))
+    cache.store(X, automorphism_group(X))
+    path = os.path.join(cache.directory, scheme_digest(X) + ".json")
+    entry = json.loads(open(path).read())
+    gens = entry["generators"]
+    entry["generators"] = {"empty": [], "first": gens[:1],
+                           "identity": gens + [list(range(X.n))],
+                           "repeat": gens + gens[:1]}[tamper]
+    with open(path, "w") as fh:
+        json.dump(entry, fh)
+    assert cache.load(X) == tuple(tuple(g) for g in entry["generators"])
+    res = _Analyzer(3, cache).classify(SlopePartition.from_string("0111"))
+    assert (res.verdict, res.aut_order) == ("WreathOfTrivial", 1296)
+    want = json.loads(REFERENCE.read_text())["p3"]
+    assert report_digest(run_sweep(3, partitions_iter(4), cache=cache)) == want
+
+
 def test_cache_sweep_digest_unchanged(tmp_path):
     cold = run_sweep(3, partitions_iter(4))
     cache = AutCache(str(tmp_path / "cache"))
@@ -152,14 +172,14 @@ def test_cache_env_default(tmp_path, monkeypatch):
     assert AutCache().directory == ".afs-cache"
 
 
-def test_serial_sweep_searches_each_orbit_once(monkeypatch):
+def test_serial_sweep_searches_each_orbit_once(monkeypatch, tmp_path):
     searches = []
     chains = []
     run = autsearch._AutSearch.run
     chain_init = StabilizerChain.__init__
 
     def counted(self, *args):
-        searches.append(1)
+        searches.append(self)
         return run(self, *args)
 
     def counted_chain(self, *args):
@@ -168,11 +188,28 @@ def test_serial_sweep_searches_each_orbit_once(monkeypatch):
 
     monkeypatch.setattr(autsearch._AutSearch, "run", counted)
     monkeypatch.setattr(StabilizerChain, "__init__", counted_chain)
-    records = run_sweep(5, partitions_iter(6))
-    # one search per PGL(2,5) orbit, on its least member
-    assert (len(records), len(searches)) == (203, 13)
-    # the search counts the group order itself: no Schreier-Sims on a cold sweep
+    want = json.loads(REFERENCE.read_text())["p5"]
+    cache = AutCache(str(tmp_path / "cache"))
+    nodes = []
+    for _ in ("cold", "warm"):
+        searches.clear()
+        records = run_sweep(5, partitions_iter(6), cache=cache)
+        # one search per PGL(2,5) orbit, on its least member, hit or miss
+        assert (len(records), len(searches)) == (203, 13)
+        assert report_digest(records) == want
+        nodes.append(sum(s.nodes for s in searches))
+    # the search counts the group order itself: no Schreier-Sims on either
+    # pass, and the stored generators only prune the warm searches
     assert chains == []
+    assert nodes[1] < nodes[0]
+
+
+def test_pool_workers_share_a_cache(tmp_path):
+    # the workers of a pool read each other's entries while the pass runs
+    want = json.loads(REFERENCE.read_text())["p5"]
+    cache = AutCache(str(tmp_path / "cache"))
+    for _ in ("cold", "warm"):
+        assert report_digest(run_sweep(5, partitions_iter(6), jobs=2, cache=cache)) == want
 
 
 @pytest.mark.parametrize("p,jobs", [(3, 1), (3, 2), (5, 1), (5, 2)])
