@@ -180,18 +180,23 @@ class FusionRecord:
     lam: frozenset[int]
 
 
-def fuse(p: int, partition: SlopePartition) -> FusionRecord:
-    """Merge the slope colors of AG(2,p) along the blocks of the partition.
-
-    Verification of the result must succeed for every partition; a failure
-    here is an internal error, not a data error.
-    """
+def fusion_matrix(p: int, partition: SlopePartition) -> np.ndarray:
+    """The slope colors of AG(2,p) merged along the blocks of the partition."""
     base = build_affine_scheme(p)
     if partition.n_labels != p + 1:
         raise ValueError(f"partition has {partition.n_labels} labels, want {p + 1}")
     color_map = np.zeros(p + 2, dtype=np.int16)
     color_map[1:] = np.array(partition.rgs) + 1     # slope label m has color m + 1
-    fused = verify_scheme(color_map[base.matrix])
+    return color_map[base.matrix]
+
+
+def fuse(p: int, partition: SlopePartition) -> FusionRecord:
+    """The scheme of `fusion_matrix(p, partition)`, verified.
+
+    Verification of the result must succeed for every partition; a failure
+    here is an internal error, not a data error.
+    """
+    fused = verify_scheme(fusion_matrix(p, partition))
     return FusionRecord(p, partition, fused, partition.lambda_set())
 
 

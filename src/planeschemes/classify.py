@@ -16,7 +16,8 @@ along a point map that is checked first.  The verdicts are:
 
 `_witness_holds` is the one definition of each basic verdict: the classifier
 gives the first candidate witness it accepts, and `verify_witness` re-checks
-the published witness with it on a freshly fused scheme.
+the published witness with it, on the scheme the analysis fused once its
+color matrix is checked to be the P-fusion's.
 
 A schurian fusion matching no case raises UnclassifiableSchurian: that is
 either a bug or a counterexample, and is never swallowed.
@@ -25,15 +26,18 @@ either a bug or a counterexample, and is never swallowed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import NamedTuple
 
 import numpy as np
 
 from .affine import (
+    FusionRecord,
     SlopePartition,
     affine_automorphisms,
     fuse,
+    fusion_matrix,
     lambda_criteria,
     partition_from_group,
 )
@@ -183,6 +187,11 @@ class _Analyzer:
     The analysis of P, basic_memo[P.rgs], is NonSchurian, Unknown, the
     first of `_basic_candidates` that `_witness_holds` accepts, or an
     unmatched schurian.
+    Each fusion the current record's analysis needs is fused once:
+    fusion_memo holds them under rgs, `report.classify_record` hands the
+    record's own to the witness re-check, and each `classify` empties it
+    first, so it holds one record's fusions (P, the least member of its
+    orbit and the involutive candidates) and no more.
     Automorphism groups are searched once per PGL(2,p) orbit, on its least
     member Q (orbit_memo holds what each search decided, under Q.rgs).
     Each search starts from the affine maps x -> lam*x + v and from the
@@ -196,6 +205,14 @@ class _Analyzer:
         self.cache = cache
         self.basic_memo: dict[tuple[int, ...], ClassificationResult] = {}
         self.orbit_memo: dict[tuple[int, ...], _OrbitInvariants] = {}
+        self.fusion_memo: dict[tuple[int, ...], FusionRecord] = {}
+
+    def _fusion(self, P: SlopePartition) -> FusionRecord:
+        """fuse(p, P), fused at most once per record."""
+        rec = self.fusion_memo.get(P.rgs)
+        if rec is None:
+            rec = self.fusion_memo[P.rgs] = fuse(self.p, P)
+        return rec
 
     def _automorphisms(self, X: Scheme):
         cached = self.cache.load(X) if self.cache is not None else None
@@ -215,7 +232,7 @@ class _Analyzer:
         g, Q = least_in_orbit(self.p, P)
         inv = self.orbit_memo.get(Q.rgs)
         if inv is None:
-            XQ = X if Q == P else fuse(self.p, Q).scheme
+            XQ = self._fusion(Q).scheme
             try:
                 aut = self._automorphisms(XQ)
             except BudgetExceeded as exc:
@@ -238,7 +255,7 @@ class _Analyzer:
 
     def _analyze(self, P: SlopePartition) -> ClassificationResult:
         p = self.p
-        rec = fuse(p, P)
+        rec = self._fusion(P)
         X = rec.scheme
         prim = is_primitive(X)
         pc = is_pseudocyclic(X)
@@ -265,6 +282,7 @@ class _Analyzer:
         return res if res.verdict in BASIC_VERDICTS else None
 
     def classify(self, P: SlopePartition) -> ClassificationResult:
+        self.fusion_memo.clear()
         res = self._analysis(P)
         if res.verdict != _UNMATCHED:
             return res
@@ -305,14 +323,21 @@ _MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError,
               NonCanonicalPartition, NotAlgebraic, SingularMatrix)
 
 
-def verify_witness(p: int, P: SlopePartition, res: ClassificationResult) -> bool:
+def verify_witness(p: int, P: SlopePartition, res: ClassificationResult,
+                   X: Scheme | None = None) -> bool:
     """Re-check the witness of a verdict by direct construction.
 
     The witness is read in its published form, the one in the report bytes.
-    A malformed witness returns False instead of raising.
+    X, when given, stands for the P-fusion only once its color matrix is
+    checked to be `fusion_matrix(p, P)`, the slope colors of AG(2,p) merged
+    along P: any other scheme fails the check.  When X is None, the P-fusion
+    is fused here if the verdict needs it.  A malformed witness returns
+    False instead of raising.
     """
     try:
-        return _witness_holds(p, P, res.verdict, res.witness)
+        if X is not None and not np.array_equal(X.matrix, fusion_matrix(p, P)):
+            return False
+        return _witness_holds(p, P, res.verdict, res.witness, X)
     except _MALFORMED:
         return False
 
@@ -379,6 +404,11 @@ def _check_wreath_equality(X: Scheme, e: ParabolicSet, p: int) -> bool:
     color_map[0] = 0
     color_map[inner_color] = 1
     relabeled = color_map[X.matrix[np.ix_(old_of_new, old_of_new)]]
-    w = wreath_product(trivial_scheme(p), trivial_scheme(p))
-    return bool(np.array_equal(relabeled, w.matrix))
+    return bool(np.array_equal(relabeled, _trivial_wreath(p).matrix))
+
+
+@lru_cache(maxsize=None)
+def _trivial_wreath(p: int) -> Scheme:
+    """The wreath product of two rank-2 schemes of degree p, built once per p."""
+    return wreath_product(trivial_scheme(p), trivial_scheme(p))
 

@@ -257,16 +257,20 @@ class AutCache:
 def classify_record(analyzer: _Analyzer, P: SlopePartition) -> ReportRecord:
     """Classify P, re-check its witness, and turn both into one record.
 
-    UnclassifiableSchurian becomes the record's error, under that verdict
-    with flags, aut_order and witness cleared.  A failed witness check sets
-    only the error: the record keeps the verdict, flags and witness that
-    failed.  Every other exception propagates.  elapsed_ms times exactly
-    the classification and the check.
+    The re-check reads the P-fusion that the analysis fused, once
+    `verify_witness` has checked its color matrix against P; when the
+    analysis came from the memo, `verify_witness` fuses P itself if the
+    verdict reads a scheme.  UnclassifiableSchurian becomes the record's error,
+    under that verdict with flags, aut_order and witness cleared.  A failed
+    witness check sets only the error: the record keeps the verdict, flags
+    and witness that failed.  Every other exception propagates.  elapsed_ms
+    times exactly the classification and the check.
     """
     start = time.perf_counter()
     try:
         res = analyzer.classify(P)
-        verified = verify_witness(analyzer.p, P, res)
+        fused = analyzer.fusion_memo.get(P.rgs)   # None when the analysis was memoized
+        verified = verify_witness(analyzer.p, P, res, fused.scheme if fused else None)
     except UnclassifiableSchurian as exc:
         res, verified = str(exc), True
     elapsed = (time.perf_counter() - start) * 1000.0

@@ -29,6 +29,7 @@ from .permgroup import PermGroup, orbits
 
 _MAGIC = b"AFSC"
 _VERSION = 1
+_HEADER_SIZE = 13       # magic, version u8, n u32le, r u32le
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,10 +58,7 @@ class Scheme:
     @cached_property
     def color_stack(self) -> np.ndarray:
         """One-hot (r, n, n) float64 indicator stack, used by matrix kernels."""
-        r, n = self.rank, self.n
-        stack = np.zeros((r, n, n))
-        for s in range(r):
-            stack[s][self.matrix == s] = 1.0
+        stack = _one_hot(self.matrix, self.rank)
         stack.setflags(write=False)
         return stack
 
@@ -85,29 +83,34 @@ class Scheme:
         return f"Scheme(n={self.n}, rank={self.rank})"
 
 
-def _check_color_matrix(m: np.ndarray) -> int:
+def _one_hot(m: np.ndarray, r: int) -> np.ndarray:
+    """(r, n, n) float64 stack whose layer s is the 0/1 matrix of color s."""
+    return (m == np.arange(r, dtype=m.dtype)[:, None, None]).astype(np.float64)
+
+
+def _check_color_matrix(m: np.ndarray) -> np.ndarray:
+    """The number of pairs of each color, once m is a valid color matrix."""
     n = m.shape[0]
     if m.ndim != 2 or m.shape[1] != n:
         raise ValueError("color matrix must be square")
     if n == 0:
         raise ValueError("empty point set")
-    colors = np.unique(m)
-    r = int(colors[-1]) + 1
-    if not np.array_equal(colors, np.arange(r)):
+    sizes = np.bincount(m.ravel()) if m.min() >= 0 else None
+    if sizes is None or not sizes.all():
         raise ValueError("colors must be exactly 0..r-1, all occurring")
     if np.any(np.diag(m) != 0):
         raise ValueError("diagonal must have color 0")
-    off = m[~np.eye(n, dtype=bool)]
-    if off.size and off.min() == 0:
+    if sizes[0] != n:
         raise ValueError("color 0 must not occur off the diagonal")
-    return r
+    return sizes
 
 
 def _compute_star(m: np.ndarray, r: int) -> tuple[int, ...]:
+    # met[s, t]: the number of pairs of color s whose transpose has color t
+    met = np.bincount((m.astype(np.int64) * r + m.T).ravel(), minlength=r * r).reshape(r, r)
     star = []
-    mt = m.T
     for s in range(r):
-        vals = np.unique(mt[m == s])
+        vals = np.flatnonzero(met[s])
         if len(vals) != 1:
             raise NotStarClosed(
                 f"transpose of color {s} meets colors {vals.tolist()}"
@@ -124,28 +127,29 @@ def verify_scheme(matrix) -> Scheme:
 
     For every triple (r,s,t) this verifies that |{gamma : m[a,g]=r,
     m[g,b]=s}| is the same over all (a,b) with m[a,b]=t, and stores the
-    constant.  Raises NotStarClosed or InconsistentIntersection (with a
-    witness pair of pairs) otherwise.
+    constant.  Raises ValueError for entries that are not int16 integers or
+    not colors 0..r-1 laid out as a scheme's, and NotStarClosed or
+    InconsistentIntersection (with a witness pair of pairs) otherwise.
     """
-    m = np.ascontiguousarray(np.asarray(matrix, dtype=np.int16))
-    r = _check_color_matrix(m)
+    given = np.asarray(matrix)
+    m = np.ascontiguousarray(given, dtype=np.int16)
+    if given.dtype != np.int16 and not np.array_equal(m, given):
+        raise ValueError("color matrix entries must be integers in the int16 range")
+    sizes = _check_color_matrix(m)
+    r = len(sizes)
     n = m.shape[0]
     star = _compute_star(m, r)
 
-    flat = m.ravel()
-    order = np.argsort(flat, kind="stable")
-    sorted_colors = flat[order]
-    starts = np.searchsorted(sorted_colors, np.arange(r))
-    bounds = np.append(starts, n * n)
-
-    stack = np.zeros((r, n, n))
-    for s in range(r):
-        stack[s][m == s] = 1.0
+    order = np.argsort(m.ravel(), kind="stable")    # pairs grouped by color
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    starts = bounds[:-1]
+    stack = _one_hot(m, r)
 
     tensor = np.zeros((r, r, r), dtype=np.int64)
     for rr in range(r):
         prods = stack[rr] @ stack  # (r, n, n); prods[s] = A_rr @ A_s
-        counts = np.rint(prods.reshape(r, n * n)[:, order]).astype(np.int64)
+        # 0/1 products of at most n terms: exact integers in float64
+        counts = prods.reshape(r, n * n)[:, order]
         mins = np.minimum.reduceat(counts, starts, axis=1)
         maxs = np.maximum.reduceat(counts, starts, axis=1)
         if not np.array_equal(mins, maxs):
@@ -456,12 +460,18 @@ def scheme_to_bytes(X: Scheme) -> bytes:
 
 
 def scheme_from_bytes(data: bytes) -> Scheme:
+    """The Scheme of a `scheme_to_bytes` form; ValueError for any other bytes."""
     if data[:4] != _MAGIC:
         raise ValueError("bad magic")
-    version, n, r = struct.unpack("<BII", data[4:13])
+    if len(data) < _HEADER_SIZE:
+        raise ValueError(f"header of {len(data)} bytes, want {_HEADER_SIZE}")
+    version, n, r = struct.unpack("<BII", data[4:_HEADER_SIZE])
     if version != _VERSION:
         raise ValueError(f"unsupported version {version}")
-    off = 13
+    size = _HEADER_SIZE + n * n + r + 4 * r**3
+    if len(data) != size:
+        raise ValueError(f"{len(data)} bytes for n={n}, r={r}, want {size}")
+    off = _HEADER_SIZE
     m = np.frombuffer(data, dtype=np.uint8, count=n * n, offset=off)
     m = m.reshape(n, n).astype(np.int16)
     off += n * n

@@ -11,6 +11,8 @@ from itertools import permutations
 
 import numpy as np
 
+from planeschemes.errors import InconsistentIntersection, NotStarClosed
+
 
 def direct_intersection_count(matrix, r, s, alpha, beta) -> int:
     """|{gamma : m[alpha,gamma]=r and m[gamma,beta]=s}| by a plain loop."""
@@ -130,3 +132,65 @@ def unique_refine(stack, col):
         col = new.reshape(-1).astype(np.int64)
         ncells = len(uniq)
     return col, (ncells, trace)
+
+
+def unique_verify_scheme(matrix):
+    """The scheme check with one np.unique per colour, as (star, tensor).
+
+    The reference for `scheme.verify_scheme`: the same checks in the same
+    order, raising the same exceptions with the same arguments, with the
+    colours counted by np.unique, the star map read one colour at a time and
+    the one-hot stack filled colour by colour.
+    """
+    m = np.ascontiguousarray(np.asarray(matrix, dtype=np.int16))
+    n = m.shape[0]
+    if m.ndim != 2 or m.shape[1] != n:
+        raise ValueError("color matrix must be square")
+    if n == 0:
+        raise ValueError("empty point set")
+    colors = np.unique(m)
+    r = int(colors[-1]) + 1
+    if not np.array_equal(colors, np.arange(r)):
+        raise ValueError("colors must be exactly 0..r-1, all occurring")
+    if np.any(np.diag(m) != 0):
+        raise ValueError("diagonal must have color 0")
+    off = m[~np.eye(n, dtype=bool)]
+    if off.size and off.min() == 0:
+        raise ValueError("color 0 must not occur off the diagonal")
+
+    star = []
+    for s in range(r):
+        vals = np.unique(m.T[m == s])
+        if len(vals) != 1:
+            raise NotStarClosed(f"transpose of color {s} meets colors {vals.tolist()}")
+        star.append(int(vals[0]))
+    for s, t in enumerate(star):
+        if star[t] != s:
+            raise NotStarClosed(f"star map is not an involution at color {s}")
+
+    flat = m.ravel()
+    order = np.argsort(flat, kind="stable")
+    starts = np.searchsorted(flat[order], np.arange(r))
+    bounds = np.append(starts, n * n)
+    stack = np.zeros((r, n, n))
+    for s in range(r):
+        stack[s][m == s] = 1.0
+    tensor = np.zeros((r, r, r), dtype=np.int64)
+    for rr in range(r):
+        prods = stack[rr] @ stack
+        counts = np.rint(prods.reshape(r, n * n)[:, order]).astype(np.int64)
+        mins = np.minimum.reduceat(counts, starts, axis=1)
+        maxs = np.maximum.reduceat(counts, starts, axis=1)
+        if not np.array_equal(mins, maxs):
+            s, t = np.argwhere(mins != maxs)[0]
+            seg = counts[s, bounds[t]:bounds[t + 1]]
+            pair_ids = order[bounds[t]:bounds[t + 1]]
+            i1 = pair_ids[int(np.argmin(seg))]
+            i2 = pair_ids[int(np.argmax(seg))]
+            raise InconsistentIntersection(
+                rr, int(s), int(t),
+                (int(i1) // n, int(i1) % n), (int(i2) // n, int(i2) % n),
+            )
+        tensor[rr] = mins
+    tensor.setflags(write=False)
+    return tuple(star), tensor

@@ -102,7 +102,7 @@ def test_classify_wreath_0111(tmp_path, capsys, monkeypatch):
 
 def test_classify_failed_witness_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("AFS_CACHE", str(tmp_path / "cache"))
-    monkeypatch.setattr("planeschemes.report.verify_witness", lambda p, P, res: False)
+    monkeypatch.setattr("planeschemes.report.verify_witness", lambda p, P, res, X=None: False)
     code, out, err = run_cli(["classify", "--p", "3", "--partition", "0123"], capsys)
     assert code == 1
     record = json.loads(out)

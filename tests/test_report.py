@@ -1,5 +1,6 @@
 import json
 import os
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from planeschemes.permgroup import StabilizerChain
 from planeschemes.report import (
     AutCache,
     ReportRecord,
+    classify_record,
     read_csv_report,
     record_from_dict,
     record_to_dict,
@@ -202,6 +204,30 @@ def test_serial_sweep_searches_each_orbit_once(monkeypatch, tmp_path):
     # pass, and the stored generators only prune the warm searches
     assert chains == []
     assert nodes[1] < nodes[0]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_serial_sweep_fuses_each_record_once(monkeypatch, p):
+    # the analysis, its orbit search, its involutive search and the witness
+    # re-check share one fusion of the record's own partition
+    fused = Counter()
+    own = {}
+
+    def counted_fuse(q, partition):
+        fused[partition.rgs] += 1
+        return fuse(q, partition)
+
+    def counted_record(analyzer, P):
+        fused.clear()
+        rec = classify_record(analyzer, P)
+        own[P.as_string()] = fused[P.rgs]
+        return rec
+
+    monkeypatch.setattr("planeschemes.classify.fuse", counted_fuse)
+    monkeypatch.setattr("planeschemes.report.classify_record", counted_record)
+    records = run_sweep(p, partitions_iter(p + 1))
+    assert own == {rec.partition_rgs: 1 for rec in records}
+    assert report_digest(records) == json.loads(REFERENCE.read_text())[f"p{p}"]
 
 
 def test_pool_workers_share_a_cache(tmp_path):

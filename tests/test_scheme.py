@@ -3,9 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from oracles import direct_intersection_count
+from oracles import direct_intersection_count, unique_verify_scheme
 
-from planeschemes.affine import SlopePartition, build_affine_scheme, fuse
+from planeschemes.affine import SlopePartition, build_affine_scheme, fuse, partitions_iter
 from planeschemes.errors import InconsistentIntersection, NotAlgebraic, NotStarClosed
 from planeschemes.permgroup import PermGroup, group_closure
 from planeschemes.scheme import (
@@ -59,6 +59,63 @@ def test_single_directed_edge_is_not_a_scheme():
     m = np.array([[0, 1, 3], [2, 0, 3], [3, 3, 0]])
     with pytest.raises((NotStarClosed, InconsistentIntersection)):
         verify_scheme(m)
+
+
+def test_entries_the_int16_cast_changes_are_rejected():
+    # 65537 wraps to color 1 and 1.7, 1.2 truncate to 1: each would pass as
+    # the rank-2 scheme on 2 points
+    for m in (np.array([[0, 65537], [65537, 0]]), np.array([[0, 1.7], [1.2, 0]])):
+        with pytest.raises(ValueError, match="int16"):
+            verify_scheme(m)
+    assert verify_scheme(np.array([[0, 1.0], [1.0, 0]])).rank == 2
+
+
+def _corrupted(m, rng):
+    """One symmetric swap of two pairs of different colors, and one asymmetric color."""
+    n = m.shape[0]
+    while True:
+        (a, b), (c, d) = (rng.sample(range(n), 2) for _ in range(2))
+        if m[a, b] != m[c, d]:
+            break
+    swapped = m.copy()
+    swapped[a, b], swapped[c, d] = m[c, d], m[a, b]
+    swapped[b, a], swapped[d, c] = m[d, c], m[b, a]
+    skewed = m.copy()
+    skewed[a, b] = m[c, d]
+    return (swapped, InconsistentIntersection), (skewed, NotStarClosed)
+
+
+def _outcome(check, m):
+    try:
+        return check(m)
+    except (ValueError, NotStarClosed, InconsistentIntersection) as exc:
+        return exc
+
+
+def test_verify_scheme_matches_the_unique_oracle():
+    rng = random.Random(15)
+    fused = [fuse(p, P).scheme for p in (3, 5) for P in partitions_iter(p + 1)]
+    inputs = [(X.matrix, None) for X in fused]
+    inputs += [(quotient(X, e).matrix, None) for X in fused for e in parabolics(X)]
+    inputs += [case for X in fused if X.rank > 2 for case in _corrupted(X.matrix, rng)]
+    assert len(inputs) == 218 + 768 + 2 * 216
+    # and one of each malformed color matrix
+    inputs += [(m, ValueError) for m in (
+        np.zeros((2, 3), dtype=np.int16), np.zeros((0, 0), dtype=np.int16),
+        np.array([[0, 2], [2, 0]]), np.array([[0, -1], [-1, 0]]),
+        np.array([[1, 1], [1, 0]]), np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]))]
+    for m, raises in inputs:
+        want = _outcome(unique_verify_scheme, m)
+        got = _outcome(verify_scheme, m)
+        if raises is None:
+            star, tensor = want
+            assert got.star == star
+            assert np.array_equal(got.tensor, tensor)
+            assert got.tensor.dtype == np.int64 and not got.tensor.flags.writeable
+        else:
+            assert type(got) is type(want) is raises
+            assert got.args == want.args
+            assert getattr(got, "pairs", None) == getattr(want, "pairs", None)
 
 
 def test_inconsistent_intersection():
@@ -277,7 +334,10 @@ def test_serialization_round_trip():
         assert Y.star == X.star
         assert np.array_equal(Y.tensor, X.tensor)
         assert scheme_digest(Y) == scheme_digest(X)
-    corrupted = bytearray(scheme_to_bytes(trivial_scheme(4)))
+    blob = scheme_to_bytes(trivial_scheme(4))
+    corrupted = bytearray(blob)
     corrupted[0] = 0
-    with pytest.raises(ValueError):
-        scheme_from_bytes(bytes(corrupted))
+    # bad magic, a header cut short, trailing bytes, a body cut short
+    for data in (bytes(corrupted), b"AFSC", blob[:12], blob + b"xx", blob[:-1]):
+        with pytest.raises(ValueError):
+            scheme_from_bytes(data)
