@@ -3,9 +3,9 @@
 Pipeline per fusion: build the scheme, decide schurity from the 2-orbits of
 the automorphism group, then assign exactly one principal verdict with a
 machine-checkable witness.  The fusions in one PGL(2,p) orbit are
-isomorphic, so the automorphism group is searched once per orbit, on its
-least member, and its order and orbital count are carried to each member
-along a point map that is checked first.  The verdicts are:
+isomorphic, so the automorphism group is searched once per orbit, on the
+first member analysed, and its order and orbital count are carried to each
+later member along a point map that is checked first.  The verdicts are:
 
   imprimitive   -> wreath of trivial schemes, else subtensor of trivial schemes
   trivial       -> primitive pseudocyclic (rank 2 satisfies both predicates)
@@ -67,8 +67,8 @@ from .scheme import (
 from .subgroups import (
     PglSubgroup,
     is_exceptional_group,
-    least_in_orbit,
     match_exceptional_subgroup,
+    pgl_orbit,
 )
 
 WREATH = "WreathOfTrivial"
@@ -173,9 +173,9 @@ def _carries(sigma: np.ndarray, to_matrix: np.ndarray, from_matrix: np.ndarray) 
 
 
 class _OrbitInvariants(NamedTuple):
-    """What the search of an orbit's least member Q decides for every member."""
+    """What the search of an orbit's first analysed member decides for every member."""
 
-    matrix: np.ndarray          # the Q-fusion's colors, to check each member's point map
+    matrix: np.ndarray          # the searched fusion's colors, to check each point map
     orbital_count: int | None
     aut_order: int | None
     reason: str | None          # why the search gave up; None when it finished
@@ -187,15 +187,15 @@ class _Analyzer:
     The analysis of P, basic_memo[P.rgs], is NonSchurian, Unknown, the
     first of `_basic_candidates` that `_witness_holds` accepts, or an
     unmatched schurian.
-    Each fusion the current record's analysis needs is fused once:
-    fusion_memo holds them under rgs, `report.classify_record` hands the
-    record's own to the witness re-check, and each `classify` empties it
-    first, so it holds one record's fusions (P, the least member of its
-    orbit and the involutive candidates) and no more.
-    Automorphism groups are searched once per PGL(2,p) orbit, on its least
-    member Q (orbit_memo holds what each search decided, under Q.rgs).
-    Each search starts from the affine maps x -> lam*x + v and from the
-    generators `cache` (an AutCache, or None) holds for the fusion; it stays
+    Each analysis fuses its own partition and no other: fusion_memo holds
+    these fusions under rgs, `report.classify_record` hands the record's
+    own to the witness re-check, and each `classify` empties it first, so
+    it holds one record's fusions (P and the involutive candidates).
+    Automorphism groups are searched once per PGL(2,p) orbit, on the first
+    member analysed: orbit_memo maps each member's rgs to (g, what the
+    search decided), g mapping the searched member onto it.  Each search
+    starts from the affine maps x -> lam*x + v and from the generators
+    `cache` (an AutCache, or None) holds for the fusion; it stays
     exhaustive, so the cache changes the nodes visited and never |Aut| or
     the orbital count.  A search the cache held nothing for is stored there.
     """
@@ -204,15 +204,8 @@ class _Analyzer:
         self.p = p
         self.cache = cache
         self.basic_memo: dict[tuple[int, ...], ClassificationResult] = {}
-        self.orbit_memo: dict[tuple[int, ...], _OrbitInvariants] = {}
+        self.orbit_memo: dict[tuple[int, ...], tuple[PglElement, _OrbitInvariants]] = {}
         self.fusion_memo: dict[tuple[int, ...], FusionRecord] = {}
-
-    def _fusion(self, P: SlopePartition) -> FusionRecord:
-        """fuse(p, P), fused at most once per record."""
-        rec = self.fusion_memo.get(P.rgs)
-        if rec is None:
-            rec = self.fusion_memo[P.rgs] = fuse(self.p, P)
-        return rec
 
     def _automorphisms(self, X: Scheme):
         cached = self.cache.load(X) if self.cache is not None else None
@@ -224,27 +217,26 @@ class _Analyzer:
         return aut
 
     def _orbit_invariants(self, P: SlopePartition, X: Scheme) -> _OrbitInvariants:
-        """The invariants of the orbit of P, carried to X, the P-fusion.
+        """The invariants of the orbit of P, searched on X, the P-fusion, or carried to it.
 
-        Raises InvariantViolated when the point map does not carry the
-        fusion of the orbit's least member onto X.
+        Raises InvariantViolated when the point map does not carry X onto
+        the fusion searched for the orbit.
         """
-        g, Q = least_in_orbit(self.p, P)
-        inv = self.orbit_memo.get(Q.rgs)
-        if inv is None:
-            XQ = self._fusion(Q).scheme
-            try:
-                aut = self._automorphisms(XQ)
-            except BudgetExceeded as exc:
-                inv = _OrbitInvariants(XQ.matrix, None, None, str(exc))
-            else:
-                inv = _OrbitInvariants(XQ.matrix, orbital_count(XQ, aut.generators),
-                                       aut.order, None)
-            self.orbit_memo[Q.rgs] = inv
-        if not _carries(_point_map(self.p, g), X.matrix, inv.matrix):
-            raise InvariantViolated(
-                f"the point map of {g.entries()} does not carry the {Q}-fusion "
-                f"onto the {P}-fusion at p={self.p}")
+        known = self.orbit_memo.get(P.rgs)
+        if known is not None:
+            g, inv = known
+            if not _carries(_point_map(self.p, g), inv.matrix, X.matrix):
+                raise InvariantViolated(
+                    f"the point map of {g.entries()} does not carry the {P}-fusion "
+                    f"onto the fusion searched for its orbit at p={self.p}")
+            return inv
+        try:
+            aut = self._automorphisms(X)
+        except BudgetExceeded as exc:
+            inv = _OrbitInvariants(X.matrix, None, None, str(exc))
+        else:
+            inv = _OrbitInvariants(X.matrix, orbital_count(X, aut.generators), aut.order, None)
+        self.orbit_memo.update((rgs, (g, inv)) for rgs, g in pgl_orbit(self.p, P).items())
         return inv
 
     def _analysis(self, P: SlopePartition) -> ClassificationResult:
@@ -255,7 +247,7 @@ class _Analyzer:
 
     def _analyze(self, P: SlopePartition) -> ClassificationResult:
         p = self.p
-        rec = self._fusion(P)
+        rec = self.fusion_memo[P.rgs] = fuse(p, P)
         X = rec.scheme
         prim = is_primitive(X)
         pc = is_pseudocyclic(X)

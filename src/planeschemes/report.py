@@ -299,11 +299,12 @@ def run_sweep(p: int, partitions, jobs: int = 1,
     """Classify the given partitions; records sorted by canonical RGS.
 
     With jobs > 1 the partitions fan out over a process pool with one
-    analyzer per worker; record content is independent of the worker count.
+    analyzer per worker, and no more workers than partitions or CPUs;
+    record content is independent of the worker count.
     """
     partitions = list(partitions)
     records: list[ReportRecord] = []
-    if jobs <= 1:
+    if jobs <= 1 or not partitions:
         analyzer = _Analyzer(p, cache)
         for P in partitions:
             records.append(classify_record(analyzer, P))
@@ -311,7 +312,8 @@ def run_sweep(p: int, partitions, jobs: int = 1,
                 progress(len(records), len(partitions))
     else:
         rgs = [P.as_string() for P in partitions]
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker,
+        workers = min(jobs, len(partitions), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
                                  initargs=(p, cache)) as pool:
             for d in pool.map(_classify_one, rgs, chunksize=16):
                 elapsed = d.pop("_elapsed_ms")

@@ -385,15 +385,16 @@ def match_exceptional_subgroup(p: int, P: SlopePartition) -> PglSubgroup | None:
     return None
 
 
-def least_in_orbit(p: int, P: SlopePartition) -> tuple[PglElement, SlopePartition]:
-    """(g, Q) with Q the least member of the PGL(2,p) orbit of P.
+def pgl_orbit(p: int, P: SlopePartition) -> dict[tuple[int, ...], PglElement]:
+    """Every member of the PGL(2,p) orbit of P, as rgs, with an element mapping P onto it.
 
-    Q is the canonical form of P.rgs[pi_g], minimised over the whole group
-    at once; g is the first element in canonical order that gives it.
+    The member g gives is the canonical form of P.rgs[pi_g], computed for the
+    whole group at once; each member comes with the first g in canonical
+    order that gives it, and the members come in increasing order.
     """
     images = _slope_images(p, P)
     first = (images[:, :, None] == np.arange(P.num_blocks)).argmax(axis=1)
     renumber = np.argsort(np.argsort(first, axis=1), axis=1)  # blocks by first slope
     canon = np.take_along_axis(renumber, images, axis=1)
-    best = int(np.lexsort(canon.T[::-1])[0])
-    return _element_perms(p)[0][best], SlopePartition(tuple(canon[best].tolist()))
+    members, index = np.unique(canon, axis=0, return_index=True)
+    return {tuple(m): _element_perms(p)[0][i] for m, i in zip(members.tolist(), index)}

@@ -9,9 +9,8 @@ import math
 import pytest
 
 from planeschemes.affine import SlopePartition, partition_from_group, partitions_iter
-from planeschemes.classify import least_in_orbit
 from planeschemes.report import report_digest, run_sweep
-from planeschemes.subgroups import exceptional_subgroups, match_pgl_subgroup
+from planeschemes.subgroups import exceptional_subgroups, match_pgl_subgroup, pgl_orbit
 from planeschemes.verifypaper import (
     check_aaut_full,
     check_affine_laws,
@@ -145,7 +144,7 @@ def test_p7_orbit_members_agree(p7_records):
     """The invariants carried along each PGL(2,7) orbit agree on all its members."""
     by_orbit = {}
     for r in p7_records:
-        Q = least_in_orbit(7, SlopePartition.from_string(r.partition_rgs))[1]
+        Q = SlopePartition(min(pgl_orbit(7, SlopePartition.from_string(r.partition_rgs))))
         by_orbit.setdefault(Q, set()).add(
             (r.verdict, r.aut_order, r.schurian, r.primitive, r.pseudocyclic))
     assert len(by_orbit) == 47

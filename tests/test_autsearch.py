@@ -24,7 +24,7 @@ from planeschemes.autsearch import (
 from planeschemes.errors import BudgetExceeded, InvariantViolated
 from planeschemes.permgroup import StabilizerChain
 from planeschemes.scheme import tensor_product, trivial_scheme, wreath_product
-from planeschemes.subgroups import least_in_orbit
+from planeschemes.subgroups import pgl_orbit
 
 
 def test_refine_examples():
@@ -155,7 +155,8 @@ def test_affine_maps_keep_every_fusion_color():
 
 def test_known_automorphisms_keep_the_order():
     cases = [(p, P) for p in (3, 5) for P in partitions_iter(p + 1)]
-    cases += [(7, Q) for Q in sorted({least_in_orbit(7, P)[1] for P in partitions_iter(8)})]
+    least = sorted({min(pgl_orbit(7, P)) for P in partitions_iter(8)})
+    cases += [(7, SlopePartition(Q)) for Q in least]
     assert len(cases) == 218 + 47
     for p, P in cases:
         X = fuse(p, P).scheme

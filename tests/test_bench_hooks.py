@@ -1,8 +1,9 @@
 """The names the benchmark uses must exist in the library.
 
 bench/spans.py wraps library functions by (module, attribute) and relays
-pool results through two functions of planeschemes.report; bench/child.py
-and bench/test_checks.py import library names for their set-up and checks.
+pool results through two functions of planeschemes.report; bench/child.py,
+bench/make_reference.py and bench/test_checks.py import library names for
+their set-up, reference digests and checks.
 A rename there would break every benchmark run without failing a test.
 """
 
@@ -60,8 +61,10 @@ def _library_names(path: Path):
 
 
 def test_every_benchmark_import_resolves():
-    for file in ("child.py", "test_checks.py"):
-        names = _library_names(BENCH / file)
-        assert ("planeschemes", "run_sweep") in names, file
+    files = {path.name: _library_names(path) for path in sorted(BENCH.glob("*.py"))}
+    files = {name: names for name, names in files.items() if names}
+    for file in ("child.py", "make_reference.py", "test_checks.py"):
+        assert ("planeschemes", "run_sweep") in files.get(file, ()), file
+    for file, names in files.items():
         for module, name in names:
             assert hasattr(importlib.import_module(module), name), (file, module, name)

@@ -13,7 +13,9 @@ import pytest
 from planeschemes import classify
 from planeschemes.affine import (
     SlopePartition,
+    bell_number,
     fuse,
+    fusion_matrix,
     lambda_criteria,
     partition_from_group,
     partitions_iter,
@@ -35,7 +37,6 @@ from planeschemes.classify import (
     _subgroup_witness,
     classify_fusion,
     involutive_presentations,
-    least_in_orbit,
     verify_witness,
 )
 from planeschemes.errors import BudgetExceeded, InvariantViolated
@@ -43,7 +44,12 @@ from planeschemes.permgroup import group_closure
 from planeschemes.projline import pgl_elements, point_permutation
 from planeschemes.report import record_from_dict, record_to_dict, run_sweep
 from planeschemes.scheme import algebraic_fusion, is_algebraic_map
-from planeschemes.subgroups import SubgroupSpec, find_subgroup, match_pgl_subgroup
+from planeschemes.subgroups import (
+    SubgroupSpec,
+    find_subgroup,
+    match_pgl_subgroup,
+    pgl_orbit,
+)
 
 
 def _run_fresh(code: str, *flags: str) -> str:
@@ -236,8 +242,8 @@ def test_match_pgl_subgroup_examples():
         if sub is not None:
             assert partition_from_group(sub.group) == P
     # the wrong number of labels, too many or too few
-    for fn, p, rgs in ((match_pgl_subgroup, 5, "0123"), (least_in_orbit, 3, "00001"),
-                       (least_in_orbit, 5, "0001")):
+    for fn, p, rgs in ((match_pgl_subgroup, 5, "0123"), (pgl_orbit, 3, "00001"),
+                       (pgl_orbit, 5, "0001")):
         with pytest.raises(ValueError, match=f"labels, want {p + 1}"):
             fn(p, SlopePartition.from_string(rgs))
 
@@ -427,14 +433,17 @@ def _burnside_orbit_count(p: int) -> int:
 
 
 def test_orbit_counts_match_burnside():
+    # pgl_orbit of every member gives the same members, and the orbits
+    # split the Bell(p+1) partitions into as many orbits as Burnside counts
     counts = []
     for p in (3, 5, 7):
-        least = {}
+        orbits = {}
         for P in partitions_iter(p + 1):
-            g, Q = least_in_orbit(p, P)
-            assert Q <= P and least_in_orbit(p, Q)[1] == Q
-            least[P] = Q
-        counts.append(len(set(least.values())))
+            members = frozenset(pgl_orbit(p, P))
+            assert P.rgs in members
+            assert orbits.setdefault(min(members), members) == members, (p, P)
+        counts.append(len(orbits))
+        assert sum(len(members) for members in orbits.values()) == bell_number(p + 1)
         assert counts[-1] == _burnside_orbit_count(p)
     assert counts == [5, 13, 47]
 
@@ -454,23 +463,33 @@ def _sigma_carries(p: int, g, P: SlopePartition, Q: SlopePartition) -> bool:
     return len(set(lut.values())) == len(lut) == P.num_blocks + 1
 
 
-def test_point_map_carries_least_member_onto_each_fusion():
+def test_point_map_carries_each_orbit_member_onto_the_fusion():
+    # the g given for each member carries the member's fusion onto P's; the
+    # least member's is also checked pair by pair
     sample = random.Random(7).sample(list(partitions_iter(8)), 40)
     cases = [(p, P) for p in (3, 5) for P in partitions_iter(p + 1)]
+    matrices = {}
     for p, P in cases + [(7, P) for P in sample]:
-        g, Q = least_in_orbit(p, P)
-        assert _sigma_carries(p, g, P, Q), (p, P, g)
-        assert _carries(_point_map(p, g), fuse(p, P).scheme.matrix,
-                        fuse(p, Q).scheme.matrix)
+        XP = fusion_matrix(p, P)
+        orbit = pgl_orbit(p, P)
+        for rgs, g in orbit.items():
+            if (p, rgs) not in matrices:
+                matrices[p, rgs] = fusion_matrix(p, SlopePartition(rgs))
+            assert _carries(_point_map(p, g), XP, matrices[p, rgs]), (p, P, rgs, g)
+        Q = min(orbit)
+        assert _sigma_carries(p, orbit[Q], P, SlopePartition(Q)), (p, P, orbit[Q])
 
 
 def test_wrong_point_map_raises(monkeypatch):
-    # 0111 is carried onto 0001, its orbit's least member, by a non-identity map
-    P = SlopePartition.from_string("0111")
-    assert least_in_orbit(3, P)[1] == SlopePartition.from_string("0001")
+    # 0001, analysed first, is searched; 0111 is carried from it, and the
+    # identity does not map 0001 onto 0111
+    searched, carried = SlopePartition.from_string("0001"), SlopePartition.from_string("0111")
+    assert pgl_orbit(3, searched)[carried.rgs].entries() != (1, 0, 0, 1)
     monkeypatch.setattr("planeschemes.classify._point_map", lambda p, g: np.arange(p * p))
+    analyzer = _Analyzer(3)
+    analyzer.classify(searched)
     with pytest.raises(InvariantViolated):
-        classify_fusion(3, P)
+        analyzer.classify(carried)
 
 
 def test_wrong_point_map_raises_under_python_O():
@@ -480,12 +499,28 @@ def test_wrong_point_map_raises_under_python_O():
         "from planeschemes.affine import SlopePartition\n"
         "from planeschemes.errors import InvariantViolated\n"
         "c._point_map = lambda p, g: np.arange(p * p)\n"
+        "analyzer = c._Analyzer(3)\n"
+        "analyzer.classify(SlopePartition.from_string('0001'))\n"
         "try:\n"
-        "    c.classify_fusion(3, SlopePartition.from_string('0111'))\n"
+        "    analyzer.classify(SlopePartition.from_string('0111'))\n"
         "except InvariantViolated:\n"
         "    print('raised')\n"
     )
     assert _run_fresh(code, "-O").strip() == "raised"
+
+
+def test_classify_fuses_only_its_own_partition(monkeypatch):
+    # the orbit search runs on the record's own fusion, never on another member's
+    fused = Counter()
+
+    def counted_fuse(p, P):
+        fused[P.as_string()] += 1
+        return fuse(p, P)
+
+    monkeypatch.setattr("planeschemes.classify.fuse", counted_fuse)
+    res = classify_fusion(3, SlopePartition.from_string("0111"))
+    assert (res.verdict, res.aut_order) == (WREATH, 1296)
+    assert fused == {"0111": 1}
 
 
 def test_budget_makes_whole_orbit_unknown(monkeypatch):
@@ -500,7 +535,7 @@ def test_budget_makes_whole_orbit_unknown(monkeypatch):
     by_orbit = {}
     for P in partitions_iter(6):
         res = analyzer.classify(P)
-        by_orbit.setdefault(least_in_orbit(5, P)[1], []).append(res)
+        by_orbit.setdefault(min(pgl_orbit(5, P)), []).append(res)
     assert len(searched) == len(by_orbit) == 13
     unknown = [members for members in by_orbit.values()
                if any(r.verdict == UNKNOWN for r in members)]

@@ -25,6 +25,7 @@ from planeschemes.report import (
     write_json_report,
 )
 from planeschemes.scheme import scheme_digest
+from planeschemes.subgroups import pgl_orbit
 from test_classify import _run_fresh
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
@@ -97,9 +98,9 @@ def test_cache_corruption_recomputes(tmp_path):
 
 def test_cache_malformed_entries_recompute(tmp_path, monkeypatch):
     # well-formed JSON of the wrong shape is recomputed, not raised; the
-    # analyzer of 0111 reads the entry of its orbit's least member 0001
+    # analyzer of 0111 searches 0111 and reads that fusion's entry
     P = SlopePartition.from_string("0111")
-    X = fuse(3, SlopePartition.from_string("0001")).scheme
+    X = fuse(3, P).scheme
     cache = AutCache(str(tmp_path / "cache"))
     cache.store(X, automorphism_group(X))
     path = os.path.join(cache.directory, scheme_digest(X) + ".json")
@@ -139,8 +140,10 @@ def test_cache_rejects_wrong_generators(tmp_path):
 @pytest.mark.parametrize("tamper", ["empty", "first", "identity", "repeat"])
 def test_tampered_cache_entry_changes_no_record(tmp_path, tamper):
     # a hit only seeds the search, so an entry that holds too few or too many
-    # automorphisms changes no record; 0111 reads the entry of 0001
-    X = fuse(3, SlopePartition.from_string("0001")).scheme
+    # automorphisms changes no record; 0001 is searched on its own and as the
+    # first member of its orbit that the sweep meets, so both read the entry
+    P = SlopePartition.from_string("0001")
+    X = fuse(3, P).scheme
     cache = AutCache(str(tmp_path / "cache"))
     cache.store(X, automorphism_group(X))
     path = os.path.join(cache.directory, scheme_digest(X) + ".json")
@@ -152,7 +155,7 @@ def test_tampered_cache_entry_changes_no_record(tmp_path, tamper):
     with open(path, "w") as fh:
         json.dump(entry, fh)
     assert cache.load(X) == tuple(tuple(g) for g in entry["generators"])
-    res = _Analyzer(3, cache).classify(SlopePartition.from_string("0111"))
+    res = _Analyzer(3, cache).classify(P)
     assert (res.verdict, res.aut_order) == ("WreathOfTrivial", 1296)
     want = json.loads(REFERENCE.read_text())["p3"]
     assert report_digest(run_sweep(3, partitions_iter(4), cache=cache)) == want
@@ -196,7 +199,7 @@ def test_serial_sweep_searches_each_orbit_once(monkeypatch, tmp_path):
     for _ in ("cold", "warm"):
         searches.clear()
         records = run_sweep(5, partitions_iter(6), cache=cache)
-        # one search per PGL(2,5) orbit, on its least member, hit or miss
+        # one search per PGL(2,5) orbit, on the first member met, hit or miss
         assert (len(records), len(searches)) == (203, 13)
         assert report_digest(records) == want
         nodes.append(sum(s.nodes for s in searches))
@@ -204,6 +207,22 @@ def test_serial_sweep_searches_each_orbit_once(monkeypatch, tmp_path):
     # pass, and the stored generators only prune the warm searches
     assert chains == []
     assert nodes[1] < nodes[0]
+
+
+@pytest.mark.parametrize("p,orbits", [(3, 5), (5, 13)])
+def test_serial_sweep_enumerates_each_orbit_once(monkeypatch, p, orbits):
+    # the first member met of each orbit is searched, and its orbit is
+    # enumerated then; every later member is carried without a pass over PGL(2,p)
+    calls = []
+
+    def counted(q, P):
+        calls.append(P.as_string())
+        return pgl_orbit(q, P)
+
+    monkeypatch.setattr("planeschemes.classify.pgl_orbit", counted)
+    records = run_sweep(p, partitions_iter(p + 1))
+    assert len(calls) == orbits
+    assert report_digest(records) == json.loads(REFERENCE.read_text())[f"p{p}"]
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -236,6 +255,41 @@ def test_pool_workers_share_a_cache(tmp_path):
     cache = AutCache(str(tmp_path / "cache"))
     for _ in ("cold", "warm"):
         assert report_digest(run_sweep(5, partitions_iter(6), jobs=2, cache=cache)) == want
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs items here."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.started.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs,cpus,workers", [
+    (5000, 64, 15),     # no more workers than partitions
+    (5000, 4, 4),       # nor than CPUs
+    (2, 64, 2),
+    (3, None, 1),       # an unknown CPU count counts as one
+])
+def test_pool_starts_at_most_one_worker_per_partition_and_cpu(monkeypatch, jobs, cpus, workers):
+    monkeypatch.setattr("planeschemes.report.ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr("planeschemes.report.os.cpu_count", lambda: cpus)
+    monkeypatch.setattr("planeschemes.report._worker_analyzer", None)
+    monkeypatch.setattr(_InlinePool, "started", [])
+    records = run_sweep(3, partitions_iter(4), jobs=jobs)
+    assert _InlinePool.started == [workers]
+    assert report_digest(records) == json.loads(REFERENCE.read_text())["p3"]
 
 
 @pytest.mark.parametrize("p,jobs", [(3, 1), (3, 2), (5, 1), (5, 2)])
