@@ -39,7 +39,6 @@ from .errors import (
     NotAlgebraic,
     NotStarClosed,
     PlaneSchemesError,
-    RankTooLarge,
     SingularMatrix,
     UnclassifiableSchurian,
     UnsupportedPrime,

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, InvariantViolated
 from .permgroup import Perm, orbit_of
-from .scheme import Scheme
+from .scheme import Scheme, color_lut
 
 DEFAULT_NODE_CAP = 10**7
 MAX_AUT_POINTS = 400
@@ -283,8 +283,7 @@ def orbital_count(X: Scheme, generators) -> int:
     2-orbit crosses a color class.
     """
     labels, count = orbitals(generators, X.n)
-    pairs = np.unique(labels.ravel() * np.int64(X.rank) + X.matrix.ravel())
-    if len(pairs) != count:
+    if color_lut(labels, X.matrix) is None:
         raise InvariantViolated("an orbital crosses a color class")
     return count
 

@@ -56,6 +56,7 @@ from .scheme import (
     ParabolicSet,
     Scheme,
     algebraic_fusion,
+    color_lut,
     is_primitive,
     is_pseudocyclic,
     is_subtensor,
@@ -165,11 +166,8 @@ def _carries(sigma: np.ndarray, to_matrix: np.ndarray, from_matrix: np.ndarray) 
     Then sigma is an isomorphism of the two schemes (a bijective lut also
     makes sigma injective, since color 0 is the diagonal's alone).
     """
-    carried = to_matrix[np.ix_(sigma, sigma)]
-    lut = np.zeros(int(from_matrix.max()) + 1, dtype=to_matrix.dtype)
-    lut[from_matrix] = carried        # one image per color; the comparison checks all
-    return (len(np.unique(lut)) == len(lut) == int(to_matrix.max()) + 1
-            and np.array_equal(lut[from_matrix], carried))
+    lut = color_lut(from_matrix, to_matrix[np.ix_(sigma, sigma)])
+    return lut is not None and len(np.unique(lut)) == len(lut) == int(to_matrix.max()) + 1
 
 
 class _OrbitInvariants(NamedTuple):
@@ -349,7 +347,11 @@ def _witness_holds(p: int, P: SlopePartition, verdict: str, witness: dict,
         X = fuse(p, P).scheme
     if verdict == WREATH:
         e = _parabolic_from_colors(X, witness["parabolic_colors"]) if X.rank == 3 else None
-        return e is not None and _check_wreath_equality(X, e, p)
+        if e is None or e.num_classes != p:
+            return False
+        # point a1 * p + c of the wreath is the a1-th least member of class c
+        old_of_new = np.argsort(parabolic_classes(X, e), kind="stable").reshape(p, p).T.ravel()
+        return _carries(old_of_new, X.matrix, _trivial_wreath(p).matrix)
     if verdict == SUBTENSOR:
         e1, e2 = (_parabolic_from_colors(X, c) for c in witness["parabolic_pair"])
         quotients = e1 is not None and e2 is not None and is_subtensor(X, e1, e2)
@@ -381,22 +383,6 @@ def _witness_holds(p: int, P: SlopePartition, verdict: str, witness: dict,
 def _parabolic_from_colors(X: Scheme, colors) -> ParabolicSet | None:
     """The parabolic with exactly these colors; None when there is none."""
     return next((e for e in parabolics(X) if e.colors == frozenset(colors)), None)
-
-
-def _check_wreath_equality(X: Scheme, e: ParabolicSet, p: int) -> bool:
-    cls = parabolic_classes(X, e)
-    old_of_new = np.empty(X.n, dtype=np.int64)
-    for c in range(p):
-        members = np.nonzero(cls == c)[0]
-        if len(members) != p:
-            return False
-        old_of_new[np.arange(p) * p + c] = members
-    inner_color = max(e.colors)
-    color_map = np.full(X.rank, 2, dtype=np.int16)
-    color_map[0] = 0
-    color_map[inner_color] = 1
-    relabeled = color_map[X.matrix[np.ix_(old_of_new, old_of_new)]]
-    return bool(np.array_equal(relabeled, _trivial_wreath(p).matrix))
 
 
 @lru_cache(maxsize=None)

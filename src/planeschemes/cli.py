@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -57,6 +58,12 @@ def _jobs_arg(value: str) -> int:
     return int(value)
 
 
+def _out_arg(value: str) -> str:
+    if os.path.isdir(value):
+        raise argparse.ArgumentTypeError(f"{value} is a directory: want a file path")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="afs",
@@ -67,11 +74,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("build", help="build the affine scheme and write its file")
     b.add_argument("--p", type=_prime_arg, required=True)
-    b.add_argument("--out", default=None, help="scheme file (default xa_p{p}.afsc)")
+    b.add_argument("--out", type=_out_arg, help="scheme file (default xa_p{p}.afsc)")
 
     s = sub.add_parser("sweep", help="classify every fusion of one prime")
     s.add_argument("--p", type=_prime_arg, required=True)
-    s.add_argument("--out", default=None, help="report file (default report_p{p}.json)")
+    s.add_argument("--out", type=_out_arg, help="report file (default report_p{p}.json)")
     s.add_argument("--format", choices=("json", "csv"), default="json")
     s.add_argument("--jobs", type=_jobs_arg, default=1)
     s.add_argument("--no-cache", action="store_true")

@@ -36,10 +36,6 @@ class InconsistentIntersection(PlaneSchemesError):
         self.pairs = (pair1, pair2)
 
 
-class RankTooLarge(PlaneSchemesError):
-    """Scheme rank exceeds the bound of a subset or permutation search."""
-
-
 class NotAlgebraic(PlaneSchemesError):
     """A color permutation fails the intersection-number identity."""
 

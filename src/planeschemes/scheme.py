@@ -23,7 +23,6 @@ from .errors import (
     InvariantViolated,
     NotAlgebraic,
     NotStarClosed,
-    RankTooLarge,
 )
 from .permgroup import PermGroup, orbits
 
@@ -63,10 +62,11 @@ class Scheme:
         return stack
 
     @cached_property
-    def composition_masks(self) -> np.ndarray:
-        """(r, r) bitmasks: bit t of entry (a, b) set iff c(a, b, t) > 0."""
-        bits = (np.int64(1) << np.arange(self.rank, dtype=np.int64))
-        return ((self.tensor > 0) * bits).sum(axis=2)
+    def composition_masks(self) -> tuple[tuple[int, ...], ...]:
+        """Exact ints at any rank: bit t of entry [a][b] set iff c(a, b, t) > 0."""
+        packed = np.packbits(self.tensor > 0, axis=2, bitorder="little")
+        return tuple(tuple(int.from_bytes(cell, "little") for cell in row)
+                     for row in packed.tolist())
 
     @cached_property
     def parabolic_sets(self) -> tuple[ParabolicSet, ...]:
@@ -223,42 +223,44 @@ class ParabolicSet:
         return len(self.colors) == 1 or len(self.colors) == rank
 
 
-def _closed_under_composition(X: Scheme, colors: frozenset[int]) -> bool:
-    allowed = 0
-    for c in colors:
-        allowed |= 1 << c
-    masks = X.composition_masks
-    return all(
-        int(masks[a, b]) & ~allowed == 0 for a in colors for b in colors
-    )
-
-
 def parabolics(X: Scheme) -> tuple[ParabolicSet, ...]:
-    """All parabolics, from 1_Omega (mask 0) up to Omega^2, in mask order."""
+    """All parabolics, 1_Omega to Omega^2, in mask order: each union of star-orbits
+    read as a binary number, one bit per star-orbit in order of least color."""
     return X.parabolic_sets
 
 
+def _closure(masks, bits: int, new: int) -> int:
+    """The least composition-closed color set holding bits | new; bits must be closed."""
+    bits |= new
+    while new:
+        fresh = _members(new)
+        grown = 0
+        for a in _members(bits):
+            for b in fresh:
+                grown |= masks[a][b] | masks[b][a]
+        new = grown & ~bits
+        bits |= new
+    return bits
+
+
+def _members(bits: int) -> list[int]:
+    return [c for c in range(bits.bit_length()) if bits >> c & 1]
+
+
 def _enumerate_parabolics(X: Scheme) -> tuple[ParabolicSet, ...]:
-    r = X.rank
-    if r > 32:
-        raise RankTooLarge(f"rank {r} exceeds the subset-enumeration bound 32")
-    # enumerate subsets of star-orbits so every candidate is star-closed
-    pairs = []
-    seen = set()
-    for s in range(1, r):
-        if s in seen:
-            continue
-        seen.update((s, X.star[s]))
-        pairs.append((s,) if X.star[s] == s else (s, X.star[s]))
+    """Each parabolic is the closure of a smaller one plus one color and its star."""
+    masks = X.composition_masks
+    minimal = {_closure(masks, 1, 1 << s | 1 << X.star[s]) for s in range(1, X.rank)}
+    found = [1]                       # {0}: the diagonal alone
+    for e in found:
+        for g in minimal:
+            f = _closure(masks, e, g & ~e)
+            if f not in found:
+                found.append(f)
+    first = sum(1 << s for s in range(X.rank) if s <= X.star[s])
     out = []
-    for mask in range(1 << len(pairs)):
-        colors = {0}
-        for i, cc in enumerate(pairs):
-            if mask >> i & 1:
-                colors.update(cc)
-        colors = frozenset(colors)
-        if not _closed_under_composition(X, colors):
-            continue
+    for bits in sorted(found, key=lambda b: b & first):
+        colors = frozenset(_members(bits))
         class_size = sum(X.valencies[s] for s in colors)
         if X.n % class_size:
             raise InvariantViolated("parabolic classes of unequal size")
@@ -272,62 +274,45 @@ def is_primitive(X: Scheme) -> bool:
 
 def parabolic_classes(X: Scheme, e: ParabolicSet) -> np.ndarray:
     """Class index per point, classes numbered by least member."""
-    in_e = np.isin(X.matrix, list(e.colors))
-    labels = np.full(X.n, -1, dtype=np.int64)
-    nxt = 0
-    for a in range(X.n):
-        if labels[a] < 0:
-            labels[in_e[a]] = nxt
-            nxt += 1
-    if nxt != e.num_classes:
-        raise InvariantViolated(f"{nxt} parabolic classes, want {e.num_classes}")
+    least = np.isin(X.matrix, list(e.colors)).argmax(axis=1)
+    members, labels = np.unique(least, return_inverse=True)
+    if len(members) != e.num_classes:
+        raise InvariantViolated(f"{len(members)} parabolic classes, want {e.num_classes}")
     return labels
 
 
+def color_lut(matrix: np.ndarray, values: np.ndarray) -> np.ndarray | None:
+    """The lut with lut[matrix] == values; None when values is no function of the colors."""
+    lut = np.zeros(int(matrix.max()) + 1, dtype=values.dtype)
+    lut[matrix] = values              # one value per color; the comparison checks all
+    return lut if np.array_equal(lut[matrix], values) else None
+
+
 def quotient(X: Scheme, e: ParabolicSet) -> Scheme:
-    """Quotient scheme on the classes of e, colors merged when equal as relations."""
+    """Quotient scheme on the classes of e.
+
+    Each class pair gets the least color it meets, and these labels,
+    numbered in increasing order, are the quotient's colors.  Raises
+    InvariantViolated when a color meets two labels, so that e is no
+    parabolic.
+    """
     cls = parabolic_classes(X, e)
     k = e.num_classes
     block = cls[:, None] * k + cls[None, :]
-    present = np.unique(block.ravel() * np.int64(X.rank) + X.matrix.ravel())
-    blocks, colors = np.divmod(present, X.rank)
-    # colors meeting a common class pair become one quotient color
-    parent = list(range(X.rank))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    first_color = {}
-    for bid, c in zip(blocks.tolist(), colors.tolist()):
-        if bid in first_color:
-            ra, rb = find(first_color[bid]), find(c)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        else:
-            first_color[bid] = c
-    root_of = [find(c) for c in range(X.rank)]
-    labels = sorted({root_of[c] for c in range(X.rank)})
-    if root_of[0] != 0:
-        raise InvariantViolated("the diagonal merged with another quotient color")
-    relabel = {root: i for i, root in enumerate(labels)}
-    qm = np.zeros((k, k), dtype=np.int16)
-    for bid, c in first_color.items():
-        qm[bid // k, bid % k] = relabel[root_of[c]]
-    return verify_scheme(qm)
+    least = np.full(k * k, X.rank, dtype=X.matrix.dtype)
+    np.minimum.at(least, block.ravel(), X.matrix.ravel())
+    lut = color_lut(X.matrix, least[block])
+    if lut is None:
+        raise InvariantViolated("a color meets two quotient colors")
+    _, qcolor = np.unique(lut, return_inverse=True)
+    return verify_scheme(qcolor[least].reshape(k, k))
 
 
 def restriction(X: Scheme, points) -> Scheme:
     """Scheme induced on one class of a parabolic (any color-closed subset works)."""
     pts = np.asarray(sorted(points))
     sub = X.matrix[np.ix_(pts, pts)]
-    present = np.unique(sub)
-    relabel = np.zeros(X.rank, dtype=np.int16)
-    for i, c in enumerate(present):
-        relabel[c] = i
-    return verify_scheme(relabel[sub])
+    return verify_scheme(np.unique(sub, return_inverse=True)[1].reshape(sub.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +368,7 @@ def is_subtensor(X: Scheme, e1: ParabolicSet, e2: ParabolicSet) -> tuple[Scheme,
     p1 = q1.matrix[np.ix_(cls1, cls1)]
     p2 = q2.matrix[np.ix_(cls2, cls2)]
     key = p1.astype(np.int64) * q2.rank + p2
-    for s in range(X.rank):
-        if len(np.unique(key[X.matrix == s])) != 1:
-            return None
-    return q1, q2
+    return None if color_lut(X.matrix, key) is None else (q1, q2)
 
 
 # ---------------------------------------------------------------------------

@@ -194,3 +194,71 @@ def unique_verify_scheme(matrix):
         tensor[rr] = mins
     tensor.setflags(write=False)
     return tuple(star), tensor
+
+
+def subset_parabolics(X):
+    """Parabolics as (colors, num_classes, class_size) by testing every union of star-orbits.
+
+    The reference for `scheme.parabolics`: 2^k candidate subsets for k
+    star-orbits of nonzero colors, in increasing order of the subset read as
+    a binary number (bit i for the i-th star-orbit by least color), each kept
+    when every product of two of its colors stays inside it.
+    """
+    pairs, seen = [], set()
+    for s in range(1, X.rank):
+        if s not in seen:
+            seen.update((s, X.star[s]))
+            pairs.append({s, X.star[s]})
+    support = X.tensor > 0
+    out = []
+    for mask in range(1 << len(pairs)):
+        colors = {0}.union(*(cc for i, cc in enumerate(pairs) if mask >> i & 1))
+        inside = np.zeros(X.rank, dtype=bool)
+        inside[list(colors)] = True
+        if any(support[a, b, ~inside].any() for a in colors for b in colors):
+            continue
+        class_size = sum(X.valencies[s] for s in colors)
+        out.append((frozenset(colors), X.n // class_size, class_size))
+    return out
+
+
+def union_find_quotient_matrix(X, colors):
+    """The quotient color matrix on the classes of a parabolic, by union-find.
+
+    The reference for `scheme.quotient`: classes numbered by least member in
+    a plain loop, colors meeting a common class pair merged with a
+    union-find, quotient colors numbered by least merged color.
+    """
+    in_e = np.isin(X.matrix, list(colors))
+    cls = np.full(X.n, -1, dtype=np.int64)
+    k = 0
+    for a in range(X.n):
+        if cls[a] < 0:
+            cls[in_e[a]] = k
+            k += 1
+    parent = list(range(X.rank))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    first_color = {}
+    for a in range(X.n):
+        for b in range(X.n):
+            bid, c = int(cls[a] * k + cls[b]), int(X.matrix[a, b])
+            if bid not in first_color:
+                first_color[bid] = c
+            ra, rb = find(first_color[bid]), find(c)
+            parent[max(ra, rb)] = min(ra, rb)
+    roots = sorted({find(c) for c in range(X.rank)})
+    qm = np.zeros((k, k), dtype=np.int16)
+    for bid, c in first_color.items():
+        qm[bid // k, bid % k] = roots.index(find(c))
+    return qm
+
+
+def cyclic_scheme(n: int) -> np.ndarray:
+    """The color matrix of the thin scheme of Z_n: pair (i, j) has color j - i mod n."""
+    i = np.arange(n)
+    return ((i[None, :] - i[:, None]) % n).astype(np.int16)

@@ -480,6 +480,19 @@ def test_point_map_carries_each_orbit_member_onto_the_fusion():
         assert _sigma_carries(p, orbit[Q], P, SlopePartition(Q)), (p, P, orbit[Q])
 
 
+def test_carries_needs_a_color_bijection_and_an_isomorphism():
+    X = fusion_matrix(3, SlopePartition.from_string("0123"))
+    identity = np.arange(9)
+    assert _carries(identity, X, X)
+    # the colors of X_A are a function of themselves, but merge onto 0111's
+    # three: a lut, not a bijection
+    assert not _carries(identity, fusion_matrix(3, SlopePartition.from_string("0111")), X)
+    # swapping (0,1) and (1,0) alone maps a vertical pair onto a slope-0 pair
+    # and another vertical pair onto a vertical one: no lut at all
+    swap = np.array([0, 3, 2, 1, 4, 5, 6, 7, 8])
+    assert not _carries(swap, X, X)
+
+
 def test_wrong_point_map_raises(monkeypatch):
     # 0001, analysed first, is searched; 0111 is carried from it, and the
     # identity does not map 0001 onto 0111

@@ -75,6 +75,18 @@ def test_build_rejects_composite(capsys, monkeypatch):
         assert exc.value.code == 2, argv
 
 
+def test_out_directory_is_a_usage_error(tmp_path, monkeypatch):
+    # rejected before the scheme is built or the sweep runs, not by the
+    # final write
+    monkeypatch.setattr("planeschemes.cli.build_affine_scheme", _no_scheme)
+    monkeypatch.setattr("planeschemes.cli.run_sweep", _no_scheme)
+    for argv in (["build", "--p", "3", "--out", str(tmp_path)],
+                 ["sweep", "--p", "3", "--no-cache", "--out", str(tmp_path)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+
+
 def test_classify_subtensor(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("AFS_CACHE", str(tmp_path / "cache"))
     code, out, _ = run_cli(["classify", "--p", "3", "--partition", "0123"], capsys)

@@ -1,4 +1,5 @@
-"""`python -O` strips `assert`, so the library guards its invariants with typed errors."""
+"""`python -O` strips `assert`, so the library guards its invariants with typed errors,
+and every error type it declares is raised somewhere."""
 
 import ast
 import pathlib
@@ -13,3 +14,24 @@ def test_library_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _raised_names(tree) -> set[str]:
+    """Names of the classes each `raise` statement instantiates or raises."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                out.add(exc.id)
+    return out
+
+
+def test_every_error_type_is_raised():
+    # an error type nothing raises is dead API: delete it with its last raise
+    errors = ast.parse((SRC / "errors.py").read_text())
+    declared = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in sorted(SRC.glob("*.py")):
+        raised |= _raised_names(ast.parse(path.read_text(), filename=str(path)))
+    assert sorted(declared - raised - {"PlaneSchemesError"}) == []

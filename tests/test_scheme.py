@@ -3,12 +3,24 @@ import random
 import numpy as np
 import pytest
 
-from oracles import direct_intersection_count, unique_verify_scheme
+from oracles import (
+    cyclic_scheme,
+    direct_intersection_count,
+    subset_parabolics,
+    union_find_quotient_matrix,
+    unique_verify_scheme,
+)
 
 from planeschemes.affine import SlopePartition, build_affine_scheme, fuse, partitions_iter
-from planeschemes.errors import InconsistentIntersection, NotAlgebraic, NotStarClosed
+from planeschemes.errors import (
+    InconsistentIntersection,
+    InvariantViolated,
+    NotAlgebraic,
+    NotStarClosed,
+)
 from planeschemes.permgroup import PermGroup, group_closure
 from planeschemes.scheme import (
+    ParabolicSet,
     algebraic_fusion,
     all_color_permutations_fixing_zero,
     is_algebraic_map,
@@ -188,6 +200,57 @@ def test_parabolics_counts():
     assert len(parabolics(grid)) == 4
     one_merged = fuse(3, SlopePartition.from_string("0000")).scheme
     assert is_primitive(one_merged)
+
+
+def _products():
+    t3, x3 = trivial_scheme(3), build_affine_scheme(3)
+    return [tensor_product(t3, t3), wreath_product(t3, t3), wreath_product(x3, t3),
+            tensor_product(x3, trivial_scheme(2))]
+
+
+_ORACLE_CASES = {
+    "p3-fusions": lambda: [fuse(3, P).scheme for P in partitions_iter(4)],
+    "p5-fusions": lambda: [fuse(5, P).scheme for P in partitions_iter(6)],
+    "XA7-XA11": lambda: [build_affine_scheme(7), build_affine_scheme(11)],
+    "products": _products,
+    "thin-Z6-Z8-Z9-Z12": lambda: [verify_scheme(cyclic_scheme(n)) for n in (6, 8, 9, 12)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_parabolics_and_quotients_match_the_oracles(case):
+    # closure over composition masks against every union of star-orbits, and
+    # the least-color quotient against the union-find one
+    for X in _ORACLE_CASES[case]():
+        pars = parabolics(X)
+        assert [(e.colors, e.num_classes, e.class_size) for e in pars] == subset_parabolics(X)
+        for e in pars:
+            q = union_find_quotient_matrix(X, e.colors)
+            assert np.array_equal(quotient(X, e).matrix, q), (X, sorted(e.colors))
+
+
+@pytest.mark.parametrize("n, divisors", [(65, (1, 5, 13, 65)),
+                                         (70, (1, 2, 5, 7, 10, 14, 35, 70))])
+def test_thin_cyclic_parabolics_are_the_divisor_subgroups(n, divisors):
+    # rank n > 64: the masks are exact ints, and no rank bound applies
+    X = verify_scheme(cyclic_scheme(n))
+    masks = X.composition_masks
+    assert all(masks[a][b] == 1 << (a + b) % n for a in range(n) for b in range(n))
+    if n == 65:
+        assert masks[1][63] == 1 << 64
+    got = {e.colors: (e.num_classes, e.class_size) for e in parabolics(X)}
+    assert got == {frozenset(range(0, n, n // d)): (n // d, d) for d in divisors}
+
+
+def test_quotient_rejects_a_color_set_that_is_not_parabolic():
+    # two slopes of AG(2,3), and one generator of Z_6: neither union is an
+    # equivalence relation, though each gives as many classes as claimed
+    for X, colors, k in ((build_affine_scheme(3), {0, 1, 2}, 3),
+                         (verify_scheme(cyclic_scheme(6)), {0, 1}, 5)):
+        e = ParabolicSet(frozenset(colors), k, X.n // k)
+        assert e not in parabolics(X)
+        with pytest.raises(InvariantViolated):
+            quotient(X, e)
 
 
 def test_quotient_restriction_trivial():
