@@ -19,7 +19,7 @@ import numpy as np
 from .errors import NonCanonicalPartition
 from .permgroup import PermGroup, orbits
 from .projline import check_prime, fp_inv
-from .scheme import Scheme, verify_scheme
+from .scheme import Scheme, merge, verify_scheme
 
 _RGS_ALPHABET = string.digits + string.ascii_lowercase
 
@@ -191,12 +191,11 @@ def fusion_matrix(p: int, partition: SlopePartition) -> np.ndarray:
 
 
 def fuse(p: int, partition: SlopePartition) -> FusionRecord:
-    """The scheme of `fusion_matrix(p, partition)`, verified.
+    """The scheme of `fusion_matrix(p, partition)`, merged from AG(2,p)'s tensor.
 
-    Verification of the result must succeed for every partition; a failure
-    here is an internal error, not a data error.
+    The merge must succeed for every partition: a failure is an internal error.
     """
-    fused = verify_scheme(fusion_matrix(p, partition))
+    fused = merge(build_affine_scheme(p), (0,) + tuple(b + 1 for b in partition.rgs))
     return FusionRecord(p, partition, fused, partition.lambda_set())
 
 

@@ -16,8 +16,7 @@ later member along a point map that is checked first.  The verdicts are:
 
 `_witness_holds` is the one definition of each basic verdict: the classifier
 gives the first candidate witness it accepts, and `verify_witness` re-checks
-the published witness with it, on the scheme the analysis fused once its
-color matrix is checked to be the P-fusion's.
+the published witness with it, on a P-fusion it fuses itself.
 
 A schurian fusion matching no case raises UnclassifiableSchurian: that is
 either a bug or a counterexample, and is never swallowed.
@@ -33,11 +32,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .affine import (
-    FusionRecord,
     SlopePartition,
     affine_automorphisms,
     fuse,
-    fusion_matrix,
     lambda_criteria,
     partition_from_group,
 )
@@ -185,10 +182,7 @@ class _Analyzer:
     The analysis of P, basic_memo[P.rgs], is NonSchurian, Unknown, the
     first of `_basic_candidates` that `_witness_holds` accepts, or an
     unmatched schurian.
-    Each analysis fuses its own partition and no other: fusion_memo holds
-    these fusions under rgs, `report.classify_record` hands the record's
-    own to the witness re-check, and each `classify` empties it first, so
-    it holds one record's fusions (P and the involutive candidates).
+    Each analysis fuses its own partition and no other, and keeps no fusion.
     Automorphism groups are searched once per PGL(2,p) orbit, on the first
     member analysed: orbit_memo maps each member's rgs to (g, what the
     search decided), g mapping the searched member onto it.  Each search
@@ -203,7 +197,6 @@ class _Analyzer:
         self.cache = cache
         self.basic_memo: dict[tuple[int, ...], ClassificationResult] = {}
         self.orbit_memo: dict[tuple[int, ...], tuple[PglElement, _OrbitInvariants]] = {}
-        self.fusion_memo: dict[tuple[int, ...], FusionRecord] = {}
 
     def _automorphisms(self, X: Scheme):
         cached = self.cache.load(X) if self.cache is not None else None
@@ -245,7 +238,7 @@ class _Analyzer:
 
     def _analyze(self, P: SlopePartition) -> ClassificationResult:
         p = self.p
-        rec = self.fusion_memo[P.rgs] = fuse(p, P)
+        rec = fuse(p, P)
         X = rec.scheme
         prim = is_primitive(X)
         pc = is_pseudocyclic(X)
@@ -272,7 +265,6 @@ class _Analyzer:
         return res if res.verdict in BASIC_VERDICTS else None
 
     def classify(self, P: SlopePartition) -> ClassificationResult:
-        self.fusion_memo.clear()
         res = self._analysis(P)
         if res.verdict != _UNMATCHED:
             return res
@@ -313,21 +305,15 @@ _MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError,
               NonCanonicalPartition, NotAlgebraic, SingularMatrix)
 
 
-def verify_witness(p: int, P: SlopePartition, res: ClassificationResult,
-                   X: Scheme | None = None) -> bool:
+def verify_witness(p: int, P: SlopePartition, res: ClassificationResult) -> bool:
     """Re-check the witness of a verdict by direct construction.
 
-    The witness is read in its published form, the one in the report bytes.
-    X, when given, stands for the P-fusion only once its color matrix is
-    checked to be `fusion_matrix(p, P)`, the slope colors of AG(2,p) merged
-    along P: any other scheme fails the check.  When X is None, the P-fusion
-    is fused here if the verdict needs it.  A malformed witness returns
-    False instead of raising.
+    The witness is read in its published form, the one in the report bytes,
+    and the P-fusion is fused here if the verdict needs it.  A malformed
+    witness returns False instead of raising.
     """
     try:
-        if X is not None and not np.array_equal(X.matrix, fusion_matrix(p, P)):
-            return False
-        return _witness_holds(p, P, res.verdict, res.witness, X)
+        return _witness_holds(p, P, res.verdict, res.witness)
     except _MALFORMED:
         return False
 

@@ -135,6 +135,9 @@ def _atomic_write(path: str, data: bytes):
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+        mask = os.umask(0)     # mkstemp gives 0600; take the mode open() would
+        os.umask(mask)
+        os.chmod(tmp, 0o666 & ~mask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -257,20 +260,17 @@ class AutCache:
 def classify_record(analyzer: _Analyzer, P: SlopePartition) -> ReportRecord:
     """Classify P, re-check its witness, and turn both into one record.
 
-    The re-check reads the P-fusion that the analysis fused, once
-    `verify_witness` has checked its color matrix against P; when the
-    analysis came from the memo, `verify_witness` fuses P itself if the
-    verdict reads a scheme.  UnclassifiableSchurian becomes the record's error,
-    under that verdict with flags, aut_order and witness cleared.  A failed
-    witness check sets only the error: the record keeps the verdict, flags
-    and witness that failed.  Every other exception propagates.  elapsed_ms
-    times exactly the classification and the check.
+    The re-check shares nothing with the analysis: `verify_witness` fuses P
+    itself if the verdict reads a scheme.  UnclassifiableSchurian becomes the
+    record's error, under that verdict with flags, aut_order and witness
+    cleared.  A failed witness check sets only the error: the record keeps
+    the verdict, flags and witness that failed.  Every other exception
+    propagates.  elapsed_ms times exactly the classification and the check.
     """
     start = time.perf_counter()
     try:
         res = analyzer.classify(P)
-        fused = analyzer.fusion_memo.get(P.rgs)   # None when the analysis was memoized
-        verified = verify_witness(analyzer.p, P, res, fused.scheme if fused else None)
+        verified = verify_witness(analyzer.p, P, res)
     except UnclassifiableSchurian as exc:
         res, verified = str(exc), True
     elapsed = (time.perf_counter() - start) * 1000.0

@@ -3,9 +3,9 @@
 A scheme on n points is stored as an n x n matrix of colors 0..r-1 with color
 0 on the diagonal and nowhere else, together with the transposition map
 (star) and the full intersection tensor c[r,s,t] = |alpha r  intersect
-beta s*| for (alpha,beta) of color t.  Construction always goes through
-:func:`verify_scheme`, which proves that every intersection number is
-independent of the chosen pair before storing it.
+beta s*| for (alpha,beta) of color t.  :func:`verify_scheme` proves from the
+matrix that every intersection number is independent of the chosen pair;
+:func:`merge` proves it for a fusion of a verified scheme by block sums.
 """
 
 from __future__ import annotations
@@ -38,6 +38,10 @@ class Scheme:
     matrix: np.ndarray          # (n, n) int16 color matrix
     star: tuple[int, ...]       # color -> transposed color
     tensor: np.ndarray          # (r, r, r) int64, tensor[r, s, t] = c_rs^t
+
+    def __post_init__(self):
+        self.matrix.setflags(write=False)
+        self.tensor.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -163,10 +167,36 @@ def verify_scheme(matrix) -> Scheme:
                 (int(i1) // n, int(i1) % n), (int(i2) // n, int(i2) % n),
             )
         tensor[rr] = mins
-
-    m.setflags(write=False)
-    tensor.setflags(write=False)
     return Scheme(m, star, tensor)
+
+
+def merge(X: Scheme, color_map) -> Scheme:
+    """The fusion of X along color_map (color -> merged color), proved from X's tensor.
+
+    A_I A_J = sum_k s[I, J, k] A_k, where s[I, J, k] sums c_ij^k over i in I
+    and j in J, so the merge is a scheme iff s is constant on each block K
+    (Bannai-Muzychuk).  Gives, or raises, what `verify_scheme` does on
+    color_map[X.matrix]; ValueError unless the map sends color 0 alone to 0.
+    """
+    cmap = np.asarray(color_map)
+    sizes = np.bincount(cmap)                           # ValueError for a negative color
+    if cmap.shape != (X.rank,) or cmap[0] != 0 or sizes[0] != 1 or not sizes.all():
+        raise ValueError(f"{cmap.tolist()} is no color map of a rank-{X.rank} scheme")
+    blocks = (cmap[:, None] == np.arange(len(sizes))).astype(np.int64)   # one-hot
+    first = blocks.argmax(axis=0)                       # the least color of each block
+    star_of = cmap[list(X.star)]                        # the merged color of each transpose
+    split = cmap[star_of != star_of[first][cmap]]
+    if len(split):
+        raise NotStarClosed(f"transpose of merged color {split[0]} meets two merged colors")
+    # sums[I, J, k] = (B^T C_k B)[I, J] for the one-hot B and the layers C_k = c[:, :, k]
+    sums = (blocks.T @ X.tensor.transpose(2, 0, 1) @ blocks).transpose(1, 2, 0)
+    tensor = np.ascontiguousarray(sums[:, :, first])
+    spread = sums != tensor[:, :, cmap]
+    if spread.any():
+        I, J, k = np.argwhere(spread)[0].tolist()
+        pairs = (tuple(np.argwhere(X.matrix == c)[0].tolist()) for c in (first[cmap[k]], k))
+        raise InconsistentIntersection(I, J, int(cmap[k]), *pairs)
+    return Scheme(cmap.astype(np.int16)[X.matrix], tuple(star_of[first].tolist()), tensor)
 
 
 def trivial_scheme(n: int) -> Scheme:
@@ -394,24 +424,13 @@ class AlgebraicFusionResult:
 
 
 def algebraic_fusion(X: Scheme, K: PermGroup) -> AlgebraicFusionResult:
-    """Merge the colors of X along the orbits of K <= Aaut(X)."""
+    """Merge the colors of X along the orbits of K <= Aaut(X), orbit i to color i."""
     for g in K.generators:
         if not is_algebraic_map(X, g):
             raise NotAlgebraic(f"generator {g} violates the intersection numbers")
-    order = K.order()
-    parts = orbits(K.generators, X.rank)
-    color_map = np.zeros(X.rank, dtype=np.int16)
-    nonzero = sorted(p[0] for p in parts if 0 not in p)
-    rep_to_new = {rep: i + 1 for i, rep in enumerate(nonzero)}
-    for part in parts:
-        if 0 in part:
-            if part != [0]:
-                raise InvariantViolated(f"an algebraic automorphism moves color 0: {part}")
-            continue
-        for c in part:
-            color_map[c] = rep_to_new[part[0]]
-    fused = verify_scheme(color_map[X.matrix])
-    return AlgebraicFusionResult(fused, tuple(int(c) for c in color_map), order == 2)
+    label = {c: i for i, part in enumerate(orbits(K.generators, X.rank)) for c in part}
+    color_map = tuple(label[c] for c in range(X.rank))     # orbit [0] first: each g fixes 0
+    return AlgebraicFusionResult(merge(X, color_map), color_map, K.order() == 2)
 
 
 def all_color_permutations_fixing_zero(rank: int):

@@ -5,11 +5,14 @@ is the long pole of the suite; everything else finishes in seconds.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
-from planeschemes.affine import SlopePartition, partition_from_group, partitions_iter
+from planeschemes import verifypaper
+from planeschemes.affine import SlopePartition, fuse, partition_from_group, partitions_iter
 from planeschemes.report import report_digest, run_sweep
+from planeschemes.scheme import Scheme
 from planeschemes.subgroups import exceptional_subgroups, match_pgl_subgroup, pgl_orbit
 from planeschemes.verifypaper import (
     check_aaut_full,
@@ -33,6 +36,25 @@ def test_criterion_1_affine_scheme_laws():
 def test_criterion_2_golfand_fusion_property():
     ok, detail = check_golfand((3, 5), random_p7=500)
     assert ok, detail
+
+
+def test_golfand_check_does_not_take_fuse_on_trust(monkeypatch):
+    # one block-sum fusion with a wrong intersection number fails the check
+    tampered = SlopePartition.from_string("0112")
+
+    def bad_fuse(p, P):
+        rec = fuse(p, P)
+        if (p, P) != (3, tampered):
+            return rec
+        tensor = rec.scheme.tensor.copy()
+        tensor[1, 1, 0] += 1
+        return replace(rec, scheme=Scheme(rec.scheme.matrix, rec.scheme.star, tensor))
+
+    monkeypatch.setattr(verifypaper, "fuse", bad_fuse)
+    ok, detail = check_golfand((3,), random_p7=0)
+    assert not ok and "0112" in detail
+    ok, _ = check_golfand((5,), random_p7=0)
+    assert ok
 
 
 def test_criterion_3_full_algebraic_automorphism_group():

@@ -152,25 +152,6 @@ def test_verify_witness_fuses_only_what_it_checks(monkeypatch):
     assert sorted(fused) == ["000011", res_i.witness["inner_partition"]]
 
 
-def test_verify_witness_checks_the_scheme_it_is_given():
-    # another fusion's scheme fails the check, also where the verdict's own
-    # definition would accept it (the last three: _witness_holds is True)
-    cases = [(3, "0111", "0112", False), (3, "0000", "0011", True),
-             (3, "0123", "0122", True), (5, "000000", "001122", True)]
-    for p, rgs, other, holds_on_other in cases:
-        P = SlopePartition.from_string(rgs)
-        res = classify_fusion(p, P)
-        wrong = fuse(p, SlopePartition.from_string(other)).scheme
-        assert verify_witness(p, P, res, fuse(p, P).scheme), rgs
-        assert classify._witness_holds(p, P, res.verdict, res.witness, wrong) is holds_on_other
-        assert verify_witness(p, P, res, wrong) is False, (rgs, other)
-    # the scheme of another prime, for a verdict that reads no scheme
-    P = SlopePartition.from_string("000112")
-    res = classify_fusion(5, P)
-    assert res.verdict == NON_SCHURIAN
-    assert verify_witness(5, P, res, fuse(3, SlopePartition.from_string("0112")).scheme) is False
-
-
 def test_involutive_records_verify_in_published_form():
     # every record, not only the involutive ones, after a JSON round trip
     verdicts = Counter()

@@ -14,7 +14,6 @@ from planeschemes.permgroup import StabilizerChain
 from planeschemes.report import (
     AutCache,
     ReportRecord,
-    classify_record,
     read_csv_report,
     record_from_dict,
     record_to_dict,
@@ -73,6 +72,29 @@ def test_json_report_files(tmp_path):
     assert "elapsed_ms" not in json.dumps(data)
     meta = json.loads((tmp_path / "report.json.meta.json").read_bytes())
     assert meta["elapsed_ms"] == 12.5
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002], ids=["022", "002"])
+def test_written_files_get_the_mode_open_gives(tmp_path, umask):
+    # reports, sidecars, CSV reports and cache entries, next to a plain open()
+    records = run_sweep(3, [SlopePartition.from_string("0111")])
+    cache = AutCache(str(tmp_path / "cache"))
+    X = build_affine_scheme(3)
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "plain", "wb"):
+            pass
+        write_json_report(str(tmp_path / "report.json"), records, elapsed_ms=1.0, jobs=1)
+        write_csv_report(str(tmp_path / "report.csv"), records)
+        cache.store(X, automorphism_group(X))
+    finally:
+        os.umask(old)
+    want = (tmp_path / "plain").stat().st_mode
+    assert want & 0o777 == 0o666 & ~umask
+    written = ["report.json", "report.json.meta.json", "report.csv"]
+    written += [f"cache/{f}" for f in os.listdir(tmp_path / "cache")]
+    assert len(written) == 4
+    assert {f: (tmp_path / f).stat().st_mode for f in written} == dict.fromkeys(written, want)
 
 
 def test_cache_hit_and_miss(tmp_path):
@@ -227,25 +249,29 @@ def test_serial_sweep_enumerates_each_orbit_once(monkeypatch, p, orbits):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_serial_sweep_fuses_each_record_once(monkeypatch, p):
-    # the analysis, its orbit search, its involutive search and the witness
-    # re-check share one fusion of the record's own partition
+    # the analyses of a sweep, their orbit searches and involutive searches
+    # included, fuse each partition exactly once; the witness re-check fuses
+    # on its own and is not counted
     fused = Counter()
-    own = {}
+    inside = []
+    classify_once = _Analyzer.classify
 
     def counted_fuse(q, partition):
-        fused[partition.rgs] += 1
+        if inside:
+            fused[partition.as_string()] += 1
         return fuse(q, partition)
 
-    def counted_record(analyzer, P):
-        fused.clear()
-        rec = classify_record(analyzer, P)
-        own[P.as_string()] = fused[P.rgs]
-        return rec
+    def counted_classify(analyzer, P):
+        inside.append(P)
+        try:
+            return classify_once(analyzer, P)
+        finally:
+            inside.pop()
 
     monkeypatch.setattr("planeschemes.classify.fuse", counted_fuse)
-    monkeypatch.setattr("planeschemes.report.classify_record", counted_record)
+    monkeypatch.setattr(_Analyzer, "classify", counted_classify)
     records = run_sweep(p, partitions_iter(p + 1))
-    assert own == {rec.partition_rgs: 1 for rec in records}
+    assert fused == {rec.partition_rgs: 1 for rec in records}
     assert report_digest(records) == json.loads(REFERENCE.read_text())[f"p{p}"]
 
 

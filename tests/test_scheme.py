@@ -11,7 +11,14 @@ from oracles import (
     unique_verify_scheme,
 )
 
-from planeschemes.affine import SlopePartition, build_affine_scheme, fuse, partitions_iter
+from planeschemes.affine import (
+    SlopePartition,
+    build_affine_scheme,
+    fuse,
+    fusion_matrix,
+    partitions_iter,
+)
+from planeschemes.classify import involutive_presentations
 from planeschemes.errors import (
     InconsistentIntersection,
     InvariantViolated,
@@ -27,6 +34,7 @@ from planeschemes.scheme import (
     is_primitive,
     is_pseudocyclic,
     is_subtensor,
+    merge,
     parabolic_classes,
     parabolics,
     quotient,
@@ -140,6 +148,74 @@ def test_inconsistent_intersection():
     assert m[p1] == t and m[p2] == t
     assert (direct_intersection_count(m, r, s, *p1)
             != direct_intersection_count(m, r, s, *p2))
+
+
+def _same_scheme(got, want):
+    """Equal bytes, dtypes and read-only flags, as the digests and cache keys need."""
+    assert got.star == want.star and all(type(s) is int for s in got.star)
+    for a, b in ((got.matrix, want.matrix), (got.tensor, want.tensor)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert a.flags.c_contiguous and not a.flags.writeable
+    assert scheme_digest(got) == scheme_digest(want)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_fuse_merges_what_verify_scheme_counts(p):
+    # every fusion: 15, 203 and all 4140 at p = 7
+    fusions = list(partitions_iter(p + 1))
+    assert len(fusions) == {3: 15, 5: 203, 7: 4140}[p]
+    for P in fusions:
+        _same_scheme(fuse(p, P).scheme, verify_scheme(fusion_matrix(p, P)))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_algebraic_fusion_merges_what_verify_scheme_counts(p):
+    # each involution that presents a fusion as an involutive one, on its inner fusion
+    count = 0
+    for P in partitions_iter(p + 1):
+        for P2, phi in involutive_presentations(P):
+            X2 = fuse(p, P2).scheme
+            res = algebraic_fusion(X2, group_closure([phi], X2.rank))
+            want = verify_scheme(np.array(res.color_map)[X2.matrix])
+            _same_scheme(res.scheme, want)
+            assert np.array_equal(want.matrix, fusion_matrix(p, P)) and res.involutive
+            count += 1
+    assert count > 0
+
+
+def test_merge_rejects_an_inconsistent_block_sum():
+    # thin Z_7 merged as {+-1}, {+-2, +-3}: A_1^2 = 2I + A_2 meets +-2 but not +-3
+    Z = verify_scheme(cyclic_scheme(7))
+    cmap = np.array([0, 1, 2, 2, 2, 2, 1])
+    m = cmap[Z.matrix]
+    with pytest.raises(InconsistentIntersection) as err:
+        merge(Z, cmap)
+    r, s, t = err.value.triple
+    p1, p2 = err.value.pairs
+    assert m[p1] == m[p2] == t and Z.matrix[p1] != Z.matrix[p2]
+    assert (direct_intersection_count(m, r, s, *p1)
+            != direct_intersection_count(m, r, s, *p2))
+    with pytest.raises(InconsistentIntersection):
+        verify_scheme(m)
+
+
+def test_merge_rejects_a_map_that_is_not_star_closed():
+    # thin Z_5 merged as {1, 2}, {3}, {4}: the transpose of {1, 2} is {4, 3}
+    Z = verify_scheme(cyclic_scheme(5))
+    cmap = np.array([0, 1, 1, 2, 3])
+    with pytest.raises(NotStarClosed):
+        merge(Z, cmap)
+    with pytest.raises(NotStarClosed):
+        verify_scheme(cmap[Z.matrix])
+
+
+def test_merge_rejects_a_malformed_color_map():
+    X = build_affine_scheme(3)
+    assert merge(X, [0, 1, 1, 2, 2]).rank == 3
+    for cmap in ([0, 1, 1, 2], [0, 1, 1, 2, 2, 2], [0, 0, 1, 1, 1], [1, 0, 2, 2, 2],
+                 [0, 1, 1, 3, 3], [0, 1, -1, 2, 2]):
+        with pytest.raises(ValueError):
+            merge(X, cmap)
 
 
 def test_tensor_matches_direct_recount():
