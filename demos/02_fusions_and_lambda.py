@@ -24,14 +24,14 @@ print(f"{'partition':>9}  {'rank':>4}  {'valencies':>16}  {'Lambda':>9}  "
       f"{'imprim':>6}  {'pseudo':>6}")
 shown = 0
 for P in partitions_iter(p + 1):
-    rec = fuse(p, P)
-    imprim, pc = lambda_criteria(rec)
-    assert imprim == (not is_primitive(rec.scheme))
-    assert pc == is_pseudocyclic(rec.scheme)
+    X = fuse(p, P)
+    imprim, pc = lambda_criteria(P)
+    assert imprim == (not is_primitive(X))
+    assert pc == is_pseudocyclic(X)
     if shown < 12 or P.num_blocks == 1:
-        vals = ",".join(str(v) for v in sorted(rec.scheme.valencies[1:]))
-        lam = "{" + ",".join(str(v) for v in sorted(rec.lam)) + "}"
-        print(f"{P.as_string():>9}  {rec.scheme.rank:>4}  {vals:>16}  {lam:>9}  "
+        vals = ",".join(str(v) for v in sorted(X.valencies[1:]))
+        lam = "{" + ",".join(str(v) for v in sorted(P.lambda_set())) + "}"
+        print(f"{P.as_string():>9}  {X.rank:>4}  {vals:>16}  {lam:>9}  "
               f"{str(imprim):>6}  {str(pc):>6}")
     shown += 1
 

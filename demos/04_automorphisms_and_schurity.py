@@ -27,12 +27,12 @@ named = [
 ]
 print(f"p = {p}:")
 for rgs, label in named:
-    rec = fuse(p, SlopePartition.from_string(rgs))
-    aut = automorphism_group(rec.scheme)
-    labels, count = orbitals(aut.generators, rec.scheme.n)
+    X = fuse(p, SlopePartition.from_string(rgs))
+    aut = automorphism_group(X)
+    labels, count = orbitals(aut.generators, X.n)
     print(f"  {rgs} ({label})")
-    print(f"     |Aut| = {aut.order}  2-orbits = {count}  rank = {rec.scheme.rank}"
-          f"  schurian = {count == rec.scheme.rank}")
+    print(f"     |Aut| = {aut.order}  2-orbits = {count}  rank = {X.rank}"
+          f"  schurian = {count == X.rank}")
 
 print(f"\nreference orders: 9! = {math.factorial(9)}, "
       f"(3!)^3*3! = {math.factorial(3)**3 * math.factorial(3)}, "
@@ -41,5 +41,5 @@ print(f"\nreference orders: 9! = {math.factorial(9)}, "
 p = 5
 print(f"\np = {p}: schurity across a few fusions")
 for rgs in ("012345", "001122", "010212", "011233", "000000"):
-    rec = fuse(p, SlopePartition.from_string(rgs))
-    print(f"  {rgs}: schurian = {is_schurian(rec.scheme)}")
+    X = fuse(p, SlopePartition.from_string(rgs))
+    print(f"  {rgs}: schurian = {is_schurian(X)}")

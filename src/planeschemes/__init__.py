@@ -6,7 +6,6 @@ scale.
 """
 
 from .affine import (
-    FusionRecord,
     SlopePartition,
     bell_number,
     build_affine_scheme,
@@ -76,7 +75,6 @@ from .report import (
     write_json_report,
 )
 from .scheme import (
-    AlgebraicFusionResult,
     ParabolicSet,
     RelationStats,
     Scheme,

@@ -170,16 +170,6 @@ def affine_automorphisms(p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(v) for v in m) for m in maps)
 
 
-@dataclass(frozen=True)
-class FusionRecord:
-    """One fusion of the affine scheme: partition, scheme, and its Lambda set."""
-
-    p: int
-    partition: SlopePartition
-    scheme: Scheme
-    lam: frozenset[int]
-
-
 def fusion_matrix(p: int, partition: SlopePartition) -> np.ndarray:
     """The slope colors of AG(2,p) merged along the blocks of the partition."""
     base = build_affine_scheme(p)
@@ -190,18 +180,18 @@ def fusion_matrix(p: int, partition: SlopePartition) -> np.ndarray:
     return color_map[base.matrix]
 
 
-def fuse(p: int, partition: SlopePartition) -> FusionRecord:
+def fuse(p: int, partition: SlopePartition) -> Scheme:
     """The scheme of `fusion_matrix(p, partition)`, merged from AG(2,p)'s tensor.
 
     The merge must succeed for every partition: a failure is an internal error.
     """
-    fused = merge(build_affine_scheme(p), (0,) + tuple(b + 1 for b in partition.rgs))
-    return FusionRecord(p, partition, fused, partition.lambda_set())
+    return merge(build_affine_scheme(p), (0,) + tuple(b + 1 for b in partition.rgs))
 
 
-def lambda_criteria(rec: FusionRecord) -> tuple[bool, bool]:
-    """(imprimitive, pseudocyclic) read off the Lambda set alone."""
-    return (1 in rec.lam, len(rec.lam) == 1)
+def lambda_criteria(partition: SlopePartition) -> tuple[bool, bool]:
+    """(imprimitive, pseudocyclic) of the fusion, read off the Lambda set alone."""
+    lam = partition.lambda_set()
+    return (1 in lam, len(lam) == 1)
 
 
 def partition_from_group(group: PermGroup) -> SlopePartition:

@@ -238,11 +238,10 @@ class _Analyzer:
 
     def _analyze(self, P: SlopePartition) -> ClassificationResult:
         p = self.p
-        rec = fuse(p, P)
-        X = rec.scheme
+        X = fuse(p, P)
         prim = is_primitive(X)
         pc = is_pseudocyclic(X)
-        if lambda_criteria(rec) != (not prim, pc):
+        if lambda_criteria(P) != (not prim, pc):
             raise InvariantViolated(
                 f"Lambda criteria disagree with the structural predicates for {P}")
         inv = self._orbit_invariants(P, X)
@@ -330,7 +329,7 @@ def _witness_holds(p: int, P: SlopePartition, verdict: str, witness: dict,
     if verdict == UNKNOWN:
         return isinstance(witness["reason"], str)
     if X is None:
-        X = fuse(p, P).scheme
+        X = fuse(p, P)
     if verdict == WREATH:
         e = _parabolic_from_colors(X, witness["parabolic_colors"]) if X.rank == 3 else None
         if e is None or e.num_classes != p:
@@ -356,10 +355,10 @@ def _witness_holds(p: int, P: SlopePartition, verdict: str, witness: dict,
         inner_p = SlopePartition.from_string(witness["inner_partition"])
         phi = tuple(witness["color_involution"])
         inner = witness["inner"]
-        X2 = fuse(p, inner_p).scheme    # ValueError for the wrong number of labels
+        X2 = fuse(p, inner_p)           # ValueError for the wrong number of labels
         if any(phi[phi[s]] != s for s in range(len(phi))):
             return False
-        if algebraic_fusion(X2, group_closure([phi], X2.rank)).scheme != X:
+        if algebraic_fusion(X2, group_closure([phi], X2.rank)) != X:
             return False
         return (inner["verdict"] in BASIC_VERDICTS
                 and _witness_holds(p, inner_p, inner["verdict"], inner["witness"], X2))

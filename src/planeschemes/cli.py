@@ -23,13 +23,11 @@ from .affine import (
     partitions_iter,
 )
 from .autsearch import MAX_AUT_POINTS
-from .classify import _Analyzer
 from .errors import NonCanonicalPartition, PlaneSchemesError
 from .projline import MAX_PRIME, is_prime
 from .report import (
     AutCache,
     _atomic_write,
-    classify_record,
     record_to_dict,
     report_digest,
     run_sweep,
@@ -145,7 +143,7 @@ def cmd_classify(args) -> int:
         print(f"error: classify supports p^2 <= {MAX_AUT_POINTS} points", file=sys.stderr)
         return 2
     cache = None if args.no_cache else AutCache()
-    rec = classify_record(_Analyzer(args.p, cache), P)
+    rec = run_sweep(args.p, [P], cache=cache)[0]
     print(json.dumps(record_to_dict(rec), sort_keys=True, indent=2))
     if rec.error is not None:
         print(f"error: {rec.error}", file=sys.stderr)

@@ -56,16 +56,14 @@ def perm_order(a: Perm) -> int:
 
 @dataclass(frozen=True)
 class PermGroup:
-    """A permutation group given by generators, optionally with full closure."""
+    """A permutation group given by generators and all of its elements, sorted."""
 
     degree: int
     generators: tuple[Perm, ...]
-    elements: tuple[Perm, ...] | None = None
+    elements: tuple[Perm, ...]
 
     def order(self) -> int:
-        if self.elements is not None:
-            return len(self.elements)
-        return StabilizerChain(self.generators, self.degree).order()
+        return len(self.elements)
 
 
 def group_closure(generators, degree: int, cap: int = 10**6) -> PermGroup:

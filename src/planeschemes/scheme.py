@@ -416,21 +416,13 @@ def is_algebraic_map(X: Scheme, perm) -> bool:
     return bool(np.array_equal(X.tensor[np.ix_(p, p, p)], X.tensor))
 
 
-@dataclass(frozen=True)
-class AlgebraicFusionResult:
-    scheme: Scheme
-    color_map: tuple[int, ...]      # old color -> new color
-    involutive: bool                # the fusing group has order 2
-
-
-def algebraic_fusion(X: Scheme, K: PermGroup) -> AlgebraicFusionResult:
+def algebraic_fusion(X: Scheme, K: PermGroup) -> Scheme:
     """Merge the colors of X along the orbits of K <= Aaut(X), orbit i to color i."""
     for g in K.generators:
         if not is_algebraic_map(X, g):
             raise NotAlgebraic(f"generator {g} violates the intersection numbers")
     label = {c: i for i, part in enumerate(orbits(K.generators, X.rank)) for c in part}
-    color_map = tuple(label[c] for c in range(X.rank))     # orbit [0] first: each g fixes 0
-    return AlgebraicFusionResult(merge(X, color_map), color_map, K.order() == 2)
+    return merge(X, [label[c] for c in range(X.rank)])     # orbit [0] first: each g fixes 0
 
 
 def all_color_permutations_fixing_zero(rank: int):

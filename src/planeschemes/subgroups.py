@@ -21,8 +21,9 @@ from functools import lru_cache
 import numpy as np
 
 from .affine import SlopePartition, partition_from_group
-from .errors import InvariantViolated, UnsupportedPrime
+from .errors import UnsupportedPrime
 from .permgroup import (
+    Perm,
     PermGroup,
     compose,
     group_closure,
@@ -36,8 +37,6 @@ from .projline import (
     pgl_canonical,
     pgl_elements,
     pgl_identity,
-    pgl_inv,
-    pgl_mul,
     point_permutation,
 )
 
@@ -108,12 +107,20 @@ def parse_spec(text: str) -> SubgroupSpec:
 
 @dataclass(frozen=True)
 class PglSubgroup:
-    """A subgroup of PGL(2,p) with matrix generators and its point action."""
+    """A subgroup of PGL(2,p), held as its permutation group on the p+1 slopes.
+
+    The action on the projective line is faithful, so each permutation is
+    one element of PGL(2,p).
+    """
 
     p: int
     spec: SubgroupSpec | None
-    matrices: tuple[PglElement, ...]
-    group: PermGroup          # on the p+1 projective points, with closure
+    group: PermGroup          # on the p+1 projective points, with its elements
+
+    @property
+    def matrices(self) -> tuple[PglElement, ...]:
+        """The canonical matrices of the group's generators, in their order."""
+        return tuple(map(_element_of_perm(self.p).__getitem__, self.group.generators))
 
     def order(self) -> int:
         return self.group.order()
@@ -147,10 +154,15 @@ def _element_perms(p: int):
     return els, perms, orders
 
 
+@lru_cache(maxsize=None)
+def _element_of_perm(p: int) -> dict[Perm, PglElement]:
+    """Each PGL(2,p) element keyed by its slope permutation."""
+    els, perms, _ = _element_perms(p)
+    return dict(zip(perms, els))
+
+
 def element_order_profile(group: PermGroup) -> dict[int, int]:
     """Multiset of element orders; identifies A4/S4/A5 among same-order groups."""
-    if group.elements is None:
-        raise InvariantViolated("element order profile of a group without its elements")
     return dict(Counter(perm_order(g) for g in group.elements))
 
 
@@ -179,16 +191,16 @@ def _presentation(p: int, spec: SubgroupSpec, a: int, b: int, c: int,
     it (von Dyck) and is Δ(a,b,c) itself when `size` is its order:
     D_2d = Δ(d,2,2), and alt(4), sym(4), alt(5) = Δ(2,3,c) for c = 3, 4, 5.
     """
-    els, perms, orders = _element_perms(p)
-    ys = [(y, qy) for y, qy, o in zip(els, perms, orders) if o == b]
-    for x, qx, o in zip(els, perms, orders):
+    _, perms, orders = _element_perms(p)
+    ys = [qy for qy, o in zip(perms, orders) if o == b]
+    for qx, o in zip(perms, orders):
         if o != a:
             continue
-        for y, qy in ys:
+        for qy in ys:
             if perm_order(compose(qx, qy)) == c:
                 group = group_closure([qx, qy], p + 1)
                 if group.order() == size:
-                    return PglSubgroup(p, spec, (x, y), group)
+                    return PglSubgroup(p, spec, group)
     return None
 
 
@@ -215,8 +227,7 @@ def find_subgroup(p: int, spec: SubgroupSpec) -> PglSubgroup | None:
     if diagonal:
         shift = pgl_canonical(1, 1, 0, 1, p)
         gens = (shift,) if spec.d == 1 else (shift, g)
-    perms = [point_permutation(m) for m in gens]
-    return PglSubgroup(p, spec, gens, group_closure(perms, p + 1))
+    return PglSubgroup(p, spec, group_closure(map(point_permutation, gens), p + 1))
 
 
 def lemma_orbit_size_bound(spec: SubgroupSpec, p: int) -> set[int] | None:
@@ -245,17 +256,17 @@ def lemma_orbit_size_bound(spec: SubgroupSpec, p: int) -> set[int] | None:
 # full subgroup lattice for small p: no library path uses it, the tests do
 
 
-@lru_cache(maxsize=None)
-def _mult_table(p: int):
-    """Index-based multiplication table of PGL(2,p) plus the element perms."""
-    els, perms, orders = _element_perms(p)
-    index = {g.entries(): i for i, g in enumerate(els)}
-    m = len(els)
-    table = np.empty((m, m), dtype=np.int32)
-    for i, g in enumerate(els):
-        for j, h in enumerate(els):
-            table[i, j] = index[pgl_mul(g, h).entries()]
-    return table, els, perms, orders
+def _mult_table(p: int) -> np.ndarray:
+    """[i, j]: the canonical index of g_i g_j, which maps z to g_i(g_j(z)).
+
+    PGL(2,p) is sharply 3-transitive on the slopes, so the images of slopes
+    0, 1 and 2 index an element.
+    """
+    q = _slope_perm_array(p)
+    digits = np.array([(p + 1) ** 2, p + 1, 1])     # the three images, base p + 1
+    index = np.zeros((p + 1) ** 3, dtype=np.int32)
+    index[q[:, :3] @ digits] = np.arange(len(q))
+    return index[q[:, q[:, :3]] @ digits]
 
 
 @lru_cache(maxsize=None)
@@ -269,7 +280,7 @@ def subgroup_lattice(p: int) -> tuple[frozenset[int], ...]:
         raise UnsupportedPrime(
             f"subgroup lattice enumeration is limited to p <= {_LATTICE_MAX_PRIME}"
         )
-    table, els, perms, orders = _mult_table(p)
+    table, els = _mult_table(p), _element_perms(p)[0]
     ident = els.index(pgl_identity(p))
     m = len(els)
 
@@ -303,10 +314,9 @@ def _closure_set(table: np.ndarray, ident: int, gens: tuple[int, ...]) -> frozen
 
 def lattice_subgroup(p: int, ids: frozenset[int]) -> PglSubgroup:
     """Wrap a lattice entry as a PglSubgroup (generators = all elements)."""
-    _, els, perms, _ = _mult_table(p)
-    mats = tuple(els[i] for i in sorted(ids))
-    sub_perms = tuple(sorted(perms[i] for i in sorted(ids)))
-    return PglSubgroup(p, None, mats, PermGroup(p + 1, sub_perms, sub_perms))
+    perms = _element_perms(p)[1]
+    gens = tuple(perms[i] for i in sorted(ids))
+    return PglSubgroup(p, None, PermGroup(p + 1, gens, tuple(sorted(gens))))
 
 
 def exceptional_subgroups(p: int, kind: str) -> list[PglSubgroup]:
@@ -320,17 +330,21 @@ def exceptional_subgroups(p: int, kind: str) -> list[PglSubgroup]:
 
 
 def conjugates(rep: PglSubgroup):
-    """The distinct conjugates g rep g^-1, in the canonical order of g."""
-    p = rep.p
+    """The distinct conjugates g rep g^-1, in the canonical order of g.
+
+    On the slopes g x g^-1 is z -> g(x(g^-1(z))): each conjugate's generators
+    and elements are those of rep, conjugated as permutations.
+    """
+    p, grp = rep.p, rep.group
+    k = len(grp.generators)
+    stack = np.array(grp.generators + grp.elements)
     seen: set[frozenset] = set()
-    for g in pgl_elements(p):
-        ginv = pgl_inv(g)
-        mats = tuple(pgl_mul(pgl_mul(g, x), ginv) for x in rep.matrices)
-        grp = group_closure([point_permutation(x) for x in mats], p + 1)
-        key = frozenset(grp.elements)
+    for q in _slope_perm_array(p):
+        conj = list(map(tuple, q[stack[:, np.argsort(q)]].tolist()))
+        key = frozenset(conj[k:])
         if key not in seen:
             seen.add(key)
-            yield PglSubgroup(p, rep.spec, mats, grp)
+            yield PglSubgroup(p, rep.spec, PermGroup(p + 1, tuple(conj[:k]), tuple(sorted(key))))
 
 
 @lru_cache(maxsize=None)
@@ -355,11 +369,9 @@ def match_pgl_subgroup(p: int, P: SlopePartition) -> PglSubgroup | None:
     whose orbits are the blocks lies in K_P, whose orbits lie within the
     blocks, so K_P realises P whenever any subgroup does.
     """
-    els, perms, _ = _element_perms(p)
-    kept = np.flatnonzero((_slope_images(p, P) == P.rgs).all(axis=1))
-    keep = tuple(perms[i] for i in kept)
-    sub = PglSubgroup(p, None, tuple(els[i] for i in kept),
-                      PermGroup(p + 1, keep, tuple(sorted(keep))))
+    perms = _element_perms(p)[1]
+    keep = tuple(perms[i] for i in np.flatnonzero((_slope_images(p, P) == P.rgs).all(axis=1)))
+    sub = PglSubgroup(p, None, PermGroup(p + 1, keep, tuple(sorted(keep))))
     return sub if partition_from_group(sub.group) == P else None
 
 
@@ -377,11 +389,9 @@ def match_exceptional_subgroup(p: int, P: SlopePartition) -> PglSubgroup | None:
     if K is None or K.order() % 12:
         return None
     A = group_closure([q for q in K.group.elements if perm_order(q) == 3], p + 1)
-    members = set(A.elements)
     for kind in ("alt4", "alt5"):
         if is_exceptional_group(A, kind) and partition_from_group(A) == P:
-            mats = tuple(g for g in K.matrices if point_permutation(g) in members)
-            return PglSubgroup(p, SubgroupSpec(kind), mats, A)
+            return PglSubgroup(p, SubgroupSpec(kind), A)
     return None
 
 

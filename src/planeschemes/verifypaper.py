@@ -86,7 +86,7 @@ def check_golfand(primes=(3, 5), random_p7: int = 500) -> tuple[bool, str]:
         rng = random.Random(GOLFAND_SEED)
         todo += [(7, P) for P in rng.sample(list(partitions_iter(8)), random_p7)]
     for p, P in todo:
-        if scheme_digest(verify_scheme(fusion_matrix(p, P))) != scheme_digest(fuse(p, P).scheme):
+        if scheme_digest(verify_scheme(fusion_matrix(p, P))) != scheme_digest(fuse(p, P)):
             return False, f"p={p} {P}: the block sums differ from the direct count"
     return True, f"{len(todo)} fusions verified"
 
@@ -110,11 +110,11 @@ def check_lambda_criteria(primes=(3, 5)) -> tuple[bool, str]:
     count = 0
     for p in primes:
         for P in partitions_iter(p + 1):
-            rec = fuse(p, P)
-            imprim, pc = lambda_criteria(rec)
-            if imprim != (not is_primitive(rec.scheme)):
+            X = fuse(p, P)
+            imprim, pc = lambda_criteria(P)
+            if imprim != (not is_primitive(X)):
                 return False, f"p={p} {P}: imprimitivity mismatch"
-            if pc != is_pseudocyclic(rec.scheme):
+            if pc != is_pseudocyclic(X):
                 return False, f"p={p} {P}: pseudocyclicity mismatch"
             count += 1
     return True, f"{count} fusions agree"
@@ -184,8 +184,7 @@ def check_group_orders_p3() -> tuple[bool, str]:
         ("0112", 36),                  # grid: sym(3) x sym(3)
     ]
     for rgs, expect in cases:
-        rec = fuse(3, SlopePartition.from_string(rgs))
-        aut = automorphism_group(rec.scheme)
+        aut = automorphism_group(fuse(3, SlopePartition.from_string(rgs)))
         if aut.order != expect:
             return False, f"{rgs}: order {aut.order} != {expect}"
     return True, "orders 362880 / 72 / 1296 / 36 as listed"
@@ -201,10 +200,10 @@ def check_exceptional(with_p19: bool = True) -> tuple[bool, str]:
         if sub is None:
             return False, f"{kind} absent at p={p}"
         P = partition_from_group(sub.group)
-        rec = fuse(p, P)
-        if not (is_primitive(rec.scheme) and is_pseudocyclic(rec.scheme)):
+        X = fuse(p, P)
+        if not (is_primitive(X) and is_pseudocyclic(X)):
             return False, f"p={p} {kind}: not primitive pseudocyclic"
-        details.append(f"p={p}:{kind}:n={rec.scheme.n}:rank={rec.scheme.rank}")
+        details.append(f"p={p}:{kind}:n={X.n}:rank={X.rank}")
     return True, " ".join(details)
 
 

@@ -12,6 +12,8 @@ from itertools import permutations
 import numpy as np
 
 from planeschemes.errors import InconsistentIntersection, NotStarClosed
+from planeschemes.permgroup import group_closure
+from planeschemes.projline import pgl_elements, pgl_inv, pgl_mul, point_permutation
 
 
 def direct_intersection_count(matrix, r, s, alpha, beta) -> int:
@@ -262,3 +264,24 @@ def cyclic_scheme(n: int) -> np.ndarray:
     """The color matrix of the thin scheme of Z_n: pair (i, j) has color j - i mod n."""
     i = np.arange(n)
     return ((i[None, :] - i[:, None]) % n).astype(np.int16)
+
+
+def matrix_mult_table(p: int) -> np.ndarray:
+    """PGL(2,p)'s multiplication table by matrix products: [i, j] indexes g_i g_j."""
+    els = pgl_elements(p)
+    index = {g.entries(): i for i, g in enumerate(els)}
+    return np.array([[index[pgl_mul(g, h).entries()] for h in els] for g in els])
+
+
+def matrix_conjugates(rep) -> list:
+    """(matrices, group) of each distinct conjugate g rep g^-1, in the canonical
+    order of g: rep's generator matrices conjugated by matrix products, then closed."""
+    out, seen = [], set()
+    for g in pgl_elements(rep.p):
+        ginv = pgl_inv(g)
+        mats = tuple(pgl_mul(pgl_mul(g, x), ginv) for x in rep.matrices)
+        grp = group_closure([point_permutation(x) for x in mats], rep.p + 1)
+        if frozenset(grp.elements) not in seen:
+            seen.add(frozenset(grp.elements))
+            out.append((mats, grp))
+    return out

@@ -5,7 +5,6 @@ is the long pole of the suite; everything else finishes in seconds.
 """
 
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -43,12 +42,12 @@ def test_golfand_check_does_not_take_fuse_on_trust(monkeypatch):
     tampered = SlopePartition.from_string("0112")
 
     def bad_fuse(p, P):
-        rec = fuse(p, P)
+        X = fuse(p, P)
         if (p, P) != (3, tampered):
-            return rec
-        tensor = rec.scheme.tensor.copy()
+            return X
+        tensor = X.tensor.copy()
         tensor[1, 1, 0] += 1
-        return replace(rec, scheme=Scheme(rec.scheme.matrix, rec.scheme.star, tensor))
+        return Scheme(X.matrix, X.star, tensor)
 
     monkeypatch.setattr(verifypaper, "fuse", bad_fuse)
     ok, detail = check_golfand((3,), random_p7=0)

@@ -76,45 +76,45 @@ def test_affine_scheme_p5_clique_structure():
 
 
 def test_fuse_examples():
-    ident = fuse(3, identity_partition(4))
-    assert ident.scheme.rank == 5 and ident.lam == frozenset({1})
-    assert np.array_equal(ident.scheme.matrix, build_affine_scheme(3).matrix)
+    P = identity_partition(4)
+    ident = fuse(3, P)
+    assert ident.rank == 5 and P.lambda_set() == frozenset({1})
+    assert np.array_equal(ident.matrix, build_affine_scheme(3).matrix)
 
-    mixed = fuse(3, SlopePartition.from_string("0112"))
-    assert mixed.scheme.rank == 4
-    assert sorted(mixed.scheme.valencies[1:]) == [2, 2, 4]
-    assert mixed.lam == frozenset({1, 2})
+    P = SlopePartition.from_string("0112")
+    mixed = fuse(3, P)
+    assert mixed.rank == 4
+    assert sorted(mixed.valencies[1:]) == [2, 2, 4]
+    assert P.lambda_set() == frozenset({1, 2})
 
-    allin = fuse(3, one_block_partition(4))
-    assert allin.scheme.rank == 2 and allin.lam == frozenset({4})
+    P = one_block_partition(4)
+    allin = fuse(3, P)
+    assert allin.rank == 2 and P.lambda_set() == frozenset({4})
 
 
 def test_valency_law():
     for p in (3, 5):
         for P in partitions_iter(p + 1):
-            rec = fuse(p, P)
-            vals = sorted(rec.scheme.valencies[1:])
+            vals = sorted(fuse(p, P).valencies[1:])
             expect = sorted(len(b) * (p - 1) for b in P.blocks())
             assert vals == expect
 
 
 def test_lambda_criteria_examples():
-    rec = fuse(3, identity_partition(4))
-    assert lambda_criteria(rec) == (True, True)
-    rec = fuse(3, SlopePartition.from_string("0011"))   # blocks {0,1},{2,inf}
-    assert rec.lam == frozenset({2})
-    assert lambda_criteria(rec) == (False, True)
-    rec = fuse(3, SlopePartition.from_string("0112"))
-    assert lambda_criteria(rec) == (True, False)
+    assert lambda_criteria(identity_partition(4)) == (True, True)
+    P = SlopePartition.from_string("0011")   # blocks {0,1},{2,inf}
+    assert P.lambda_set() == frozenset({2})
+    assert lambda_criteria(P) == (False, True)
+    assert lambda_criteria(SlopePartition.from_string("0112")) == (True, False)
 
 
 def test_lambda_criteria_agree_with_structure():
     for p in (3, 5):
         for P in partitions_iter(p + 1):
-            rec = fuse(p, P)
-            imprim, pc = lambda_criteria(rec)
-            assert imprim == (not is_primitive(rec.scheme))
-            assert pc == is_pseudocyclic(rec.scheme)
+            X = fuse(p, P)
+            imprim, pc = lambda_criteria(P)
+            assert imprim == (not is_primitive(X))
+            assert pc == is_pseudocyclic(X)
 
 
 def test_partition_from_group_examples():
@@ -141,7 +141,7 @@ def test_fusion_from_group_equals_algebraic_fusion():
             if sub is None:
                 continue
             P = partition_from_group(sub.group)
-            direct = fuse(p, P).scheme
+            direct = fuse(p, P)
             # the induced color group: slope label l acts as color l+1
             color_gens = []
             for g in sub.group.generators:
@@ -150,7 +150,7 @@ def test_fusion_from_group_equals_algebraic_fusion():
                     perm[label + 1] = g[label] + 1
                 color_gens.append(tuple(perm))
             K = group_closure(color_gens, p + 2)
-            merged = algebraic_fusion(X, K).scheme
+            merged = algebraic_fusion(X, K)
             assert np.array_equal(direct.matrix, merged.matrix), (p, spec)
 
 

@@ -38,7 +38,7 @@ def test_refine_examples():
     col = refine(T, init)
     assert sorted(np.bincount(col).tolist()) == [1, 5]
 
-    wreath = fuse(3, SlopePartition.from_string("0111")).scheme
+    wreath = fuse(3, SlopePartition.from_string("0111"))
     init = np.zeros(9, dtype=int)
     init[0] = 1
     col = refine(wreath, init)
@@ -46,7 +46,7 @@ def test_refine_examples():
 
 
 def test_refine_renumbers_labels_that_skip_values():
-    wreath = fuse(3, SlopePartition.from_string("0111")).scheme
+    wreath = fuse(3, SlopePartition.from_string("0111"))
     init = np.zeros(9, dtype=int)
     init[0] = 2
     col = refine(wreath, init)
@@ -62,7 +62,7 @@ def test_refine_renumbers_labels_that_skip_values():
 @pytest.mark.parametrize("p,rgs", [(5, "001122"), (5, "011111"), (5, "012345"),
                                    (7, "00112233"), (7, "01111111"), (7, "00111010")])
 def test_refine_matches_unique_reference(p, rgs):
-    stack = fuse(p, SlopePartition.from_string(rgs)).scheme.color_stack
+    stack = fuse(p, SlopePartition.from_string(rgs)).color_stack
     rng = np.random.default_rng(p * 1000 + len(rgs))
     for _ in range(20):
         labels = rng.integers(0, rng.integers(1, 5), size=p * p)
@@ -91,7 +91,7 @@ def test_refine_matches_unique_reference_at_the_size_cap():
 
 
 def test_refine_never_merges_and_idempotent():
-    X = fuse(5, SlopePartition.from_string("001122")).scheme
+    X = fuse(5, SlopePartition.from_string("001122"))
     init = np.zeros(25, dtype=int)
     init[3] = 1
     col = refine(X, init)
@@ -117,10 +117,10 @@ def test_trivial_scheme_full_symmetric():
     ],
 )
 def test_p3_fusion_aut_orders(rgs, expect):
-    rec = fuse(3, SlopePartition.from_string(rgs))
-    aut = automorphism_group(rec.scheme)
+    X = fuse(3, SlopePartition.from_string(rgs))
+    aut = automorphism_group(X)
     assert aut.order == expect
-    assert aut.order == brute_force_aut_order(rec.scheme.matrix)
+    assert aut.order == brute_force_aut_order(X.matrix)
 
 
 def test_small_schemes_match_brute_force():
@@ -138,7 +138,7 @@ def test_order_from_base_orbits_matches_schreier_sims():
               for rgs in ("00000000", "01234567", "01111111", "00111010", "00112233")]
     assert len(cases) == 223
     for p, P in cases:
-        X = fuse(p, P).scheme
+        X = fuse(p, P)
         aut = automorphism_group(X)
         assert aut.order == StabilizerChain(aut.generators, X.n).order(), (p, P)
 
@@ -148,7 +148,7 @@ def test_affine_maps_keep_every_fusion_color():
         maps = [np.array(g) for g in affine_automorphisms(p)]
         assert len(maps) == 3
         for P in partitions_iter(p + 1):
-            m = fuse(p, P).scheme.matrix
+            m = fuse(p, P).matrix
             for g in maps:
                 assert np.array_equal(m[np.ix_(g, g)], m), (p, P)
 
@@ -159,7 +159,7 @@ def test_known_automorphisms_keep_the_order():
     cases += [(7, SlopePartition(Q)) for Q in least]
     assert len(cases) == 218 + 47
     for p, P in cases:
-        X = fuse(p, P).scheme
+        X = fuse(p, P)
         seeded = automorphism_group(X, known=affine_automorphisms(p))
         assert seeded.order == automorphism_group(X).order, (p, P)
 
@@ -176,11 +176,11 @@ def test_known_maps_are_checked():
 
 
 def test_generator_soundness_and_determinism():
-    rec = fuse(5, SlopePartition.from_string("010212"))
-    a1 = automorphism_group(rec.scheme)
-    a2 = automorphism_group(rec.scheme)
+    X = fuse(5, SlopePartition.from_string("010212"))
+    a1 = automorphism_group(X)
+    a2 = automorphism_group(X)
     assert a1.generators == a2.generators
-    m = rec.scheme.matrix
+    m = X.matrix
     for g in a1.generators:
         arr = np.array(g)
         assert np.array_equal(m[np.ix_(arr, arr)], m)
@@ -216,7 +216,7 @@ def test_orbitals_match_bfs_reference():
     gen_sets = [[], [tuple(rng.permutation(6))], [tuple(rng.permutation(6)) for _ in range(2)]]
     for p in (3, 5):
         for P in partitions_iter(p + 1):
-            gen_sets.append(automorphism_group(fuse(p, P).scheme).generators)
+            gen_sets.append(automorphism_group(fuse(p, P)).generators)
     for gens in gen_sets:
         n = len(gens[0]) if gens else 6
         got_labels, got_count = orbitals(gens, n)
@@ -238,9 +238,9 @@ def test_is_schurian_examples():
     assert is_schurian(trivial_scheme(6))
     assert is_schurian(build_affine_scheme(3))
     for rgs in ("0000", "0111", "0112"):
-        assert is_schurian(fuse(3, SlopePartition.from_string(rgs)).scheme)
+        assert is_schurian(fuse(3, SlopePartition.from_string(rgs)))
 
 
 def test_p3_all_fusions_schurian():
     for P in partitions_iter(4):
-        assert is_schurian(fuse(3, P).scheme), P
+        assert is_schurian(fuse(3, P)), P

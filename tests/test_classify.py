@@ -180,11 +180,11 @@ def test_involutive_presentation_degenerate_for_transitive_sym4():
     # splitting into halves and swapping them is an algebraic involution,
     # and merging along it gives P back
     assert ("000111", (0, 2, 1)) in [(P2.as_string(), phi) for P2, phi in pairs]
-    X = fuse(5, one).scheme
+    X = fuse(5, one)
     for P2, phi in pairs:
-        X2 = fuse(5, P2).scheme
+        X2 = fuse(5, P2)
         assert is_algebraic_map(X2, phi)
-        assert algebraic_fusion(X2, group_closure([phi], X2.rank)).scheme == X
+        assert algebraic_fusion(X2, group_closure([phi], X2.rank)) == X
 
 
 def test_involutive_candidates_enumeration():
@@ -372,8 +372,8 @@ def test_no_verdict_is_accepted_unconditionally():
         assert verify_witness(p, SlopePartition.from_string(rgs), res) is False, verdict
 
 
-def _flip_lambda(rec):
-    imprimitive, pseudocyclic = lambda_criteria(rec)
+def _flip_lambda(P):
+    imprimitive, pseudocyclic = lambda_criteria(P)
     return not imprimitive, pseudocyclic
 
 
@@ -388,8 +388,8 @@ def test_lambda_mismatch_raises_under_python_O():
         "import planeschemes.classify as c\n"
         "from planeschemes.affine import SlopePartition, lambda_criteria\n"
         "from planeschemes.errors import InvariantViolated\n"
-        "c.lambda_criteria = lambda rec: (not lambda_criteria(rec)[0], "
-        "lambda_criteria(rec)[1])\n"
+        "c.lambda_criteria = lambda P: (not lambda_criteria(P)[0], "
+        "lambda_criteria(P)[1])\n"
         "try:\n"
         "    c.classify_fusion(3, SlopePartition.from_string('0111'))\n"
         "except InvariantViolated:\n"
@@ -431,7 +431,7 @@ def test_orbit_counts_match_burnside():
 
 def _sigma_carries(p: int, g, P: SlopePartition, Q: SlopePartition) -> bool:
     """Point by point: sigma maps each pair of X_Q to a pair of X_P, colors bijectively."""
-    XP, XQ = fuse(p, P).scheme.matrix, fuse(p, Q).scheme.matrix
+    XP, XQ = fuse(p, P).matrix, fuse(p, Q).matrix
     a, b, c, d = g.entries()
     sigma = [(d * x + c * y) % p * p + (b * x + a * y) % p
              for x in range(p) for y in range(p)]

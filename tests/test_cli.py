@@ -139,7 +139,7 @@ def test_classify_wrong_length(capsys):
 def test_classify_beyond_the_search_bound(capsys, monkeypatch):
     # 23^2 = 529 points exceed the automorphism search's bound: a usage
     # error before anything is fused
-    monkeypatch.setattr("planeschemes.cli.classify_record", _no_scheme)
+    monkeypatch.setattr("planeschemes.cli.run_sweep", _no_scheme)
     code, _, err = run_cli(["classify", "--p", "23", "--partition", "0" * 23 + "1",
                             "--no-cache"], capsys)
     assert code == 2

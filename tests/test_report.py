@@ -111,7 +111,7 @@ def test_cache_corruption_recomputes(tmp_path):
     cache = AutCache(str(tmp_path / "cache"))
     P = SlopePartition.from_string("0000")     # the trivial scheme of degree 9
     first = _Analyzer(3, cache).classify(P)
-    path = os.path.join(cache.directory, scheme_digest(fuse(3, P).scheme) + ".json")
+    path = os.path.join(cache.directory, scheme_digest(fuse(3, P)) + ".json")
     with open(path, "wb") as fh:
         fh.write(b"garbage not json")
     again = _Analyzer(3, cache).classify(P)
@@ -122,7 +122,7 @@ def test_cache_malformed_entries_recompute(tmp_path, monkeypatch):
     # well-formed JSON of the wrong shape is recomputed, not raised; the
     # analyzer of 0111 searches 0111 and reads that fusion's entry
     P = SlopePartition.from_string("0111")
-    X = fuse(3, P).scheme
+    X = fuse(3, P)
     cache = AutCache(str(tmp_path / "cache"))
     cache.store(X, automorphism_group(X))
     path = os.path.join(cache.directory, scheme_digest(X) + ".json")
@@ -165,7 +165,7 @@ def test_tampered_cache_entry_changes_no_record(tmp_path, tamper):
     # automorphisms changes no record; 0001 is searched on its own and as the
     # first member of its orbit that the sweep meets, so both read the entry
     P = SlopePartition.from_string("0001")
-    X = fuse(3, P).scheme
+    X = fuse(3, P)
     cache = AutCache(str(tmp_path / "cache"))
     cache.store(X, automorphism_group(X))
     path = os.path.join(cache.directory, scheme_digest(X) + ".json")

@@ -114,7 +114,7 @@ def _outcome(check, m):
 
 def test_verify_scheme_matches_the_unique_oracle():
     rng = random.Random(15)
-    fused = [fuse(p, P).scheme for p in (3, 5) for P in partitions_iter(p + 1)]
+    fused = [fuse(p, P) for p in (3, 5) for P in partitions_iter(p + 1)]
     inputs = [(X.matrix, None) for X in fused]
     inputs += [(quotient(X, e).matrix, None) for X in fused for e in parabolics(X)]
     inputs += [case for X in fused if X.rank > 2 for case in _corrupted(X.matrix, rng)]
@@ -165,7 +165,7 @@ def test_fuse_merges_what_verify_scheme_counts(p):
     fusions = list(partitions_iter(p + 1))
     assert len(fusions) == {3: 15, 5: 203, 7: 4140}[p]
     for P in fusions:
-        _same_scheme(fuse(p, P).scheme, verify_scheme(fusion_matrix(p, P)))
+        _same_scheme(fuse(p, P), verify_scheme(fusion_matrix(p, P)))
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -174,11 +174,9 @@ def test_algebraic_fusion_merges_what_verify_scheme_counts(p):
     count = 0
     for P in partitions_iter(p + 1):
         for P2, phi in involutive_presentations(P):
-            X2 = fuse(p, P2).scheme
-            res = algebraic_fusion(X2, group_closure([phi], X2.rank))
-            want = verify_scheme(np.array(res.color_map)[X2.matrix])
-            _same_scheme(res.scheme, want)
-            assert np.array_equal(want.matrix, fusion_matrix(p, P)) and res.involutive
+            X2 = fuse(p, P2)
+            fused = algebraic_fusion(X2, group_closure([phi], X2.rank))
+            _same_scheme(fused, verify_scheme(fusion_matrix(p, P)))
             count += 1
     assert count > 0
 
@@ -221,7 +219,7 @@ def test_merge_rejects_a_malformed_color_map():
 def test_tensor_matches_direct_recount():
     rng = random.Random(29)
     for X in (build_affine_scheme(3), build_affine_scheme(5),
-              fuse(5, SlopePartition.from_string("010212")).scheme):
+              fuse(5, SlopePartition.from_string("010212"))):
         m = X.matrix
         pairs_by_color = {
             t: np.argwhere(m == t) for t in range(X.rank)
@@ -261,7 +259,7 @@ def test_is_pseudocyclic():
     assert is_pseudocyclic(trivial_scheme(7))
     for p in (3, 5, 7):
         assert is_pseudocyclic(build_affine_scheme(p))
-    grid = fuse(3, SlopePartition.from_string("0112")).scheme
+    grid = fuse(3, SlopePartition.from_string("0112"))
     assert not is_pseudocyclic(grid)
 
 
@@ -272,9 +270,9 @@ def test_parabolics_counts():
     pars = parabolics(X3)
     assert len(pars) == 6          # two trivial ones plus one per slope
     assert not is_primitive(X3)
-    grid = fuse(3, SlopePartition.from_string("0112")).scheme
+    grid = fuse(3, SlopePartition.from_string("0112"))
     assert len(parabolics(grid)) == 4
-    one_merged = fuse(3, SlopePartition.from_string("0000")).scheme
+    one_merged = fuse(3, SlopePartition.from_string("0000"))
     assert is_primitive(one_merged)
 
 
@@ -285,8 +283,8 @@ def _products():
 
 
 _ORACLE_CASES = {
-    "p3-fusions": lambda: [fuse(3, P).scheme for P in partitions_iter(4)],
-    "p5-fusions": lambda: [fuse(5, P).scheme for P in partitions_iter(6)],
+    "p3-fusions": lambda: [fuse(3, P) for P in partitions_iter(4)],
+    "p5-fusions": lambda: [fuse(5, P) for P in partitions_iter(6)],
     "XA7-XA11": lambda: [build_affine_scheme(7), build_affine_scheme(11)],
     "products": _products,
     "thin-Z6-Z8-Z9-Z12": lambda: [verify_scheme(cyclic_scheme(n)) for n in (6, 8, 9, 12)],
@@ -355,7 +353,7 @@ def test_quotients_of_fusions_always_trivial():
 
     for p in (3, 5):
         for P in partitions_iter(p + 1):
-            X = fuse(p, P).scheme
+            X = fuse(p, P)
             for e in parabolics(X):
                 if e.is_trivial(X.rank):
                     continue
@@ -381,7 +379,7 @@ def test_tensor_product_shape():
 
 
 def test_grid_fusion_is_tensor_product():
-    g = fuse(3, SlopePartition.from_string("0112")).scheme
+    g = fuse(3, SlopePartition.from_string("0112"))
     t = tensor_product(trivial_scheme(3), trivial_scheme(3))
     relabel = np.array([0, 2, 3, 1], dtype=np.int16)
     assert np.array_equal(relabel[g.matrix], t.matrix)
@@ -419,26 +417,24 @@ def test_algebraic_fusion_examples():
     X3 = build_affine_scheme(3)
     ident = PermGroup(5, ((0, 1, 2, 3, 4),), ((0, 1, 2, 3, 4),))
     unchanged = algebraic_fusion(X3, ident)
-    assert np.array_equal(unchanged.scheme.matrix, X3.matrix)
-    assert not unchanged.involutive
+    assert np.array_equal(unchanged.matrix, X3.matrix)
 
     swap = (0, 1, 3, 2, 4)    # swap the colors of slopes 1 and 2
     K = PermGroup(5, (swap,), ((0, 1, 2, 3, 4), swap))
     fused = algebraic_fusion(X3, K)
-    assert fused.involutive
-    assert fused.scheme.rank == 4
-    assert sorted(fused.scheme.valencies[1:]) == [2, 2, 4]
+    assert fused.rank == 4
+    assert sorted(fused.valencies[1:]) == [2, 2, 4]
 
     full = group_closure(_algebraic_maps(X3), X3.rank)
     merged = algebraic_fusion(X3, full)
-    assert merged.scheme.rank == 2
+    assert merged.rank == 2
 
 
 def test_algebraic_fusion_rejects_non_algebraic():
-    grid = fuse(3, SlopePartition.from_string("0112")).scheme
+    grid = fuse(3, SlopePartition.from_string("0112"))
     bad = (0, 1, 3, 2)    # swapping a valency-2 and the valency-4 color
     assert not is_algebraic_map(grid, bad)
-    K = PermGroup(4, (bad,))
+    K = group_closure([bad], 4)
     with pytest.raises(NotAlgebraic):
         algebraic_fusion(grid, K)
 
@@ -461,12 +457,12 @@ def test_pseudocyclic_semiregular_fusions():
                 perm[c] = x
             K = group_closure([tuple(perm)], p + 2)
             fused = algebraic_fusion(X, K)
-            assert is_pseudocyclic(fused.scheme), (p, d)
+            assert is_pseudocyclic(fused), (p, d)
 
 
 def test_serialization_round_trip():
     for X in (trivial_scheme(4), build_affine_scheme(3),
-              fuse(5, SlopePartition.from_string("001122")).scheme):
+              fuse(5, SlopePartition.from_string("001122"))):
         blob = scheme_to_bytes(X)
         Y = scheme_from_bytes(blob)
         assert Y == X

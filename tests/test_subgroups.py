@@ -1,7 +1,9 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from oracles import matrix_conjugates, matrix_mult_table
 from planeschemes.affine import partition_from_group, partitions_iter
 from planeschemes.classify import (
     EXCEPTIONAL_A4,
@@ -11,9 +13,10 @@ from planeschemes.classify import (
 )
 from planeschemes.errors import UnsupportedPrime
 from planeschemes.permgroup import group_closure, perm_order
-from planeschemes.projline import point_permutation
+from planeschemes.projline import pgl_elements, point_permutation
 from planeschemes.subgroups import (
     SubgroupSpec,
+    _mult_table,
     element_order_profile,
     exceptional_subgroups,
     find_subgroup,
@@ -141,6 +144,40 @@ def test_exceptional_enumeration():
             counts[p, kind] = len(found)
     assert counts == {(3, "alt4"): 1, (3, "alt5"): 0, (5, "alt4"): 5,
                       (5, "alt5"): 1, (7, "alt4"): 14, (7, "alt5"): 0}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_mult_table_equals_matrix_products(p):
+    assert np.array_equal(_mult_table(p), matrix_mult_table(p))
+
+
+def test_conjugates_equal_matrix_conjugation():
+    # generators, their matrices and elements of each conjugate, in order
+    counts = {}
+    for p in (5, 7, 11, 13):
+        for kind in ("alt4", "alt5"):
+            got = exceptional_subgroups(p, kind)
+            rep = find_subgroup(p, SubgroupSpec(kind))
+            want = [] if rep is None else matrix_conjugates(rep)
+            assert len(got) == len(want), (p, kind)
+            for sub, (mats, grp) in zip(got, want):
+                assert sub.matrices == mats, (p, kind)
+                assert sub.group.generators == grp.generators, (p, kind)
+                assert sub.group.elements == grp.elements, (p, kind)
+            counts[p, kind] = len(got)
+    assert counts == {(5, "alt4"): 5, (5, "alt5"): 1, (7, "alt4"): 14, (7, "alt5"): 0,
+                      (11, "alt4"): 55, (11, "alt5"): 22, (13, "alt4"): 91, (13, "alt5"): 0}
+
+
+def test_block_stabiliser_matrices_are_its_elements_in_canonical_order():
+    for p in (3, 5, 7):
+        els = pgl_elements(p)
+        perms = [point_permutation(g) for g in els]
+        for P in partitions_iter(p + 1):
+            K = match_pgl_subgroup(p, P)
+            if K is not None:
+                members = set(K.group.elements)
+                assert K.matrices == tuple(g for g, q in zip(els, perms) if q in members)
 
 
 def test_block_stabiliser_realises_exactly_the_lattice_partitions():
