@@ -47,7 +47,12 @@ class AutGroup:
     nodes: int
 
 
-def _refine(stack: np.ndarray, col: np.ndarray):
+def _pairs(X: Scheme) -> np.ndarray:
+    """(n, n) int64 pair index v*r + color(v, w), the bins `_refine` counts into."""
+    return np.arange(X.n, dtype=np.int64)[:, None] * X.rank + X.matrix
+
+
+def _refine(pairs: np.ndarray, r: int, col: np.ndarray):
     """Coarsest stable refinement of a point coloring.
 
     Two points stay in one cell only if they have equal counts of s-colored
@@ -55,27 +60,22 @@ def _refine(stack: np.ndarray, col: np.ndarray):
     sorted signature each round, so the numbering is deterministic and a
     step never merges cells.  Returns (coloring, trace) where the trace
     hashes the per-round signature tables; automorphic colorings and only
-    plausibly-automorphic ones share a trace.  `col` must number its cells
-    0..k-1 with none empty.
+    plausibly-automorphic ones share a trace.  `pairs` is `_pairs` of a
+    rank-r scheme, and `col` must number its cells 0..k-1 with none empty.
+
+    Each round is one np.bincount: the pair (v, w) lands in bin
+    (v*r + color(v, w)) * ncells + col[w], so row v of the (n, r*ncells)
+    counts holds v's s-colored neighbors in cell c at column s*ncells + c.
     """
-    r, n, _ = stack.shape
+    n = len(col)
     ncells = int(col.max()) + 1
     trace = ncells
     while ncells < n:
-        onehot = np.zeros((n, ncells))
-        onehot[np.arange(n), col] = 1.0
-        counts = stack @ onehot                      # (r, n, ncells)
-        sig = np.concatenate(
-            [
-                col[:, None],
-                np.rint(counts).astype(np.int64).transpose(1, 0, 2).reshape(n, r * ncells),
-            ],
-            axis=1,
-        )
+        counts = np.bincount((pairs * ncells + col).ravel(), minlength=n * r * ncells)
+        sig = np.concatenate([col[:, None], counts.reshape(n, r * ncells)], axis=1)
         # every entry lies in 0..n and n <= MAX_AUT_POINTS < 2**16, so each
         # row packs into one fixed-width key of big-endian 16-bit words, and
-        # byte order on the keys is the lexicographic row order that
-        # np.unique(sig, axis=0) sorts by
+        # byte order on the keys is the lexicographic row order of sig
         keys = np.ascontiguousarray(sig, dtype=">u2").view(f"S{2 * sig.shape[1]}").ravel()
         order = np.argsort(keys, kind="stable")
         k = keys[order]
@@ -98,15 +98,20 @@ def refine(X: Scheme, initial) -> np.ndarray:
     """Public entry: stable refinement of `initial` under the colors of X.
 
     Labels need not be contiguous; they are renumbered 0..k-1 in increasing
-    order first.  Raises ValueError on a negative label.
+    order first.  Raises ValueError on a negative label or one that is no
+    int64 integer.
     """
-    col = np.asarray(initial, dtype=np.int64)
+    given = np.asarray(initial)
+    with np.errstate(invalid="ignore"):          # NaN and out-of-range labels fail below
+        col = given.astype(np.int64)
     if col.shape != (X.n,):
         raise ValueError("initial coloring must assign one cell per point")
+    if given.dtype != np.int64 and not np.array_equal(col, given):
+        raise ValueError("initial coloring labels must be integers in the int64 range")
     if col.min() < 0:
         raise ValueError("initial coloring has a negative label")
     _, col = np.unique(col, return_inverse=True)
-    out, _ = _refine(X.color_stack, col)
+    out, _ = _refine(_pairs(X), X.rank, col)
     return out
 
 
@@ -123,7 +128,8 @@ def _target_cell(col: np.ndarray):
 class _AutSearch:
     def __init__(self, X: Scheme, node_cap: int, known: list[np.ndarray]):
         self.M = X.matrix
-        self.stack = X.color_stack
+        self.pairs = _pairs(X)
+        self.rank = X.rank
         self.n = X.n
         self.cap = node_cap
         self.known = known
@@ -143,7 +149,7 @@ class _AutSearch:
         self._tick()
         nxt = col.copy()
         nxt[point] = col.max() + 1
-        return _refine(self.stack, nxt)
+        return _refine(self.pairs, self.rank, nxt)
 
     def _is_automorphism(self, sigma: np.ndarray) -> bool:
         return bool(np.array_equal(self.M[np.ix_(sigma, sigma)], self.M))
@@ -239,7 +245,7 @@ def automorphism_group(X: Scheme, node_cap: int = DEFAULT_NODE_CAP,
         if not (np.array_equal(np.sort(g), np.arange(X.n)) and search._is_automorphism(g)):
             raise ValueError("a known map is not an automorphism of the scheme")
     col0 = np.zeros(X.n, dtype=np.int64)
-    col0, digest0 = _refine(X.color_stack, col0)
+    col0, digest0 = _refine(search.pairs, X.rank, col0)
     search.run(col0, digest0)
     gens = []
     for _, g in search.generators:
@@ -256,7 +262,9 @@ def orbitals(generators, n: int):
     numbered by least pair in row-major order.  Each pair carries the least
     pair known in its 2-orbit; the labels are pushed along every generator's
     pair map, both ways, and shortened by pointer jumping until stable, when
-    each pair carries the least pair of its 2-orbit.
+    each pair carries the least pair of its 2-orbit.  Those least pairs are
+    the roots, the pairs that carry themselves; a running count of the roots
+    numbers the cells.
     """
     pmaps = [
         (np.asarray(g)[:, None] * n + np.asarray(g)[None, :]).ravel()
@@ -271,8 +279,9 @@ def orbitals(generators, n: int):
         low = low[low]
         if np.array_equal(low, before):
             break
-    least, labels = np.unique(low, return_inverse=True)
-    return labels.reshape(n, n), len(least)
+    roots = low == np.arange(n * n)
+    number = np.cumsum(roots) - 1
+    return number[low].reshape(n, n), int(roots.sum())
 
 
 def orbital_count(X: Scheme, generators) -> int:

@@ -164,7 +164,8 @@ def _carries(sigma: np.ndarray, to_matrix: np.ndarray, from_matrix: np.ndarray) 
     makes sigma injective, since color 0 is the diagonal's alone).
     """
     lut = color_lut(from_matrix, to_matrix[np.ix_(sigma, sigma)])
-    return lut is not None and len(np.unique(lut)) == len(lut) == int(to_matrix.max()) + 1
+    return (lut is not None and len(lut) == int(to_matrix.max()) + 1
+            and bool(np.bincount(lut).max() == 1))
 
 
 class _OrbitInvariants(NamedTuple):

@@ -59,13 +59,6 @@ class Scheme:
         )
 
     @cached_property
-    def color_stack(self) -> np.ndarray:
-        """One-hot (r, n, n) float64 indicator stack, used by matrix kernels."""
-        stack = _one_hot(self.matrix, self.rank)
-        stack.setflags(write=False)
-        return stack
-
-    @cached_property
     def composition_masks(self) -> tuple[tuple[int, ...], ...]:
         """Exact ints at any rank: bit t of entry [a][b] set iff c(a, b, t) > 0."""
         packed = np.packbits(self.tensor > 0, axis=2, bitorder="little")
@@ -391,7 +384,7 @@ def is_subtensor(X: Scheme, e1: ParabolicSet, e2: ParabolicSet) -> tuple[Scheme,
         return None
     cls1 = parabolic_classes(X, e1)
     cls2 = parabolic_classes(X, e2)
-    if len(np.unique(cls1 * k2 + cls2)) != X.n:
+    if np.bincount(cls1 * k2 + cls2).max() != 1:     # two points share a class pair
         return None
     q1 = quotient(X, e1)
     q2 = quotient(X, e2)

@@ -304,9 +304,9 @@ def _closure_set(table: np.ndarray, ident: int, gens: tuple[int, ...]) -> frozen
     frontier = [ident]
     gen_list = sorted(set(gens))
     while frontier:
-        prods = np.unique(table[np.ix_(np.array(frontier, dtype=np.int32),
-                                       np.array(gen_list, dtype=np.int32))])
-        nxt = [int(x) for x in prods if int(x) not in seen]
+        prods = np.bincount(table[np.ix_(np.array(frontier, dtype=np.int32),
+                                         np.array(gen_list, dtype=np.int32))].ravel())
+        nxt = [int(x) for x in np.flatnonzero(prods) if int(x) not in seen]
         seen.update(nxt)
         frontier = nxt
     return frozenset(seen)
@@ -400,11 +400,15 @@ def pgl_orbit(p: int, P: SlopePartition) -> dict[tuple[int, ...], PglElement]:
 
     The member g gives is the canonical form of P.rgs[pi_g], computed for the
     whole group at once; each member comes with the first g in canonical
-    order that gives it, and the members come in increasing order.
+    order that gives it, and the members come in increasing order.  Each
+    canonical row packs into a key of one byte per label (labels < p + 1 <
+    256 at every prime whose group table fits in memory), so byte order on
+    the keys is the lexicographic row order.
     """
     images = _slope_images(p, P)
     first = (images[:, :, None] == np.arange(P.num_blocks)).argmax(axis=1)
     renumber = np.argsort(np.argsort(first, axis=1), axis=1)  # blocks by first slope
     canon = np.take_along_axis(renumber, images, axis=1)
-    members, index = np.unique(canon, axis=0, return_index=True)
-    return {tuple(m): _element_perms(p)[0][i] for m, i in zip(members.tolist(), index)}
+    keys = np.ascontiguousarray(canon, dtype=np.uint8).view(f"S{p + 1}").ravel()
+    _, index = np.unique(keys, return_index=True)
+    return {tuple(m): _element_perms(p)[0][i] for m, i in zip(canon[index].tolist(), index)}

@@ -14,6 +14,7 @@ import numpy as np
 from planeschemes.errors import InconsistentIntersection, NotStarClosed
 from planeschemes.permgroup import group_closure
 from planeschemes.projline import pgl_elements, pgl_inv, pgl_mul, point_permutation
+from planeschemes.subgroups import _slope_images
 
 
 def direct_intersection_count(matrix, r, s, alpha, beta) -> int:
@@ -107,13 +108,17 @@ def bfs_orbitals(generators, n: int):
     return labels.reshape(n, n), nxt
 
 
-def unique_refine(stack, col):
-    """Colour refinement that groups signature rows with np.unique(axis=0).
+def unique_refine(matrix, col):
+    """Colour refinement by one-hot matrix products, grouping rows with np.unique(axis=0).
 
     The reference for `autsearch._refine`: the same signatures, cell numbering
-    and trace, with the rows grouped by a different routine.
+    and trace, with the neighbour counts taken by float matmuls against a
+    one-hot stack of the colours of `matrix` and the rows grouped by a
+    different routine.
     """
-    r, n, _ = stack.shape
+    m = np.asarray(matrix)
+    r, n = int(m.max()) + 1, m.shape[0]
+    stack = (m == np.arange(r)[:, None, None]).astype(np.float64)
     ncells = int(col.max()) + 1
     trace = ncells
     while ncells < n:
@@ -134,6 +139,21 @@ def unique_refine(stack, col):
         col = new.reshape(-1).astype(np.int64)
         ncells = len(uniq)
     return col, (ncells, trace)
+
+
+def unique_pgl_orbit(p, P):
+    """`subgroups.pgl_orbit` with the canonical rows grouped by np.unique(axis=0).
+
+    The reference for the byte-key grouping: the same members in the same
+    order, each with the first element in canonical order that gives it.
+    """
+    images = _slope_images(p, P)
+    first = (images[:, :, None] == np.arange(P.num_blocks)).argmax(axis=1)
+    renumber = np.argsort(np.argsort(first, axis=1), axis=1)
+    canon = np.take_along_axis(renumber, images, axis=1)
+    members, index = np.unique(canon, axis=0, return_index=True)
+    els = pgl_elements(p)
+    return {tuple(m): els[i] for m, i in zip(members.tolist(), index)}
 
 
 def unique_verify_scheme(matrix):

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from oracles import bfs_orbitals, brute_force_aut_order, unique_refine
 
+from planeschemes import autsearch
 from planeschemes.affine import (
     SlopePartition,
     affine_automorphisms,
@@ -14,6 +16,7 @@ from planeschemes.affine import (
 )
 from planeschemes.autsearch import (
     MAX_AUT_POINTS,
+    _pairs,
     _refine,
     automorphism_group,
     is_schurian,
@@ -59,17 +62,30 @@ def test_refine_renumbers_labels_that_skip_values():
         refine(trivial_scheme(6), [0, 0, 0, 0, 0, -1])
 
 
+def test_refine_rejects_labels_the_int64_cast_changes():
+    # truncating 0.5 to 0 would merge its cell into cell 0
+    with pytest.raises(ValueError):
+        refine(trivial_scheme(4), [0, 0.5, 1.7, 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # a ValueError, not numpy's cast warning
+        for bad in (np.nan, 2.0**63):
+            with pytest.raises(ValueError):
+                refine(trivial_scheme(4), [0, bad, 0, 0])
+    assert refine(trivial_scheme(4), [0.0, 2.0, 2.0, 0.0]).tolist() == [0, 1, 1, 0]
+    assert refine(trivial_scheme(4), np.array([0, 3, 0, 0], dtype=np.uint8)).tolist() == [0, 1, 0, 0]
+
+
 @pytest.mark.parametrize("p,rgs", [(5, "001122"), (5, "011111"), (5, "012345"),
                                    (7, "00112233"), (7, "01111111"), (7, "00111010")])
 def test_refine_matches_unique_reference(p, rgs):
-    stack = fuse(p, SlopePartition.from_string(rgs)).color_stack
+    X = fuse(p, SlopePartition.from_string(rgs))
     rng = np.random.default_rng(p * 1000 + len(rgs))
     for _ in range(20):
         labels = rng.integers(0, rng.integers(1, 5), size=p * p)
         labels[rng.choice(p * p, size=3, replace=False)] = [5, 6, 7]
         _, col = np.unique(labels, return_inverse=True)
-        got_col, got_trace = _refine(stack, col)
-        want_col, want_trace = unique_refine(stack, col)
+        got_col, got_trace = _refine(_pairs(X), X.rank, col)
+        want_col, want_trace = unique_refine(X.matrix, col)
         assert np.array_equal(got_col, want_col)
         assert got_trace == want_trace
 
@@ -84,8 +100,8 @@ def test_refine_matches_unique_reference_at_the_size_cap():
         labels = rng.integers(0, k, size=X.n)
         labels[rng.choice(X.n, size=2, replace=False)] = [k, k + 1]
         _, col = np.unique(labels, return_inverse=True)
-        got_col, got_trace = _refine(X.color_stack, col)
-        want_col, want_trace = unique_refine(X.color_stack, col)
+        got_col, got_trace = _refine(_pairs(X), X.rank, col)
+        want_col, want_trace = unique_refine(X.matrix, col)
         assert np.array_equal(got_col, want_col)
         assert got_trace == want_trace
 
@@ -153,10 +169,40 @@ def test_affine_maps_keep_every_fusion_color():
                 assert np.array_equal(m[np.ix_(g, g)], m), (p, P)
 
 
+def _orbit_representatives(p: int) -> list[SlopePartition]:
+    """The least member of each PGL(2,p) orbit of slope partitions."""
+    seen, reps = set(), []
+    for P in partitions_iter(p + 1):
+        if P.rgs not in seen:
+            orbit = pgl_orbit(p, P)
+            seen.update(orbit)
+            reps.append(SlopePartition(min(orbit)))
+    return sorted(reps, key=lambda P: P.rgs)
+
+
+def test_search_matches_the_unique_refine_reference(monkeypatch):
+    # the search over oracles.unique_refine visits the same nodes and finds
+    # the same generators, so the signatures, numbering and traces agree
+    cases = [(p, P) for p in (3, 5, 7) for P in _orbit_representatives(p)]
+    assert len(cases) == 5 + 13 + 47
+    for p, P in cases:
+        X = fuse(p, P)
+        for known in ((), affine_automorphisms(p)):
+            got = automorphism_group(X, known=known)
+            with monkeypatch.context() as m:
+                m.setattr(autsearch, "_refine",
+                          lambda pairs, r, col: unique_refine(pairs % r, col))
+                want = automorphism_group(X, known=known)
+            assert (got.generators, got.order, got.nodes) == \
+                (want.generators, want.order, want.nodes), (p, P, len(known))
+        labels, count = orbitals(got.generators, X.n)
+        want_labels, want_count = bfs_orbitals(got.generators, X.n)
+        assert count == want_count and np.array_equal(labels, want_labels), (p, P)
+
+
 def test_known_automorphisms_keep_the_order():
     cases = [(p, P) for p in (3, 5) for P in partitions_iter(p + 1)]
-    least = sorted({min(pgl_orbit(7, P)) for P in partitions_iter(8)})
-    cases += [(7, SlopePartition(Q)) for Q in least]
+    cases += [(7, P) for P in _orbit_representatives(7)]
     assert len(cases) == 218 + 47
     for p, P in cases:
         X = fuse(p, P)

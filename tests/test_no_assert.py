@@ -1,5 +1,6 @@
 """`python -O` strips `assert`, so the library guards its invariants with typed errors,
-and every error type it declares is raised somewhere."""
+and every error type it declares is raised somewhere.  The library also calls
+np.unique only in forms that do not import numpy.ma."""
 
 import ast
 import pathlib
@@ -35,3 +36,20 @@ def test_every_error_type_is_raised():
     for path in sorted(SRC.glob("*.py")):
         raised |= _raised_names(ast.parse(path.read_text(), filename=str(path)))
     assert sorted(declared - raised - {"PlaneSchemesError"}) == []
+
+
+def test_no_np_unique_without_a_return_flag():
+    # under numpy 2, np.unique(x) with no return_index/inverse/counts calls
+    # np.ma.is_masked, which imports numpy.ma (also with axis=...): 12-30 ms
+    # in every fresh interpreter and pool worker.  Count distinct values with
+    # np.bincount instead; this holds on numpy versions that load numpy.ma
+    # anyway, where the sweep test cannot see a regression
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "unique"
+                    and not any((kw.arg or "").startswith("return_") for kw in node.keywords)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

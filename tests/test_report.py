@@ -336,3 +336,17 @@ def test_report_digest_independent_of_hash_seed_and_optimize(seed, flags, monkey
             "    print(report_digest(run_sweep(p, partitions_iter(p + 1))))\n")
     want = json.loads(REFERENCE.read_text())
     assert _run_fresh(code, *flags).split() == [want["p3"], want["p5"]]
+
+
+def test_a_sweep_does_not_import_numpy_ma():
+    # under numpy 2 a bare np.unique(x) imports numpy.ma, 12-30 ms in every
+    # fresh interpreter and pool worker; numpy 1.x loads it with numpy itself
+    code = ("import sys\n"
+            "import planeschemes\n"
+            "from planeschemes.affine import partitions_iter\n"
+            "from planeschemes.report import run_sweep\n"
+            "before = 'numpy.ma' in sys.modules\n"
+            "run_sweep(5, partitions_iter(6))\n"
+            "print(before, 'numpy.ma' in sys.modules)\n")
+    before, after = _run_fresh(code).split()
+    assert after == before

@@ -3,8 +3,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import matrix_conjugates, matrix_mult_table
-from planeschemes.affine import partition_from_group, partitions_iter
+from oracles import matrix_conjugates, matrix_mult_table, unique_pgl_orbit
+from planeschemes.affine import SlopePartition, partition_from_group, partitions_iter
 from planeschemes.classify import (
     EXCEPTIONAL_A4,
     EXCEPTIONAL_A5,
@@ -26,8 +26,10 @@ from planeschemes.subgroups import (
     match_exceptional_subgroup,
     match_pgl_subgroup,
     parse_spec,
+    pgl_orbit,
     subgroup_lattice,
 )
+from test_autsearch import _orbit_representatives
 
 
 def test_parse_spec():
@@ -270,3 +272,21 @@ def test_orbit_sizes_divide_group_order():
 def test_unsupported_prime_bound():
     with pytest.raises(UnsupportedPrime):
         find_subgroup(37, SubgroupSpec("cyclic", 2))
+
+
+def test_pgl_orbit_matches_the_unique_reference():
+    # the byte keys give the members in the order np.unique(axis=0) sorts
+    # them, each with the same first element; at p=31 a key is 32 bytes
+    rng = np.random.default_rng(31)
+    cases = [(p, P) for p in (3, 5) for P in partitions_iter(p + 1)]
+    cases += [(7, P) for P in _orbit_representatives(7)]
+    for p, k in ((11, 20), (31, 4)):
+        for _ in range(k):
+            labels = rng.integers(0, rng.integers(1, p + 2), size=p + 1)
+            renumber = {}
+            cases.append((p, SlopePartition(tuple(renumber.setdefault(int(v), len(renumber))
+                                                  for v in labels))))
+    for p, P in cases:
+        got, want = pgl_orbit(p, P), unique_pgl_orbit(p, P)
+        assert list(got) == list(want), (p, P)
+        assert [g.entries() for g in got.values()] == [g.entries() for g in want.values()], (p, P)
