@@ -5,7 +5,10 @@ the automorphism group, then assign exactly one principal verdict with a
 machine-checkable witness.  The fusions in one PGL(2,p) orbit are
 isomorphic, so the automorphism group is searched once per orbit, on the
 first member analysed, and its order and orbital count are carried to each
-later member along a point map that is checked first.  The verdicts are:
+later member along a point map that is checked first, on the p+1 slopes it
+permutes.  The wreath and subtensor candidates are read off the partition,
+and the witness checks test only the color sets they are given, on the
+fusion.  The verdicts are:
 
   imprimitive   -> wreath of trivial schemes, else subtensor of trivial schemes
   trivial       -> primitive pseudocyclic (rank 2 satisfies both predicates)
@@ -34,6 +37,7 @@ import numpy as np
 from .affine import (
     SlopePartition,
     affine_automorphisms,
+    build_affine_scheme,
     fuse,
     lambda_criteria,
     partition_from_group,
@@ -50,7 +54,6 @@ from .errors import (
 from .permgroup import group_closure
 from .projline import PglElement, pgl_canonical, point_permutation
 from .scheme import (
-    ParabolicSet,
     Scheme,
     algebraic_fusion,
     color_lut,
@@ -58,7 +61,7 @@ from .scheme import (
     is_pseudocyclic,
     is_subtensor,
     parabolic_classes,
-    parabolics,
+    parabolic_from_colors,
     trivial_scheme,
     wreath_product,
 )
@@ -103,13 +106,22 @@ def _subgroup_witness(sub: PglSubgroup) -> dict:
     }
 
 
-def _basic_candidates(p: int, P: SlopePartition, X: Scheme):
-    """Each (verdict, witness) that may hold for the P-fusion X, in the order tried."""
-    pars = [e for e in parabolics(X) if not e.is_trivial(X.rank)]
-    for e in pars:
-        yield WREATH, {"parabolic_colors": sorted(e.colors)}
-    for e1, e2 in permutations(pars, 2):
-        yield SUBTENSOR, {"parabolic_pair": [sorted(e1.colors), sorted(e2.colors)]}
+def _basic_candidates(p: int, P: SlopePartition):
+    """Each (verdict, witness) that may hold for the P-fusion, in the order tried.
+
+    The parabolics are read off P.  A parabolic of a translation scheme on
+    Z_p^2 is the coset relation of a subgroup, and the subgroups of order p
+    are the p+1 lines through 0, so the parabolics other than {0} and all
+    colors are {0, b + 1} for each block b of one slope, when P has more
+    than one block; they come in mask order, as `parabolics` lists them.
+    The witness checks test each on the fusion itself.
+    """
+    sizes = P.block_sizes()
+    pars = [b + 1 for b, size in enumerate(sizes) if size == 1] if len(sizes) > 1 else []
+    for c in pars:
+        yield WREATH, {"parabolic_colors": [0, c]}
+    for c1, c2 in permutations(pars, 2):
+        yield SUBTENSOR, {"parabolic_pair": [[0, c1], [0, c2]]}
     A = match_exceptional_subgroup(p, P)
     if A is not None:
         yield _KIND_VERDICT[A.spec.kind], _subgroup_witness(A)
@@ -168,10 +180,32 @@ def _carries(sigma: np.ndarray, to_matrix: np.ndarray, from_matrix: np.ndarray) 
             and bool(np.bincount(lut).max() == 1))
 
 
+@lru_cache(maxsize=None)
+def _slope_map(p: int, g: PglElement) -> tuple[int, ...]:
+    """pi_g: entry s is the slope that sigma = `_point_map(p, g)` maps slope s onto.
+
+    Read off the colors of AG(2,p) under sigma, which must permute them and
+    fix 0; InvariantViolated otherwise.  Then sigma carries the fusion of
+    the canonical form of R.rgs[pi_g] onto the R-fusion, for any partition R.
+    """
+    A = build_affine_scheme(p).matrix
+    sigma = _point_map(p, g)
+    lut = color_lut(A, A[np.ix_(sigma, sigma)])
+    if lut is None or lut[0] != 0 or sorted(lut.tolist()) != list(range(p + 2)):
+        raise InvariantViolated(f"the point map of {g.entries()} permutes no slopes at p={p}")
+    return tuple(c - 1 for c in lut[1:].tolist())
+
+
+def _relabelled(rgs: tuple[int, ...], pi: tuple[int, ...]) -> tuple[int, ...]:
+    """The canonical form of rgs[pi]: blocks renumbered in order of first slope."""
+    first: dict[int, int] = {}
+    return tuple(first.setdefault(rgs[s], len(first)) for s in pi)
+
+
 class _OrbitInvariants(NamedTuple):
     """What the search of an orbit's first analysed member decides for every member."""
 
-    matrix: np.ndarray          # the searched fusion's colors, to check each point map
+    rgs: tuple[int, ...]        # the searched partition, to check each later member's slope map
     orbital_count: int | None
     aut_order: int | None
     reason: str | None          # why the search gave up; None when it finished
@@ -212,12 +246,13 @@ class _Analyzer:
         """The invariants of the orbit of P, searched on X, the P-fusion, or carried to it.
 
         Raises InvariantViolated when the point map does not carry X onto
-        the fusion searched for the orbit.
+        the fusion searched for the orbit: the searched partition, relabelled
+        through g's slope map, must be P.
         """
         known = self.orbit_memo.get(P.rgs)
         if known is not None:
             g, inv = known
-            if not _carries(_point_map(self.p, g), inv.matrix, X.matrix):
+            if _relabelled(inv.rgs, _slope_map(self.p, g)) != P.rgs:
                 raise InvariantViolated(
                     f"the point map of {g.entries()} does not carry the {P}-fusion "
                     f"onto the fusion searched for its orbit at p={self.p}")
@@ -225,9 +260,9 @@ class _Analyzer:
         try:
             aut = self._automorphisms(X)
         except BudgetExceeded as exc:
-            inv = _OrbitInvariants(X.matrix, None, None, str(exc))
+            inv = _OrbitInvariants(P.rgs, None, None, str(exc))
         else:
-            inv = _OrbitInvariants(X.matrix, orbital_count(X, aut.generators), aut.order, None)
+            inv = _OrbitInvariants(P.rgs, orbital_count(X, aut.generators), aut.order, None)
         self.orbit_memo.update((rgs, (g, inv)) for rgs, g in pgl_orbit(self.p, P).items())
         return inv
 
@@ -254,7 +289,7 @@ class _Analyzer:
         if orbits != X.rank:
             return ClassificationResult(
                 NON_SCHURIAN, {"orbital_count": int(orbits), "rank": X.rank}, **flags)
-        for verdict, witness in _basic_candidates(p, P, X):
+        for verdict, witness in _basic_candidates(p, P):
             if _witness_holds(p, P, verdict, witness, X):
                 return ClassificationResult(verdict, witness, **flags)
         return ClassificationResult(_UNMATCHED, {}, **flags)
@@ -332,14 +367,14 @@ def _witness_holds(p: int, P: SlopePartition, verdict: str, witness: dict,
     if X is None:
         X = fuse(p, P)
     if verdict == WREATH:
-        e = _parabolic_from_colors(X, witness["parabolic_colors"]) if X.rank == 3 else None
+        e = parabolic_from_colors(X, witness["parabolic_colors"]) if X.rank == 3 else None
         if e is None or e.num_classes != p:
             return False
         # point a1 * p + c of the wreath is the a1-th least member of class c
         old_of_new = np.argsort(parabolic_classes(X, e), kind="stable").reshape(p, p).T.ravel()
         return _carries(old_of_new, X.matrix, _trivial_wreath(p).matrix)
     if verdict == SUBTENSOR:
-        e1, e2 = (_parabolic_from_colors(X, c) for c in witness["parabolic_pair"])
+        e1, e2 = (parabolic_from_colors(X, c) for c in witness["parabolic_pair"])
         quotients = e1 is not None and e2 is not None and is_subtensor(X, e1, e2)
         return bool(quotients) and quotients[0].rank == quotients[1].rank == 2
     if verdict == PRIMITIVE_PC:
@@ -364,11 +399,6 @@ def _witness_holds(p: int, P: SlopePartition, verdict: str, witness: dict,
         return (inner["verdict"] in BASIC_VERDICTS
                 and _witness_holds(p, inner_p, inner["verdict"], inner["witness"], X2))
     return False
-
-
-def _parabolic_from_colors(X: Scheme, colors) -> ParabolicSet | None:
-    """The parabolic with exactly these colors; None when there is none."""
-    return next((e for e in parabolics(X) if e.colors == frozenset(colors)), None)
 
 
 @lru_cache(maxsize=None)

@@ -129,7 +129,8 @@ def verify_scheme(matrix) -> Scheme:
     InconsistentIntersection (with a witness pair of pairs) otherwise.
     """
     given = np.asarray(matrix)
-    m = np.ascontiguousarray(given, dtype=np.int16)
+    with np.errstate(invalid="ignore"):          # NaN and out-of-range entries fail below
+        m = np.ascontiguousarray(given, dtype=np.int16)
     if given.dtype != np.int16 and not np.array_equal(m, given):
         raise ValueError("color matrix entries must be integers in the int16 range")
     sizes = _check_color_matrix(m)
@@ -281,27 +282,59 @@ def _enumerate_parabolics(X: Scheme) -> tuple[ParabolicSet, ...]:
             if f not in found:
                 found.append(f)
     first = sum(1 << s for s in range(X.rank) if s <= X.star[s])
-    out = []
-    for bits in sorted(found, key=lambda b: b & first):
-        colors = frozenset(_members(bits))
-        class_size = sum(X.valencies[s] for s in colors)
-        if X.n % class_size:
-            raise InvariantViolated("parabolic classes of unequal size")
-        out.append(ParabolicSet(colors, X.n // class_size, class_size))
-    return tuple(out)
+    return tuple(_parabolic_set(X, bits) for bits in sorted(found, key=lambda b: b & first))
+
+
+def _parabolic_set(X: Scheme, bits: int) -> ParabolicSet:
+    """The ParabolicSet of a closed color set, its class size read off the valencies."""
+    colors = frozenset(_members(bits))
+    class_size = sum(X.valencies[s] for s in colors)
+    if X.n % class_size:
+        raise InvariantViolated("parabolic classes of unequal size")
+    return ParabolicSet(colors, X.n // class_size, class_size)
+
+
+def parabolic_from_colors(X: Scheme, colors) -> ParabolicSet | None:
+    """The parabolic with exactly these colors; None when they are none.
+
+    They form one when they hold 0, are star-closed and `_closure` leaves
+    them unchanged: their union is then reflexive, symmetric and
+    transitive.  Only the given set is tested; TypeError for a non-integer
+    color.
+    """
+    members = set(colors)
+    if 0 not in members or not members <= set(range(X.rank)):
+        return None
+    if any(X.star[c] not in members for c in members):
+        return None
+    bits = sum(1 << c for c in members)
+    return _parabolic_set(X, bits) if _closure(X.composition_masks, 0, bits) == bits else None
 
 
 def is_primitive(X: Scheme) -> bool:
-    return len(parabolics(X)) == 2
+    """Whether each color's composition closure, the least parabolic holding it, is every color.
+
+    Rank 1 is not primitive: its one parabolic is both trivial ones.
+    """
+    masks = X.composition_masks
+    every = (1 << X.rank) - 1
+    return X.rank > 1 and all(_closure(masks, 1, 1 << s | 1 << X.star[s]) == every
+                              for s in range(1, X.rank))
 
 
 def parabolic_classes(X: Scheme, e: ParabolicSet) -> np.ndarray:
-    """Class index per point, classes numbered by least member."""
-    least = np.isin(X.matrix, list(e.colors)).argmax(axis=1)
-    members, labels = np.unique(least, return_inverse=True)
-    if len(members) != e.num_classes:
-        raise InvariantViolated(f"{len(members)} parabolic classes, want {e.num_classes}")
-    return labels
+    """Class index per point, classes numbered by least member.
+
+    Each point's least member marks a root, and a running count of the
+    roots numbers the classes.
+    """
+    inside = np.array([c in e.colors for c in range(X.rank)])
+    least = inside[X.matrix].argmax(axis=1)
+    roots = np.zeros(X.n, dtype=bool)
+    roots[least] = True
+    if roots.sum() != e.num_classes:
+        raise InvariantViolated(f"{roots.sum()} parabolic classes, want {e.num_classes}")
+    return np.cumsum(roots)[least] - 1
 
 
 def color_lut(matrix: np.ndarray, values: np.ndarray) -> np.ndarray | None:
@@ -319,16 +352,20 @@ def quotient(X: Scheme, e: ParabolicSet) -> Scheme:
     InvariantViolated when a color meets two labels, so that e is no
     parabolic.
     """
-    cls = parabolic_classes(X, e)
-    k = e.num_classes
+    return _quotient(X, parabolic_classes(X, e), e.num_classes)
+
+
+def _quotient(X: Scheme, cls: np.ndarray, k: int) -> Scheme:
+    """`quotient` on the k classes cls, as `parabolic_classes` numbers them."""
     block = cls[:, None] * k + cls[None, :]
     least = np.full(k * k, X.rank, dtype=X.matrix.dtype)
     np.minimum.at(least, block.ravel(), X.matrix.ravel())
     lut = color_lut(X.matrix, least[block])
     if lut is None:
         raise InvariantViolated("a color meets two quotient colors")
-    _, qcolor = np.unique(lut, return_inverse=True)
-    return verify_scheme(qcolor[least].reshape(k, k))
+    used = np.zeros(X.rank, dtype=bool)
+    used[lut] = True                  # the least colors, numbered by a running count
+    return verify_scheme((np.cumsum(used) - 1)[least].reshape(k, k))
 
 
 def restriction(X: Scheme, points) -> Scheme:
@@ -373,11 +410,13 @@ def tensor_product(x1: Scheme, x2: Scheme) -> Scheme:
 def is_subtensor(X: Scheme, e1: ParabolicSet, e2: ParabolicSet) -> tuple[Scheme, Scheme] | None:
     """The quotients (X/e1, X/e2) when X lies inside their tensor product, else None.
 
-    Requires the class systems to form a grid (each point determined by its
-    pair of classes) and every color of X to lie inside one product of
-    quotient colors.
+    Requires e1 and e2 to be parabolics of X (`parabolic_from_colors` tests
+    each set), their class systems to form a grid (each point determined by
+    its pair of classes) and every color of X to lie inside one product of
+    quotient colors.  The classes of each are computed once, for the grid
+    test and the quotient alike.
     """
-    if e1 not in parabolics(X) or e2 not in parabolics(X):
+    if any(parabolic_from_colors(X, e.colors) != e for e in (e1, e2)):
         return None
     k1, k2 = e1.num_classes, e2.num_classes
     if k1 * k2 != X.n:
@@ -386,8 +425,8 @@ def is_subtensor(X: Scheme, e1: ParabolicSet, e2: ParabolicSet) -> tuple[Scheme,
     cls2 = parabolic_classes(X, e2)
     if np.bincount(cls1 * k2 + cls2).max() != 1:     # two points share a class pair
         return None
-    q1 = quotient(X, e1)
-    q2 = quotient(X, e2)
+    q1 = _quotient(X, cls1, k1)
+    q2 = _quotient(X, cls2, k2)
     p1 = q1.matrix[np.ix_(cls1, cls1)]
     p2 = q2.matrix[np.ix_(cls2, cls2)]
     key = p1.astype(np.int64) * q2.rank + p2

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
+from math import factorial
 
 import numpy as np
 import pytest
@@ -34,14 +35,16 @@ from planeschemes.classify import (
     _Analyzer,
     _carries,
     _point_map,
+    _relabelled,
+    _slope_map,
     _subgroup_witness,
     classify_fusion,
     involutive_presentations,
     verify_witness,
 )
 from planeschemes.errors import BudgetExceeded, InvariantViolated
-from planeschemes.permgroup import group_closure
-from planeschemes.projline import pgl_elements, point_permutation
+from planeschemes.permgroup import group_closure, orbits
+from planeschemes.projline import pgl_canonical, pgl_elements, point_permutation
 from planeschemes.report import record_from_dict, record_to_dict, run_sweep
 from planeschemes.scheme import algebraic_fusion, is_algebraic_map
 from planeschemes.subgroups import (
@@ -347,6 +350,23 @@ def test_malformed_witness_fails_verification():
         assert verify_witness(p, P, replace(good, witness=witness)) is False, (rgs, witness)
 
 
+def test_malformed_witness_colors_fail_verification():
+    # negative colors (-2 and -4 index the colors 1 and 1 from the end),
+    # colors at or past the rank, and colors that are no integers
+    for rgs, verdict, key, good_colors, bad_colors in [
+        ("0111", WREATH, "parabolic_colors", [0, 1],
+         [[0, -2], [0, 1, -2], [0, 3], [0, 1, 3], [0, 1.5], [0, "1"], [0, None], [0, [1]]]),
+        ("0123", SUBTENSOR, "parabolic_pair", [[0, 1], [0, 2]],
+         [[[0, -4], [0, 2]], [[0, 1], [0, 2, 5]], [[0, 1], [0, 2.5]], [[0, "1"], [0, 2]]]),
+    ]:
+        P = SlopePartition.from_string(rgs)
+        good = classify_fusion(3, P)
+        assert (good.verdict, good.witness) == (verdict, {key: good_colors})
+        for colors in bad_colors:
+            res = replace(good, witness={key: colors})
+            assert verify_witness(3, P, res) is False, (rgs, colors)
+
+
 def test_no_verdict_is_accepted_unconditionally():
     # for each verdict, a well-typed witness that does not hold; a new
     # verdict needs an entry here
@@ -457,6 +477,7 @@ def test_point_map_carries_each_orbit_member_onto_the_fusion():
             if (p, rgs) not in matrices:
                 matrices[p, rgs] = fusion_matrix(p, SlopePartition(rgs))
             assert _carries(_point_map(p, g), XP, matrices[p, rgs]), (p, P, rgs, g)
+            assert _relabelled(P.rgs, _slope_map(p, g)) == rgs, (p, P, rgs, g)
         Q = min(orbit)
         assert _sigma_carries(p, orbit[Q], P, SlopePartition(Q)), (p, P, orbit[Q])
 
@@ -476,10 +497,13 @@ def test_carries_needs_a_color_bijection_and_an_isomorphism():
 
 def test_wrong_point_map_raises(monkeypatch):
     # 0001, analysed first, is searched; 0111 is carried from it, and the
-    # identity does not map 0001 onto 0111
+    # identity does not map 0001 onto 0111.  The slope maps are cached per
+    # (p, g): a fresh cache reads them off the patched point map, and the
+    # real cache comes back with the real one
     searched, carried = SlopePartition.from_string("0001"), SlopePartition.from_string("0111")
     assert pgl_orbit(3, searched)[carried.rgs].entries() != (1, 0, 0, 1)
     monkeypatch.setattr("planeschemes.classify._point_map", lambda p, g: np.arange(p * p))
+    monkeypatch.setattr(classify, "_slope_map", functools.lru_cache(_slope_map.__wrapped__))
     analyzer = _Analyzer(3)
     analyzer.classify(searched)
     with pytest.raises(InvariantViolated):
@@ -501,6 +525,54 @@ def test_wrong_point_map_raises_under_python_O():
         "    print('raised')\n"
     )
     assert _run_fresh(code, "-O").strip() == "raised"
+
+
+def test_tampered_orbit_memo_element_raises():
+    # the slope maps are right, but the g stored for 0111 is the identity,
+    # which keeps the searched 0001 as it is
+    searched, carried = SlopePartition.from_string("0001"), SlopePartition.from_string("0111")
+    analyzer = _Analyzer(3)
+    analyzer.classify(searched)
+    _, inv = analyzer.orbit_memo[carried.rgs]
+    analyzer.orbit_memo[carried.rgs] = (pgl_canonical(1, 0, 0, 1, 3), inv)
+    with pytest.raises(InvariantViolated):
+        analyzer.classify(carried)
+
+
+def test_a_point_map_that_permutes_no_slopes_raises(monkeypatch):
+    # swapping two points of AG(2,3) maps pairs of one slope onto two slopes
+    swap = np.array([0, 3, 2, 1, 4, 5, 6, 7, 8])
+    monkeypatch.setattr("planeschemes.classify._point_map", lambda p, g: swap)
+    monkeypatch.setattr(classify, "_slope_map", functools.lru_cache(_slope_map.__wrapped__))
+    analyzer = _Analyzer(3)
+    analyzer.classify(SlopePartition.from_string("0001"))
+    with pytest.raises(InvariantViolated, match="permutes no slopes"):
+        analyzer.classify(SlopePartition.from_string("0111"))
+
+
+def _block_keepers(p: int, P: SlopePartition) -> list[tuple[int, ...]]:
+    """K_P as slope permutations: every element of PGL(2,p) keeping each block of P."""
+    perms = (point_permutation(g) for g in pgl_elements(p))
+    return [pi for pi in perms if all(P.rgs[pi[s]] == P.rgs[s] for s in range(p + 1))]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_aut_order_and_orbital_count_from_the_block_keepers(p):
+    # a second path to the two numbers the orbit search carries: |Aut| is
+    # p^2 (p-1) |K_P| but for four shapes of partition, and a NonSchurian
+    # fusion has 1 + (K_P-orbits on slopes) 2-orbits
+    shapes = {(p + 1,): factorial(p * p), (1, p): factorial(p) ** (p + 1),
+              (1, 1, p - 1): factorial(p) ** 2, (2, p - 1): 2 * factorial(p) ** 2}
+    nonschurian = 0
+    for rec in run_sweep(p, partitions_iter(p + 1)):
+        P = SlopePartition.from_string(rec.partition_rgs)
+        K = _block_keepers(p, P)
+        want = shapes.get(tuple(sorted(P.block_sizes())), p * p * (p - 1) * len(K))
+        assert rec.aut_order == want, (p, P)
+        if rec.verdict == NON_SCHURIAN:
+            nonschurian += 1
+            assert rec.witness["orbital_count"] == 1 + len(orbits(K, p + 1)), (p, P)
+    assert nonschurian == {3: 0, 5: 125}[p]
 
 
 def test_classify_fuses_only_its_own_partition(monkeypatch):

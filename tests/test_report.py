@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from planeschemes import autsearch
+from planeschemes import autsearch, scheme
 from planeschemes.affine import SlopePartition, build_affine_scheme, fuse, partitions_iter
 from planeschemes.autsearch import automorphism_group
 from planeschemes.classify import _Analyzer
@@ -229,6 +229,24 @@ def test_serial_sweep_searches_each_orbit_once(monkeypatch, tmp_path):
     # pass, and the stored generators only prune the warm searches
     assert chains == []
     assert nodes[1] < nodes[0]
+
+
+def test_serial_sweep_enumerates_no_parabolics(monkeypatch, tmp_path):
+    # a sweep reads each record's parabolics off its partition and tests
+    # only the witness's color sets on the fusion, cold and warm alike
+    calls = []
+    enumerate_parabolics = scheme._enumerate_parabolics
+
+    def counted(X):
+        calls.append(X)
+        return enumerate_parabolics(X)
+
+    monkeypatch.setattr(scheme, "_enumerate_parabolics", counted)
+    want = json.loads(REFERENCE.read_text())["p5"]
+    cache = AutCache(str(tmp_path / "cache"))
+    for _ in ("cold", "warm"):
+        assert report_digest(run_sweep(5, partitions_iter(6), cache=cache)) == want
+    assert calls == []
 
 
 @pytest.mark.parametrize("p,orbits", [(3, 5), (5, 13)])

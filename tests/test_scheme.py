@@ -1,4 +1,6 @@
 import random
+import warnings
+from itertools import combinations, takewhile
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from planeschemes.affine import (
     fusion_matrix,
     partitions_iter,
 )
-from planeschemes.classify import involutive_presentations
+from planeschemes.classify import WREATH, _basic_candidates, involutive_presentations
 from planeschemes.errors import (
     InconsistentIntersection,
     InvariantViolated,
@@ -28,6 +30,7 @@ from planeschemes.errors import (
 from planeschemes.permgroup import PermGroup, group_closure
 from planeschemes.scheme import (
     ParabolicSet,
+    _enumerate_parabolics,
     algebraic_fusion,
     all_color_permutations_fixing_zero,
     is_algebraic_map,
@@ -36,6 +39,7 @@ from planeschemes.scheme import (
     is_subtensor,
     merge,
     parabolic_classes,
+    parabolic_from_colors,
     parabolics,
     quotient,
     relation_stats,
@@ -88,6 +92,15 @@ def test_entries_the_int16_cast_changes_are_rejected():
         with pytest.raises(ValueError, match="int16"):
             verify_scheme(m)
     assert verify_scheme(np.array([[0, 1.0], [1.0, 0]])).rank == 2
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, 1e10])
+def test_entries_no_int16_holds_raise_the_typed_error_alone(entry):
+    # numpy warns while it casts these; the warning must not escape first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="int16"):
+            verify_scheme(np.array([[0, entry], [entry, 0]]))
 
 
 def _corrupted(m, rng):
@@ -301,6 +314,61 @@ def test_parabolics_and_quotients_match_the_oracles(case):
         for e in pars:
             q = union_find_quotient_matrix(X, e.colors)
             assert np.array_equal(quotient(X, e).matrix, q), (X, sorted(e.colors))
+
+
+def _slope_parabolics(p, P):
+    """The parabolics of the P-fusion as `_basic_candidates` reads them off P."""
+    wreaths = takewhile(lambda cand: cand[0] == WREATH, _basic_candidates(p, P))
+    inner = [frozenset(w["parabolic_colors"]) for _, w in wreaths]
+    return [frozenset({0})] + inner + [frozenset(range(P.num_blocks + 1))]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_parabolics_read_off_the_partition_match_the_oracles(p):
+    # {0}, {0, b + 1} per block b of one slope, and every color: against
+    # every union of star-orbits at p = 3, 5 and the closure search at p = 7
+    for P in partitions_iter(p + 1):
+        X = fuse(p, P)
+        if p == 7:
+            want = [e.colors for e in _enumerate_parabolics(X)]
+        else:
+            want = [colors for colors, _, _ in subset_parabolics(X)]
+        assert _slope_parabolics(p, P) == want, P
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_is_primitive_matches_the_parabolic_count(case):
+    # on each scheme, each of its quotients, and the rank-1 scheme on one point
+    schemes = [trivial_scheme(1)]
+    for X in _ORACLE_CASES[case]():
+        schemes += [X] + [quotient(X, e) for e in parabolics(X)]
+    for X in schemes:
+        assert is_primitive(X) == (len(parabolics(X)) == 2), X
+    assert not is_primitive(trivial_scheme(1))
+
+
+def _star_closed_subsets(X):
+    """Every union of star-orbits of colors, 0's included."""
+    orbits = sorted({frozenset((s, X.star[s])) for s in range(X.rank)}, key=min)
+    for k in range(len(orbits) + 1):
+        for chosen in combinations(orbits, k):
+            yield frozenset().union(*chosen)
+
+
+_LOOKUP_CASES = {
+    "XA3": lambda: [build_affine_scheme(3)],
+    "products": _products,
+    "thin-Z6-Z12": lambda: [verify_scheme(cyclic_scheme(n)) for n in (6, 12)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LOOKUP_CASES))
+def test_parabolic_from_colors_is_membership_in_parabolics(case):
+    # the closure test of one color set against the enumeration of them all
+    for X in _LOOKUP_CASES[case]():
+        pars = {e.colors: e for e in parabolics(X)}
+        for colors in _star_closed_subsets(X):
+            assert parabolic_from_colors(X, colors) == pars.get(colors), (X, sorted(colors))
 
 
 @pytest.mark.parametrize("n, divisors", [(65, (1, 5, 13, 65)),
