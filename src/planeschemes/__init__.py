@@ -10,9 +10,7 @@ from .affine import (
     bell_number,
     build_affine_scheme,
     fuse,
-    identity_partition,
     lambda_criteria,
-    one_block_partition,
     partition_from_group,
     partitions_iter,
 )
@@ -26,7 +24,6 @@ from .autsearch import (
 )
 from .classify import (
     ClassificationResult,
-    classify_fusion,
     verify_witness,
 )
 from .errors import (
@@ -48,7 +45,6 @@ from .permgroup import (
     PermGroup,
     StabilizerChain,
     group_closure,
-    group_order,
     orbit_data,
     orbits,
 )

@@ -11,7 +11,7 @@ matching the projective-point encoding of :mod:`planeschemes.projline`.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -34,13 +34,17 @@ class SlopePartition:
     """
 
     rgs: tuple[int, ...]
+    _blocks: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mx = -1
-        for v in self.rgs:
-            if v > mx + 1 or v < 0:
+        out: list[list[int]] = []
+        for label, v in enumerate(self.rgs):
+            if v > len(out) or v < 0:
                 raise NonCanonicalPartition(f"not a valid RGS: {self.rgs}")
-            mx = max(mx, v)
+            if v == len(out):
+                out.append([])
+            out[v].append(label)
+        object.__setattr__(self, "_blocks", tuple(tuple(b) for b in out))
 
     @property
     def n_labels(self) -> int:
@@ -51,10 +55,7 @@ class SlopePartition:
         return max(self.rgs) + 1
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.num_blocks)]
-        for label, b in enumerate(self.rgs):
-            out[b].append(label)
-        return tuple(tuple(b) for b in out)
+        return self._blocks
 
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.blocks())
@@ -97,14 +98,6 @@ class SlopePartition:
 
     def __str__(self) -> str:
         return self.as_string()
-
-
-def identity_partition(n_labels: int) -> SlopePartition:
-    return SlopePartition(tuple(range(n_labels)))
-
-
-def one_block_partition(n_labels: int) -> SlopePartition:
-    return SlopePartition((0,) * n_labels)
 
 
 def partitions_iter(n: int):

@@ -325,11 +325,6 @@ class _Analyzer:
         return None
 
 
-def classify_fusion(p: int, P: SlopePartition) -> ClassificationResult:
-    """Classify one fusion of the affine scheme of order p."""
-    return _Analyzer(p).classify(P)
-
-
 # ---------------------------------------------------------------------------
 # witness checks: the definition of each verdict
 

@@ -23,8 +23,8 @@ from .affine import (
     partitions_iter,
 )
 from .autsearch import MAX_AUT_POINTS
-from .errors import NonCanonicalPartition, PlaneSchemesError
-from .projline import MAX_PRIME, is_prime
+from .errors import NonCanonicalPartition, PlaneSchemesError, UnsupportedPrime
+from .projline import check_prime
 from .report import (
     AutCache,
     _atomic_write,
@@ -43,10 +43,10 @@ SWEEP_PRIMES = (3, 5, 7)
 
 def _prime_arg(value: str) -> int:
     p = int(value)
-    if not is_prime(p) or p == 2:
-        raise argparse.ArgumentTypeError(f"{p} is not an odd prime")
-    if p > MAX_PRIME:
-        raise argparse.ArgumentTypeError(f"p = {p} exceeds the supported bound {MAX_PRIME}")
+    try:
+        check_prime(p)
+    except UnsupportedPrime as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return p
 
 

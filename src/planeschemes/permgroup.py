@@ -25,13 +25,6 @@ def compose(a: Perm, b: Perm) -> Perm:
     return tuple(b[x] for x in a)
 
 
-def inverse(a: Perm) -> Perm:
-    out = [0] * len(a)
-    for i, j in enumerate(a):
-        out[j] = i
-    return tuple(out)
-
-
 def is_permutation(a, n: int) -> bool:
     return len(a) == n and sorted(a) == list(range(n))
 
@@ -255,8 +248,3 @@ class StabilizerChain:
         arr = np.array(g, dtype=np.int32)
         h, _ = self._sift(arr, 0)
         return bool(np.array_equal(h, self._ident))
-
-
-def group_order(generators, degree: int) -> int:
-    """Exact order of the group generated by `generators`."""
-    return StabilizerChain(generators, degree).order()

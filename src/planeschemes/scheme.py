@@ -65,11 +65,6 @@ class Scheme:
         return tuple(tuple(int.from_bytes(cell, "little") for cell in row)
                      for row in packed.tolist())
 
-    @cached_property
-    def parabolic_sets(self) -> tuple[ParabolicSet, ...]:
-        """The parabolics of this scheme, enumerated once; see `parabolics`."""
-        return _enumerate_parabolics(self)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Scheme) and np.array_equal(self.matrix, other.matrix)
 
@@ -247,12 +242,6 @@ class ParabolicSet:
         return len(self.colors) == 1 or len(self.colors) == rank
 
 
-def parabolics(X: Scheme) -> tuple[ParabolicSet, ...]:
-    """All parabolics, 1_Omega to Omega^2, in mask order: each union of star-orbits
-    read as a binary number, one bit per star-orbit in order of least color."""
-    return X.parabolic_sets
-
-
 def _closure(masks, bits: int, new: int) -> int:
     """The least composition-closed color set holding bits | new; bits must be closed."""
     bits |= new
@@ -271,8 +260,12 @@ def _members(bits: int) -> list[int]:
     return [c for c in range(bits.bit_length()) if bits >> c & 1]
 
 
-def _enumerate_parabolics(X: Scheme) -> tuple[ParabolicSet, ...]:
-    """Each parabolic is the closure of a smaller one plus one color and its star."""
+def parabolics(X: Scheme) -> tuple[ParabolicSet, ...]:
+    """All parabolics, 1_Omega to Omega^2, in mask order: each union of star-orbits
+    read as a binary number, one bit per star-orbit in order of least color.
+
+    Each parabolic is the closure of a smaller one plus one color and its star.
+    """
     masks = X.composition_masks
     minimal = {_closure(masks, 1, 1 << s | 1 << X.star[s]) for s in range(1, X.rank)}
     found = [1]                       # {0}: the diagonal alone

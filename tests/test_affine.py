@@ -8,9 +8,7 @@ from planeschemes.affine import (
     bell_number,
     build_affine_scheme,
     fuse,
-    identity_partition,
     lambda_criteria,
-    one_block_partition,
     partition_from_group,
     partitions_iter,
 )
@@ -76,7 +74,7 @@ def test_affine_scheme_p5_clique_structure():
 
 
 def test_fuse_examples():
-    P = identity_partition(4)
+    P = SlopePartition.from_string("0123")
     ident = fuse(3, P)
     assert ident.rank == 5 and P.lambda_set() == frozenset({1})
     assert np.array_equal(ident.matrix, build_affine_scheme(3).matrix)
@@ -87,7 +85,7 @@ def test_fuse_examples():
     assert sorted(mixed.valencies[1:]) == [2, 2, 4]
     assert P.lambda_set() == frozenset({1, 2})
 
-    P = one_block_partition(4)
+    P = SlopePartition.from_string("0000")
     allin = fuse(3, P)
     assert allin.rank == 2 and P.lambda_set() == frozenset({4})
 
@@ -101,7 +99,7 @@ def test_valency_law():
 
 
 def test_lambda_criteria_examples():
-    assert lambda_criteria(identity_partition(4)) == (True, True)
+    assert lambda_criteria(SlopePartition.from_string("0123")) == (True, True)
     P = SlopePartition.from_string("0011")   # blocks {0,1},{2,inf}
     assert P.lambda_set() == frozenset({2})
     assert lambda_criteria(P) == (False, True)
@@ -119,7 +117,7 @@ def test_lambda_criteria_agree_with_structure():
 
 def test_partition_from_group_examples():
     ident = group_closure([], 4)
-    assert partition_from_group(ident) == identity_partition(4)
+    assert partition_from_group(ident) == SlopePartition.from_string("0123")
 
     neg = point_permutation(pgl_canonical(2, 0, 0, 1, 3))   # z -> -z at p=3
     K = group_closure([neg], 4)
@@ -127,7 +125,7 @@ def test_partition_from_group_examples():
 
     cyc = tuple(list(range(1, 4)) + [0])
     K = group_closure([cyc], 4)
-    assert partition_from_group(K) == one_block_partition(4)
+    assert partition_from_group(K) == SlopePartition.from_string("0000")
 
 
 def test_fusion_from_group_equals_algebraic_fusion():
@@ -156,4 +154,4 @@ def test_fusion_from_group_equals_algebraic_fusion():
 
 def test_fuse_wrong_length():
     with pytest.raises(ValueError):
-        fuse(5, identity_partition(4))
+        fuse(5, SlopePartition.from_string("0123"))

@@ -38,7 +38,6 @@ from planeschemes.classify import (
     _relabelled,
     _slope_map,
     _subgroup_witness,
-    classify_fusion,
     involutive_presentations,
     verify_witness,
 )
@@ -76,23 +75,23 @@ def test_classify_p3_examples():
     }
     for rgs, want in cases.items():
         P = SlopePartition.from_string(rgs)
-        res = classify_fusion(3, P)
+        res = _Analyzer(3).classify(P)
         assert res.verdict == want, rgs
         assert res.schurian is True
         assert verify_witness(3, P, res)
 
 
 def test_classify_flags_consistent():
-    res = classify_fusion(3, SlopePartition.from_string("0111"))
+    res = _Analyzer(3).classify(SlopePartition.from_string("0111"))
     assert res.primitive is False and res.aut_order == 1296
-    res = classify_fusion(3, SlopePartition.from_string("0000"))
+    res = _Analyzer(3).classify(SlopePartition.from_string("0000"))
     assert res.primitive and res.pseudocyclic and res.aut_order == 362880
 
 
 def test_exceptional_a4_at_p7():
     a4 = find_subgroup(7, SubgroupSpec("alt4"))
     P = partition_from_group(a4.group)
-    res = classify_fusion(7, P)
+    res = _Analyzer(7).classify(P)
     assert res.verdict == EXCEPTIONAL_A4
     assert res.primitive and res.pseudocyclic
     assert verify_witness(7, P, res)
@@ -129,7 +128,7 @@ def test_exceptional_verdict_builds_no_subgroup_lattice():
 def test_involutive_verdict_d6_at_p7():
     d6 = find_subgroup(7, SubgroupSpec("dihedral", 3))
     P = partition_from_group(d6.group)
-    res = classify_fusion(7, P)
+    res = _Analyzer(7).classify(P)
     assert res.verdict == INVOLUTIVE
     assert res.witness["inner"]["verdict"] == SUBTENSOR
     assert verify_witness(7, P, res)
@@ -138,8 +137,8 @@ def test_involutive_verdict_d6_at_p7():
 def test_verify_witness_fuses_only_what_it_checks(monkeypatch):
     non_schurian = SlopePartition.from_string("000112")
     involutive = SlopePartition.from_string("000011")
-    res_n = classify_fusion(5, non_schurian)
-    res_i = classify_fusion(5, involutive)
+    res_n = _Analyzer(5).classify(non_schurian)
+    res_i = _Analyzer(5).classify(involutive)
     assert (res_n.verdict, res_i.verdict) == (NON_SCHURIAN, INVOLUTIVE)
     fused = []
 
@@ -269,7 +268,7 @@ def test_verdict_disjointness():
 def test_budget_becomes_unknown(monkeypatch):
     monkeypatch.setattr("planeschemes.classify.automorphism_group",
                         functools.partial(automorphism_group, node_cap=3))
-    res = classify_fusion(3, SlopePartition.from_string("0000"))
+    res = _Analyzer(3).classify(SlopePartition.from_string("0000"))
     assert res.verdict == "Unknown"
     assert res.schurian is None and res.aut_order is None
 
@@ -285,7 +284,7 @@ def test_budget_propagates_from_is_schurian():
 def test_malformed_witness_fails_verification():
     # at p=3, 0111 has parabolics {0}, {0,1}, {0,1,2}; {0,2} is none of them
     P = SlopePartition.from_string("0111")
-    good = classify_fusion(3, P)
+    good = _Analyzer(3).classify(P)
     assert good.verdict == WREATH
     bad = ClassificationResult(WREATH, {"parabolic_colors": [0, 2]},
                                False, False, True, good.aut_order)
@@ -295,7 +294,7 @@ def test_malformed_witness_fails_verification():
     assert verify_witness(3, P, bad) is False
     # an involution that does not permute the colors of the inner fusion
     P = SlopePartition.from_string("000011")
-    good = classify_fusion(5, P)
+    good = _Analyzer(5).classify(P)
     assert good.verdict == INVOLUTIVE
     assert good.witness["inner_partition"] == "000012"
     no_inner = {k: v for k, v in good.witness.items() if k != "inner"}
@@ -317,7 +316,7 @@ def test_malformed_witness_fails_verification():
     # rank, and an Unknown without a reason
     a4_p3, a4_p5, a5_p5 = (_subgroup_witness(find_subgroup(p, SubgroupSpec(kind)))
                            for p, kind in ((3, "alt4"), (5, "alt4"), (5, "alt5")))
-    exceptional = classify_fusion(7, SlopePartition.from_string("00111010"))
+    exceptional = _Analyzer(7).classify(SlopePartition.from_string("00111010"))
     assert exceptional.verdict == EXCEPTIONAL_A4
     for p, rgs, verdict, witness in [
         (3, "0112", WREATH, {"parabolic_colors": [0, 1]}),
@@ -345,7 +344,7 @@ def test_malformed_witness_fails_verification():
         (3, "0123", {"parabolic_pair": [[0, 1]]}),
     ]:
         P = SlopePartition.from_string(rgs)
-        good = classify_fusion(p, P)
+        good = _Analyzer(p).classify(P)
         assert verify_witness(p, P, good)
         assert verify_witness(p, P, replace(good, witness=witness)) is False, (rgs, witness)
 
@@ -360,7 +359,7 @@ def test_malformed_witness_colors_fail_verification():
          [[[0, -4], [0, 2]], [[0, 1], [0, 2, 5]], [[0, 1], [0, 2.5]], [[0, "1"], [0, 2]]]),
     ]:
         P = SlopePartition.from_string(rgs)
-        good = classify_fusion(3, P)
+        good = _Analyzer(3).classify(P)
         assert (good.verdict, good.witness) == (verdict, {key: good_colors})
         for colors in bad_colors:
             res = replace(good, witness={key: colors})
@@ -400,7 +399,7 @@ def _flip_lambda(P):
 def test_lambda_mismatch_raises_typed_error(monkeypatch):
     monkeypatch.setattr("planeschemes.classify.lambda_criteria", _flip_lambda)
     with pytest.raises(InvariantViolated):
-        classify_fusion(3, SlopePartition.from_string("0111"))
+        _Analyzer(3).classify(SlopePartition.from_string("0111"))
 
 
 def test_lambda_mismatch_raises_under_python_O():
@@ -411,7 +410,7 @@ def test_lambda_mismatch_raises_under_python_O():
         "c.lambda_criteria = lambda P: (not lambda_criteria(P)[0], "
         "lambda_criteria(P)[1])\n"
         "try:\n"
-        "    c.classify_fusion(3, SlopePartition.from_string('0111'))\n"
+        "    c._Analyzer(3).classify(SlopePartition.from_string('0111'))\n"
         "except InvariantViolated:\n"
         "    print('raised')\n"
     )
@@ -584,7 +583,7 @@ def test_classify_fuses_only_its_own_partition(monkeypatch):
         return fuse(p, P)
 
     monkeypatch.setattr("planeschemes.classify.fuse", counted_fuse)
-    res = classify_fusion(3, SlopePartition.from_string("0111"))
+    res = _Analyzer(3).classify(SlopePartition.from_string("0111"))
     assert (res.verdict, res.aut_order) == (WREATH, 1296)
     assert fused == {"0111": 1}
 

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -235,13 +236,18 @@ def test_serial_sweep_enumerates_no_parabolics(monkeypatch, tmp_path):
     # a sweep reads each record's parabolics off its partition and tests
     # only the witness's color sets on the fusion, cold and warm alike
     calls = []
-    enumerate_parabolics = scheme._enumerate_parabolics
+    parabolics = scheme.parabolics
 
     def counted(X):
         calls.append(X)
-        return enumerate_parabolics(X)
+        return parabolics(X)
 
-    monkeypatch.setattr(scheme, "_enumerate_parabolics", counted)
+    # under every name that binds it, so an import elsewhere cannot hide a call
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("planeschemes"):
+            for name, value in list(vars(module).items()):
+                if value is parabolics:
+                    monkeypatch.setattr(module, name, counted)
     want = json.loads(REFERENCE.read_text())["p5"]
     cache = AutCache(str(tmp_path / "cache"))
     for _ in ("cold", "warm"):

@@ -30,7 +30,6 @@ from planeschemes.errors import (
 from planeschemes.permgroup import PermGroup, group_closure
 from planeschemes.scheme import (
     ParabolicSet,
-    _enumerate_parabolics,
     algebraic_fusion,
     all_color_permutations_fixing_zero,
     is_algebraic_map,
@@ -330,7 +329,7 @@ def test_parabolics_read_off_the_partition_match_the_oracles(p):
     for P in partitions_iter(p + 1):
         X = fuse(p, P)
         if p == 7:
-            want = [e.colors for e in _enumerate_parabolics(X)]
+            want = [e.colors for e in parabolics(X)]
         else:
             want = [colors for colors, _, _ in subset_parabolics(X)]
         assert _slope_parabolics(p, P) == want, P
