@@ -22,10 +22,7 @@ from .autsearch import (
     orbitals,
     refine,
 )
-from .classify import (
-    ClassificationResult,
-    verify_witness,
-)
+from .classify import verify_witness
 from .errors import (
     BudgetExceeded,
     ClosureBudgetExceeded,
@@ -62,7 +59,6 @@ from .projline import (
 from .report import (
     AutCache,
     ReportRecord,
-    classify_record,
     read_csv_report,
     report_digest,
     report_json_bytes,

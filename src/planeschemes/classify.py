@@ -2,13 +2,13 @@
 
 Pipeline per fusion: build the scheme, decide schurity from the 2-orbits of
 the automorphism group, then assign exactly one principal verdict with a
-machine-checkable witness.  The fusions in one PGL(2,p) orbit are
-isomorphic, so the automorphism group is searched once per orbit, on the
-first member analysed, and its order and orbital count are carried to each
-later member along a point map that is checked first, on the p+1 slopes it
-permutes.  The wreath and subtensor candidates are read off the partition,
-and the witness checks test only the color sets they are given, on the
-fusion.  The verdicts are:
+machine-checkable witness, in the fusion's report record.  The fusions in
+one PGL(2,p) orbit are isomorphic, so the automorphism group is searched
+once per orbit, on the first member analysed, and its order and orbital
+count are carried to each later member along a point map that is checked
+first, on the p+1 slopes it permutes.  The wreath and subtensor candidates
+are read off the partition, and the witness checks test only the color sets
+they are given, on the fusion.  The verdicts are:
 
   imprimitive   -> wreath of trivial schemes, else subtensor of trivial schemes
   trivial       -> primitive pseudocyclic (rank 2 satisfies both predicates)
@@ -19,7 +19,7 @@ fusion.  The verdicts are:
 
 `_witness_holds` is the one definition of each basic verdict: the classifier
 gives the first candidate witness it accepts, and `verify_witness` re-checks
-the published witness with it, on a P-fusion it fuses itself.
+the published (verdict, witness) pair with it, on a P-fusion it fuses itself.
 
 A schurian fusion matching no case raises UnclassifiableSchurian: that is
 either a bug or a counterexample, and is never swallowed.
@@ -80,6 +80,7 @@ EXCEPTIONAL_A5 = "ExceptionalA5"
 INVOLUTIVE = "InvolutiveOf"
 NON_SCHURIAN = "NonSchurian"
 UNKNOWN = "Unknown"
+UNCLASSIFIABLE = "UnclassifiableSchurian"
 
 BASIC_VERDICTS = (WREATH, SUBTENSOR, PRIMITIVE_PC, EXCEPTIONAL_A4, EXCEPTIONAL_A5)
 _UNMATCHED = "SchurianUnmatched"   # internal: no basic case fits a schurian fusion
@@ -88,15 +89,31 @@ _KIND_VERDICT = {kind: tag for tag, kind in _VERDICT_KIND.items()}
 
 
 @dataclass(frozen=True)
-class ClassificationResult:
-    """Verdict plus flags and a witness that `verify_witness` re-checks."""
+class ReportRecord:
+    """One classified fusion; round-trips bit-exactly through the JSON form."""
 
-    verdict: str
-    witness: dict
+    p: int
+    partition_rgs: str
+    rank: int
+    valencies: tuple[int, ...]      # sorted, nonzero colors only
+    lambda_set: tuple[int, ...]     # sorted
     primitive: bool | None
     pseudocyclic: bool | None
-    schurian: bool | None          # None = undecided (budget)
+    schurian: bool | None           # None = undecided (budget)
     aut_order: int | None
+    verdict: str
+    witness: dict                   # re-checked by `verify_witness`
+    error: str | None
+    elapsed_ms: float = 0.0         # not serialized; totals go to the sidecar
+
+
+def make_record(p: int, P: SlopePartition, verdict: str, witness: dict, primitive=None,
+                pseudocyclic=None, schurian=None, aut_order=None, error=None) -> ReportRecord:
+    """The record of the P-fusion; rank, valencies and Lambda are read off P."""
+    sizes = P.block_sizes()
+    return ReportRecord(p, P.as_string(), P.num_blocks + 1,
+                        tuple(sorted(b * (p - 1) for b in sizes)), tuple(sorted(set(sizes))),
+                        primitive, pseudocyclic, schurian, aut_order, verdict, witness, error)
 
 
 def _subgroup_witness(sub: PglSubgroup) -> dict:
@@ -214,9 +231,9 @@ class _OrbitInvariants(NamedTuple):
 class _Analyzer:
     """Per-prime classification state: one memoized analysis per fusion.
 
-    The analysis of P, basic_memo[P.rgs], is NonSchurian, Unknown, the
-    first of `_basic_candidates` that `_witness_holds` accepts, or an
-    unmatched schurian.
+    The analysis of P, basic_memo[P.rgs], is the record of a NonSchurian,
+    Unknown, the first of `_basic_candidates` that `_witness_holds` accepts,
+    or an unmatched schurian.
     Each analysis fuses its own partition and no other, and keeps no fusion.
     Automorphism groups are searched once per PGL(2,p) orbit, on the first
     member analysed: orbit_memo maps each member's rgs to (g, what the
@@ -230,7 +247,7 @@ class _Analyzer:
     def __init__(self, p: int, cache=None):
         self.p = p
         self.cache = cache
-        self.basic_memo: dict[tuple[int, ...], ClassificationResult] = {}
+        self.basic_memo: dict[tuple[int, ...], ReportRecord] = {}
         self.orbit_memo: dict[tuple[int, ...], tuple[PglElement, _OrbitInvariants]] = {}
 
     def _automorphisms(self, X: Scheme):
@@ -266,13 +283,13 @@ class _Analyzer:
         self.orbit_memo.update((rgs, (g, inv)) for rgs, g in pgl_orbit(self.p, P).items())
         return inv
 
-    def _analysis(self, P: SlopePartition) -> ClassificationResult:
-        res = self.basic_memo.get(P.rgs)
-        if res is None:
-            res = self.basic_memo[P.rgs] = self._analyze(P)
-        return res
+    def _analysis(self, P: SlopePartition) -> ReportRecord:
+        rec = self.basic_memo.get(P.rgs)
+        if rec is None:
+            rec = self.basic_memo[P.rgs] = self._analyze(P)
+        return rec
 
-    def _analyze(self, P: SlopePartition) -> ClassificationResult:
+    def _analyze(self, P: SlopePartition) -> ReportRecord:
         p = self.p
         X = fuse(p, P)
         prim = is_primitive(X)
@@ -282,28 +299,28 @@ class _Analyzer:
                 f"Lambda criteria disagree with the structural predicates for {P}")
         inv = self._orbit_invariants(P, X)
         if inv.reason is not None:
-            return ClassificationResult(UNKNOWN, {"reason": inv.reason}, prim, pc, None, None)
+            return make_record(p, P, UNKNOWN, {"reason": inv.reason}, prim, pc)
         orbits = inv.orbital_count
         flags = dict(primitive=prim, pseudocyclic=pc,
                      schurian=orbits == X.rank, aut_order=inv.aut_order)
         if orbits != X.rank:
-            return ClassificationResult(
-                NON_SCHURIAN, {"orbital_count": int(orbits), "rank": X.rank}, **flags)
+            return make_record(
+                p, P, NON_SCHURIAN, {"orbital_count": int(orbits), "rank": X.rank}, **flags)
         for verdict, witness in _basic_candidates(p, P):
             if _witness_holds(p, P, verdict, witness, X):
-                return ClassificationResult(verdict, witness, **flags)
-        return ClassificationResult(_UNMATCHED, {}, **flags)
+                return make_record(p, P, verdict, witness, **flags)
+        return make_record(p, P, _UNMATCHED, {}, **flags)
 
-    def classify_basic(self, P: SlopePartition) -> ClassificationResult | None:
+    def classify_basic(self, P: SlopePartition) -> ReportRecord | None:
         """Cases (1)-(3) only; None when the fusion is not schurian-basic."""
-        res = self._analysis(P)
-        return res if res.verdict in BASIC_VERDICTS else None
+        rec = self._analysis(P)
+        return rec if rec.verdict in BASIC_VERDICTS else None
 
-    def classify(self, P: SlopePartition) -> ClassificationResult:
-        res = self._analysis(P)
-        if res.verdict != _UNMATCHED:
-            return res
-        if not res.primitive:
+    def classify(self, P: SlopePartition) -> ReportRecord:
+        rec = self._analysis(P)
+        if rec.verdict != _UNMATCHED:
+            return rec
+        if not rec.primitive:
             raise UnclassifiableSchurian(
                 f"imprimitive schurian fusion {P} at p={self.p} is neither wreath "
                 f"nor subtensor of trivial schemes")
@@ -314,10 +331,10 @@ class _Analyzer:
         inner_p, phi, inner = found
         witness = {"inner_partition": inner_p.as_string(), "color_involution": list(phi),
                    "inner": {"verdict": inner.verdict, "witness": inner.witness}}
-        return replace(res, verdict=INVOLUTIVE, witness=witness)
+        return replace(rec, verdict=INVOLUTIVE, witness=witness)
 
     def find_involutive(self, P: SlopePartition):
-        """First (inner partition, involution, inner result) in canonical order."""
+        """First (inner partition, involution, inner record) in canonical order."""
         for P2, phi in involutive_presentations(P):
             inner = self.classify_basic(P2)
             if inner is not None:
@@ -335,15 +352,15 @@ _MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError,
               NonCanonicalPartition, NotAlgebraic, SingularMatrix)
 
 
-def verify_witness(p: int, P: SlopePartition, res: ClassificationResult) -> bool:
-    """Re-check the witness of a verdict by direct construction.
+def verify_witness(p: int, P: SlopePartition, verdict: str, witness: dict) -> bool:
+    """Re-check a published (verdict, witness) pair by direct construction.
 
-    The witness is read in its published form, the one in the report bytes,
+    The pair is read in its published form, the one in the report bytes,
     and the P-fusion is fused here if the verdict needs it.  A malformed
     witness returns False instead of raising.
     """
     try:
-        return _witness_holds(p, P, res.verdict, res.witness)
+        return _witness_holds(p, P, verdict, witness)
     except _MALFORMED:
         return False
 

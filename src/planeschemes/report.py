@@ -15,12 +15,12 @@ import os
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .affine import SlopePartition
-from .classify import _Analyzer, verify_witness
+from .classify import UNCLASSIFIABLE, ReportRecord, _Analyzer, make_record, verify_witness
 from .errors import UnclassifiableSchurian
 from .permgroup import is_permutation
 from .scheme import Scheme, scheme_digest
@@ -33,42 +33,6 @@ CSV_COLUMNS = (
     "p", "partition_rgs", "rank", "valencies", "lambda", "primitive",
     "pseudocyclic", "schurian", "aut_order", "verdict", "witness", "error",
 )
-
-
-@dataclass(frozen=True)
-class ReportRecord:
-    """One classified fusion; round-trips bit-exactly through the JSON form."""
-
-    p: int
-    partition_rgs: str
-    rank: int
-    valencies: tuple[int, ...]      # sorted, nonzero colors only
-    lambda_set: tuple[int, ...]     # sorted
-    primitive: bool | None
-    pseudocyclic: bool | None
-    schurian: bool | None
-    aut_order: int | None
-    verdict: str
-    witness: dict
-    error: str | None
-    elapsed_ms: float               # not serialized; totals go to the sidecar
-
-
-def record_from_result(p: int, P: SlopePartition, res, elapsed_ms: float) -> ReportRecord:
-    """Build a record from a ClassificationResult or an error string."""
-    sizes = P.block_sizes()
-    valencies = tuple(sorted(b * (p - 1) for b in sizes))
-    lam = tuple(sorted(set(sizes)))
-    if isinstance(res, str):
-        return ReportRecord(
-            p, P.as_string(), P.num_blocks + 1, valencies, lam,
-            None, None, None, None, "UnclassifiableSchurian", {}, res, elapsed_ms,
-        )
-    return ReportRecord(
-        p, P.as_string(), P.num_blocks + 1, valencies, lam,
-        res.primitive, res.pseudocyclic, res.schurian, res.aut_order,
-        res.verdict, res.witness, None, elapsed_ms,
-    )
 
 
 def record_to_dict(rec: ReportRecord) -> dict:
@@ -95,7 +59,7 @@ def record_from_dict(d: dict) -> ReportRecord:
     return ReportRecord(
         d["p"], d["partition_rgs"], d["rank"], tuple(d["valencies"]),
         tuple(d["lambda"]), d["primitive"], d["pseudocyclic"], schurian,
-        d["aut_order"], d["verdict"], d["witness"], d["error"], 0.0,
+        d["aut_order"], d["verdict"], d["witness"], d["error"],
     )
 
 
@@ -258,26 +222,23 @@ class AutCache:
 
 
 def classify_record(analyzer: _Analyzer, P: SlopePartition) -> ReportRecord:
-    """Classify P, re-check its witness, and turn both into one record.
+    """Classify P and re-check the record's published (verdict, witness) pair.
 
     The re-check shares nothing with the analysis: `verify_witness` fuses P
     itself if the verdict reads a scheme.  UnclassifiableSchurian becomes the
     record's error, under that verdict with flags, aut_order and witness
     cleared.  A failed witness check sets only the error: the record keeps
     the verdict, flags and witness that failed.  Every other exception
-    propagates.  elapsed_ms times exactly the classification and the check.
+    propagates.  elapsed_ms times the classification and the check.
     """
     start = time.perf_counter()
     try:
-        res = analyzer.classify(P)
-        verified = verify_witness(analyzer.p, P, res)
+        rec = analyzer.classify(P)
+        if not verify_witness(analyzer.p, P, rec.verdict, rec.witness):
+            rec = replace(rec, error=f"witness verification failed for {P} -> {rec.verdict}")
     except UnclassifiableSchurian as exc:
-        res, verified = str(exc), True
-    elapsed = (time.perf_counter() - start) * 1000.0
-    rec = record_from_result(analyzer.p, P, res, elapsed)
-    if verified:
-        return rec
-    return replace(rec, error=f"witness verification failed for {P} -> {res.verdict}")
+        rec = make_record(analyzer.p, P, UNCLASSIFIABLE, {}, error=str(exc))
+    return replace(rec, elapsed_ms=(time.perf_counter() - start) * 1000.0)
 
 
 _worker_analyzer: _Analyzer | None = None   # one per pool worker

@@ -96,8 +96,27 @@ def test_criterion_8_group_orders_p3():
 
 
 def test_criterion_9_exceptional_schemes():
-    ok, detail = check_exceptional(with_p19=True)
+    ok, detail = check_exceptional()
     assert ok, detail
+
+
+def test_exceptional_check_fails_on_transitive_subgroups():
+    # alt(4) and alt(5) are transitive on the 6 slopes at p=5: one block
+    ok, detail = check_exceptional((5,))
+    assert not ok and "000000" in detail
+
+
+def test_run_checks_takes_only_the_two_levels(monkeypatch):
+    calls = []
+    monkeypatch.setattr(verifypaper, "CHECKS", [
+        ("stub", lambda: calls.append("quick") or (True, "quick"),
+         lambda: calls.append("full") or (True, "full"))])
+    for level in ("Quick", "FULL", "", "fast"):
+        with pytest.raises(ValueError, match="level"):
+            verifypaper.run_checks(level)
+    assert calls == []
+    assert [r.detail for r in verifypaper.run_checks("quick")] == ["quick"]
+    assert [r.detail for r in verifypaper.run_checks("full")] == ["full"]
 
 
 def test_criterion_10_report_determinism():

@@ -5,7 +5,6 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from math import factorial
 
 import numpy as np
@@ -30,8 +29,8 @@ from planeschemes.classify import (
     PRIMITIVE_PC,
     SUBTENSOR,
     WREATH,
+    UNCLASSIFIABLE,
     UNKNOWN,
-    ClassificationResult,
     _Analyzer,
     _carries,
     _point_map,
@@ -55,10 +54,14 @@ from planeschemes.subgroups import (
 
 
 def _run_fresh(code: str, *flags: str) -> str:
-    """Stdout of `code` run in a fresh interpreter on this source tree."""
+    """Stdout of `code` run in a fresh interpreter on this source tree.
+
+    It runs under -W error: any warning fails it, as the filterwarnings of
+    pyproject.toml fail a test in-process.
+    """
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+    out = subprocess.run([sys.executable, "-W", "error", *flags, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     return out.stdout
@@ -78,7 +81,7 @@ def test_classify_p3_examples():
         res = _Analyzer(3).classify(P)
         assert res.verdict == want, rgs
         assert res.schurian is True
-        assert verify_witness(3, P, res)
+        assert verify_witness(3, P, res.verdict, res.witness)
 
 
 def test_classify_flags_consistent():
@@ -94,7 +97,7 @@ def test_exceptional_a4_at_p7():
     res = _Analyzer(7).classify(P)
     assert res.verdict == EXCEPTIONAL_A4
     assert res.primitive and res.pseudocyclic
-    assert verify_witness(7, P, res)
+    assert verify_witness(7, P, res.verdict, res.witness)
 
 
 def test_exceptional_a4_at_p17_inside_sym4():
@@ -107,7 +110,7 @@ def test_exceptional_a4_at_p17_inside_sym4():
     assert res.verdict == EXCEPTIONAL_A4
     assert res.witness == {"generators": [list(g.entries()) for g in a4.witness_generators()],
                            "order": 12}
-    assert verify_witness(17, P, res)
+    assert verify_witness(17, P, res.verdict, res.witness)
 
 
 def test_exceptional_verdict_builds_no_subgroup_lattice():
@@ -131,7 +134,7 @@ def test_involutive_verdict_d6_at_p7():
     res = _Analyzer(7).classify(P)
     assert res.verdict == INVOLUTIVE
     assert res.witness["inner"]["verdict"] == SUBTENSOR
-    assert verify_witness(7, P, res)
+    assert verify_witness(7, P, res.verdict, res.witness)
 
 
 def test_verify_witness_fuses_only_what_it_checks(monkeypatch):
@@ -147,10 +150,10 @@ def test_verify_witness_fuses_only_what_it_checks(monkeypatch):
         return fuse(p, partition)
 
     monkeypatch.setattr("planeschemes.classify.fuse", counted_fuse)
-    assert verify_witness(5, non_schurian, res_n) is True
+    assert verify_witness(5, non_schurian, res_n.verdict, res_n.witness) is True
     assert fused == []
     # an involutive witness fuses P and its inner partition once each
-    assert verify_witness(5, involutive, res_i)
+    assert verify_witness(5, involutive, res_i.verdict, res_i.witness)
     assert sorted(fused) == ["000011", res_i.witness["inner_partition"]]
 
 
@@ -160,10 +163,8 @@ def test_involutive_records_verify_in_published_form():
     for p in (3, 5):
         for rec in run_sweep(p, partitions_iter(p + 1)):
             back = record_from_dict(json.loads(json.dumps(record_to_dict(rec))))
-            res = ClassificationResult(back.verdict, back.witness, back.primitive,
-                                       back.pseudocyclic, back.schurian, back.aut_order)
             P = SlopePartition.from_string(back.partition_rgs)
-            assert verify_witness(p, P, res), (p, back.partition_rgs)
+            assert verify_witness(p, P, back.verdict, back.witness), (p, back.partition_rgs)
             verdicts[p] += 1
             verdicts[INVOLUTIVE] += back.verdict == INVOLUTIVE
     assert verdicts == {3: 15, 5: 203, INVOLUTIVE: 15}
@@ -286,12 +287,8 @@ def test_malformed_witness_fails_verification():
     P = SlopePartition.from_string("0111")
     good = _Analyzer(3).classify(P)
     assert good.verdict == WREATH
-    bad = ClassificationResult(WREATH, {"parabolic_colors": [0, 2]},
-                               False, False, True, good.aut_order)
-    assert verify_witness(3, P, bad) is False
-    bad = ClassificationResult(SUBTENSOR, {"parabolic_pair": [[0, 1], [0, 2]]},
-                               False, False, True, good.aut_order)
-    assert verify_witness(3, P, bad) is False
+    assert verify_witness(3, P, WREATH, {"parabolic_colors": [0, 2]}) is False
+    assert verify_witness(3, P, SUBTENSOR, {"parabolic_pair": [[0, 1], [0, 2]]}) is False
     # an involution that does not permute the colors of the inner fusion
     P = SlopePartition.from_string("000011")
     good = _Analyzer(5).classify(P)
@@ -307,7 +304,7 @@ def test_malformed_witness_fails_verification():
         no_inner,
         dict(good.witness, inner=non_basic),
     ]:
-        assert verify_witness(5, P, replace(good, witness=witness)) is False, witness
+        assert verify_witness(5, P, good.verdict, witness) is False, witness
 
     # well-formed witnesses of verdicts the classifier never gives: a wreath
     # parabolic of a rank-4 and a rank-5 fusion, the trivial parabolic pair
@@ -330,8 +327,8 @@ def test_malformed_witness_fails_verification():
         (5, "000112", NON_SCHURIAN, {"orbital_count": 4, "rank": 4}),
         (3, "0000", UNKNOWN, {"reason": None}),
     ]:
-        res = ClassificationResult(verdict, witness, None, None, None, None)
-        assert verify_witness(p, SlopePartition.from_string(rgs), res) is False, (rgs, verdict)
+        P = SlopePartition.from_string(rgs)
+        assert verify_witness(p, P, verdict, witness) is False, (rgs, verdict)
 
     # witnesses missing a field, or holding one of the wrong shape
     for p, rgs, witness in [
@@ -345,8 +342,8 @@ def test_malformed_witness_fails_verification():
     ]:
         P = SlopePartition.from_string(rgs)
         good = _Analyzer(p).classify(P)
-        assert verify_witness(p, P, good)
-        assert verify_witness(p, P, replace(good, witness=witness)) is False, (rgs, witness)
+        assert verify_witness(p, P, good.verdict, good.witness)
+        assert verify_witness(p, P, good.verdict, witness) is False, (rgs, witness)
 
 
 def test_malformed_witness_colors_fail_verification():
@@ -362,8 +359,7 @@ def test_malformed_witness_colors_fail_verification():
         good = _Analyzer(3).classify(P)
         assert (good.verdict, good.witness) == (verdict, {key: good_colors})
         for colors in bad_colors:
-            res = replace(good, witness={key: colors})
-            assert verify_witness(3, P, res) is False, (rgs, colors)
+            assert verify_witness(3, P, verdict, {key: colors}) is False, (rgs, colors)
 
 
 def test_no_verdict_is_accepted_unconditionally():
@@ -382,13 +378,14 @@ def test_no_verdict_is_accepted_unconditionally():
                                  "color_involution": [0, 1, 2, 3], "inner": inner}),
         NON_SCHURIAN: (5, "000112", {"orbital_count": 4, "rank": 4}),
         UNKNOWN: (3, "0000", {"reason": None}),
+        UNCLASSIFIABLE: (3, "0000", {}),
     }
     verdicts = {v for name, v in vars(classify).items()
                 if name.isupper() and not name.startswith("_") and isinstance(v, str)}
     assert set(false_witnesses) == verdicts
     for verdict, (p, rgs, witness) in false_witnesses.items():
-        res = ClassificationResult(verdict, witness, None, None, None, None)
-        assert verify_witness(p, SlopePartition.from_string(rgs), res) is False, verdict
+        P = SlopePartition.from_string(rgs)
+        assert verify_witness(p, P, verdict, witness) is False, verdict
 
 
 def _flip_lambda(P):

@@ -114,7 +114,8 @@ def test_classify_wreath_0111(tmp_path, capsys, monkeypatch):
 
 def test_classify_failed_witness_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("AFS_CACHE", str(tmp_path / "cache"))
-    monkeypatch.setattr("planeschemes.report.verify_witness", lambda p, P, res, X=None: False)
+    monkeypatch.setattr("planeschemes.report.verify_witness",
+                        lambda p, P, verdict, witness: False)
     code, out, err = run_cli(["classify", "--p", "3", "--partition", "0123"], capsys)
     assert code == 1
     record = json.loads(out)
@@ -240,5 +241,6 @@ def test_verify_paper_quick(capsys, tmp_path, monkeypatch):
     assert "all checks passed" in out
     assert out.count("[PASS]") == 10
     # main-theorem-sweep and theorem-realization read one sweep per prime;
-    # report-determinism runs its own three at p=3
-    assert sorted(swept) == [3, 3, 3, 3, 5]
+    # report-determinism runs its own three at p=3, and exceptional-schemes
+    # classifies its one alt(4) fusion at p=7
+    assert sorted(swept) == [3, 3, 3, 3, 5, 7]

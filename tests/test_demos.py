@@ -10,9 +10,13 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _run_fresh(args, cwd):
-    """A fresh interpreter on this source tree, in an empty working directory."""
+    """A fresh interpreter on this source tree, in an empty working directory.
+
+    It runs under -W error: any warning fails it, as the filterwarnings of
+    pyproject.toml fail a test in-process.
+    """
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+    out = subprocess.run([sys.executable, "-W", "error", *args], cwd=cwd, env=env,
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
 

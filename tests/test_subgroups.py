@@ -8,7 +8,6 @@ from planeschemes.affine import SlopePartition, partition_from_group, partitions
 from planeschemes.classify import (
     EXCEPTIONAL_A4,
     EXCEPTIONAL_A5,
-    ClassificationResult,
     verify_witness,
 )
 from planeschemes.errors import UnsupportedPrime
@@ -246,9 +245,8 @@ def test_exceptional_witness_generates_the_subgroup():
                 assert closed.elements == sub.group.elements, (p, kind, gens)
                 witness = {"generators": [list(g.entries()) for g in gens],
                            "order": sub.order()}
-                res = ClassificationResult(verdict, witness, True, True, True, None)
                 P = partition_from_group(sub.group)
-                holds = verify_witness(p, P, res)
+                holds = verify_witness(p, P, verdict, witness)
                 assert holds == (P.num_blocks > 1), (p, kind, P)
                 verified[p, kind, holds] += 1
     assert verified == {(5, "alt4", False): 5, (5, "alt5", False): 1,
