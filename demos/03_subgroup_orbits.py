@@ -21,11 +21,11 @@ for p in (7, 11):
         if sub is None:
             print(f"  {spec.describe():>8}: absent")
             continue
-        data = sub.orbit_data()
+        P = partition_from_group(sub)
         bound = lemma_orbit_size_bound(spec, p)
         within = "" if bound is None else (
-            f"  N(K) within {sorted(bound)}" if data.size_set <= bound
+            f"  N(K) within {sorted(bound)}" if P.lambda_set() <= bound
             else "  VIOLATION")
         print(f"  {spec.describe():>8}: order {sub.order():>4}, "
-              f"orbit sizes {list(data.sizes)}, "
-              f"partition {partition_from_group(sub.group).as_string()}{within}")
+              f"orbit sizes {sorted(P.block_sizes())}, "
+              f"partition {P.as_string()}{within}")

@@ -38,11 +38,9 @@ from .errors import (
     ZeroInverse,
 )
 from .permgroup import (
-    OrbitData,
     PermGroup,
     StabilizerChain,
     group_closure,
-    orbit_data,
     orbits,
 )
 from .projline import (
@@ -89,7 +87,6 @@ from .scheme import (
     wreath_product,
 )
 from .subgroups import (
-    PglSubgroup,
     SubgroupSpec,
     exceptional_subgroups,
     find_subgroup,

@@ -51,7 +51,7 @@ from .errors import (
     SingularMatrix,
     UnclassifiableSchurian,
 )
-from .permgroup import group_closure
+from .permgroup import PermGroup, group_closure
 from .projline import PglElement, pgl_canonical, point_permutation
 from .scheme import (
     Scheme,
@@ -66,10 +66,10 @@ from .scheme import (
     wreath_product,
 )
 from .subgroups import (
-    PglSubgroup,
     is_exceptional_group,
     match_exceptional_subgroup,
     pgl_orbit,
+    witness_generators,
 )
 
 WREATH = "WreathOfTrivial"
@@ -116,10 +116,10 @@ def make_record(p: int, P: SlopePartition, verdict: str, witness: dict, primitiv
                         primitive, pseudocyclic, schurian, aut_order, verdict, witness, error)
 
 
-def _subgroup_witness(sub: PglSubgroup) -> dict:
+def _subgroup_witness(group: PermGroup) -> dict:
     return {
-        "generators": [list(g.entries()) for g in sub.witness_generators()],
-        "order": sub.order(),
+        "generators": [list(g.entries()) for g in witness_generators(group)],
+        "order": group.order(),
     }
 
 
@@ -139,9 +139,10 @@ def _basic_candidates(p: int, P: SlopePartition):
         yield WREATH, {"parabolic_colors": [0, c]}
     for c1, c2 in permutations(pars, 2):
         yield SUBTENSOR, {"parabolic_pair": [[0, c1], [0, c2]]}
-    A = match_exceptional_subgroup(p, P)
-    if A is not None:
-        yield _KIND_VERDICT[A.spec.kind], _subgroup_witness(A)
+    found = match_exceptional_subgroup(p, P)
+    if found is not None:
+        kind, A = found
+        yield _KIND_VERDICT[kind], _subgroup_witness(A)
     yield PRIMITIVE_PC, {"lambda": sorted(P.lambda_set())}
 
 

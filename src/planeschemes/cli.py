@@ -35,7 +35,7 @@ from .report import (
     write_json_report,
 )
 from .scheme import scheme_to_bytes
-from .subgroups import SubgroupSpec, find_subgroup, named_specs, parse_spec
+from .subgroups import SubgroupSpec, find_subgroup, generator_matrices, named_specs, parse_spec
 from .verifypaper import run_checks
 
 SWEEP_PRIMES = (3, 5, 7)
@@ -155,15 +155,15 @@ def _subgroup_report(p: int, spec: SubgroupSpec) -> dict:
     sub = find_subgroup(p, spec)
     if sub is None:
         return {"spec": spec.describe(), "status": "absent"}
-    data = sub.orbit_data()
+    P = partition_from_group(sub)
     return {
         "spec": spec.describe(),
         "status": "found",
-        "generators": [list(m.entries()) for m in sub.matrices],
+        "generators": [list(m.entries()) for m in generator_matrices(sub)],
         "order": sub.order(),
-        "orbit_sizes": list(data.sizes),
-        "orbit_size_set": sorted(data.size_set),
-        "slope_partition": partition_from_group(sub.group).as_string(),
+        "orbit_sizes": sorted(P.block_sizes()),
+        "orbit_size_set": sorted(P.lambda_set()),
+        "slope_partition": P.as_string(),
     }
 
 

@@ -114,21 +114,6 @@ def orbits(generators, degree: int) -> list[list[int]]:
     return out
 
 
-@dataclass(frozen=True)
-class OrbitData:
-    """Orbits of a group on its domain with the derived size statistics."""
-
-    orbit_partition: tuple[tuple[int, ...], ...]
-    sizes: tuple[int, ...]          # sorted multiset
-    size_set: frozenset[int]        # the set N(K) of distinct orbit sizes
-
-
-def orbit_data(group: PermGroup) -> OrbitData:
-    parts = tuple(tuple(o) for o in orbits(group.generators, group.degree))
-    sizes = tuple(sorted(len(o) for o in parts))
-    return OrbitData(parts, sizes, frozenset(sizes))
-
-
 class StabilizerChain:
     """Deterministic Schreier-Sims stabilizer chain for exact group orders.
 

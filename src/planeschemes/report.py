@@ -198,7 +198,7 @@ class AutCache:
                 if not np.array_equal(X.matrix[np.ix_(arr, arr)], X.matrix):
                     return None
             return gens
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError, RecursionError):
             return None
 
     def store(self, X: Scheme, aut):

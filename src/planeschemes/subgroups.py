@@ -10,6 +10,9 @@ C_p : C_d the shift z -> z + 1 with a diagonal element.  For small p the
 full subgroup lattice, the tests' reference, is enumerated by closure over
 generator pairs; every subgroup of PGL(2,p) is 2-generated, so pair
 closures reach all of them.
+
+A subgroup is held as its PermGroup on the p+1 slopes, so p is its degree
+less one; the action is faithful, so each permutation is one element.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ from .permgroup import (
     PermGroup,
     compose,
     group_closure,
-    orbit_data,
-    OrbitData,
     perm_order,
 )
 from .projline import (
@@ -105,44 +106,26 @@ def parse_spec(text: str) -> SubgroupSpec:
     raise ValueError(f"cannot parse subgroup spec {text!r}")
 
 
-@dataclass(frozen=True)
-class PglSubgroup:
-    """A subgroup of PGL(2,p), held as its permutation group on the p+1 slopes.
+def generator_matrices(group: PermGroup) -> tuple[PglElement, ...]:
+    """The canonical matrices of the group's generators, in their order."""
+    return tuple(map(_element_of_perm(group.degree - 1).__getitem__, group.generators))
 
-    The action on the projective line is faithful, so each permutation is
-    one element of PGL(2,p).
+
+def witness_generators(group: PermGroup) -> tuple[PglElement, ...]:
+    """Generators that depend on the subgroup only, not on how it was found.
+
+    The first four elements in canonical order; while they generate a
+    proper subgroup, the first canonical element outside it is appended.
     """
-
-    p: int
-    spec: SubgroupSpec | None
-    group: PermGroup          # on the p+1 projective points, with its elements
-
-    @property
-    def matrices(self) -> tuple[PglElement, ...]:
-        """The canonical matrices of the group's generators, in their order."""
-        return tuple(map(_element_of_perm(self.p).__getitem__, self.group.generators))
-
-    def order(self) -> int:
-        return self.group.order()
-
-    def orbit_data(self) -> OrbitData:
-        return orbit_data(self.group)
-
-    def witness_generators(self) -> tuple[PglElement, ...]:
-        """Generators that depend on the subgroup only, not on how it was found.
-
-        The first four elements in canonical order; while they generate a
-        proper subgroup, the first canonical element outside it is appended.
-        """
-        els, perms, _ = _element_perms(self.p)
-        members = set(self.group.elements)
-        own = [(g, q) for g, q in zip(els, perms) if q in members]
-        gens = own[:4]
-        while True:
-            closed = set(group_closure([q for _, q in gens], self.p + 1).elements)
-            if len(closed) == len(members):
-                return tuple(g for g, _ in gens)
-            gens.append(next((g, q) for g, q in own if q not in closed))
+    els, perms, _ = _element_perms(group.degree - 1)
+    members = set(group.elements)
+    own = [(g, q) for g, q in zip(els, perms) if q in members]
+    gens = own[:4]
+    while True:
+        closed = set(group_closure([q for _, q in gens], group.degree).elements)
+        if len(closed) == len(members):
+            return tuple(g for g, _ in gens)
+        gens.append(next((g, q) for g, q in own if q not in closed))
 
 
 @lru_cache(maxsize=None)
@@ -181,8 +164,7 @@ def is_exceptional_group(group: PermGroup, kind: str) -> bool:
     return group.order() == size and element_order_profile(group) == profile
 
 
-def _presentation(p: int, spec: SubgroupSpec, a: int, b: int, c: int,
-                  size: int) -> PglSubgroup | None:
+def _presentation(p: int, a: int, b: int, c: int, size: int) -> PermGroup | None:
     """<x, y> for the first pair, x of order a and y of order b in canonical
     order of x then y, with x·y of order c and |<x, y>| = size; else None.
 
@@ -200,11 +182,11 @@ def _presentation(p: int, spec: SubgroupSpec, a: int, b: int, c: int,
             if perm_order(compose(qx, qy)) == c:
                 group = group_closure([qx, qy], p + 1)
                 if group.order() == size:
-                    return PglSubgroup(p, spec, group)
+                    return group
     return None
 
 
-def find_subgroup(p: int, spec: SubgroupSpec) -> PglSubgroup | None:
+def find_subgroup(p: int, spec: SubgroupSpec) -> PermGroup | None:
     """Deterministic representative of the requested family, or None if absent.
 
     The dihedral and exceptional kinds come from `_presentation`.  C_d is
@@ -213,10 +195,10 @@ def find_subgroup(p: int, spec: SubgroupSpec) -> PglSubgroup | None:
     """
     check_prime(p)
     if spec.kind == "dihedral":
-        return _presentation(p, spec, spec.d, 2, 2, 2 * spec.d)
+        return _presentation(p, spec.d, 2, 2, 2 * spec.d)
     if spec.kind in EXCEPTIONAL_KINDS:
         c, size, _ = EXCEPTIONAL_KINDS[spec.kind]
-        return _presentation(p, spec, 2, 3, c, size)
+        return _presentation(p, 2, 3, c, size)
     els, _, orders = _element_perms(p)
     diagonal = spec.kind == "frobenius"
     g = next((g for g, o in zip(els, orders)
@@ -227,7 +209,7 @@ def find_subgroup(p: int, spec: SubgroupSpec) -> PglSubgroup | None:
     if diagonal:
         shift = pgl_canonical(1, 1, 0, 1, p)
         gens = (shift,) if spec.d == 1 else (shift, g)
-    return PglSubgroup(p, spec, group_closure(map(point_permutation, gens), p + 1))
+    return group_closure(map(point_permutation, gens), p + 1)
 
 
 def lemma_orbit_size_bound(spec: SubgroupSpec, p: int) -> set[int] | None:
@@ -238,10 +220,7 @@ def lemma_orbit_size_bound(spec: SubgroupSpec, p: int) -> set[int] | None:
     union of the bounds of every family containing the group.
     """
     if spec.kind == "cyclic":
-        out = {1, spec.d}
-        if spec.d == p:
-            out |= {1, p}
-        return out
+        return {1, spec.d}
     if spec.kind == "dihedral":
         out = {2, spec.d, 2 * spec.d}
         if spec.d == p:
@@ -312,14 +291,14 @@ def _closure_set(table: np.ndarray, ident: int, gens: tuple[int, ...]) -> frozen
     return frozenset(seen)
 
 
-def lattice_subgroup(p: int, ids: frozenset[int]) -> PglSubgroup:
-    """Wrap a lattice entry as a PglSubgroup (generators = all elements)."""
+def lattice_subgroup(p: int, ids: frozenset[int]) -> PermGroup:
+    """A lattice entry as a group on the slopes (generators = all elements)."""
     perms = _element_perms(p)[1]
     gens = tuple(perms[i] for i in sorted(ids))
-    return PglSubgroup(p, None, PermGroup(p + 1, gens, tuple(sorted(gens))))
+    return PermGroup(p + 1, gens, tuple(sorted(gens)))
 
 
-def exceptional_subgroups(p: int, kind: str) -> list[PglSubgroup]:
+def exceptional_subgroups(p: int, kind: str) -> list[PermGroup]:
     """All alt(4) (kind="alt4") or alt(5) subgroups of PGL(2,p).
 
     Each kind forms one conjugacy class of PGL(2,p) (Dickson), so these are
@@ -329,22 +308,21 @@ def exceptional_subgroups(p: int, kind: str) -> list[PglSubgroup]:
     return [] if rep is None else list(conjugates(rep))
 
 
-def conjugates(rep: PglSubgroup):
+def conjugates(rep: PermGroup):
     """The distinct conjugates g rep g^-1, in the canonical order of g.
 
     On the slopes g x g^-1 is z -> g(x(g^-1(z))): each conjugate's generators
     and elements are those of rep, conjugated as permutations.
     """
-    p, grp = rep.p, rep.group
-    k = len(grp.generators)
-    stack = np.array(grp.generators + grp.elements)
+    k = len(rep.generators)
+    stack = np.array(rep.generators + rep.elements)
     seen: set[frozenset] = set()
-    for q in _slope_perm_array(p):
+    for q in _slope_perm_array(rep.degree - 1):
         conj = list(map(tuple, q[stack[:, np.argsort(q)]].tolist()))
         key = frozenset(conj[k:])
         if key not in seen:
             seen.add(key)
-            yield PglSubgroup(p, rep.spec, PermGroup(p + 1, tuple(conj[:k]), tuple(sorted(key))))
+            yield PermGroup(rep.degree, tuple(conj[:k]), tuple(sorted(key)))
 
 
 @lru_cache(maxsize=None)
@@ -362,7 +340,7 @@ def _slope_images(p: int, P: SlopePartition) -> np.ndarray:
     return np.asarray(P.rgs)[_slope_perm_array(p)]
 
 
-def match_pgl_subgroup(p: int, P: SlopePartition) -> PglSubgroup | None:
+def match_pgl_subgroup(p: int, P: SlopePartition) -> PermGroup | None:
     """K_P, the elements of PGL(2,p) keeping each block of P, or None.
 
     K_P is returned when its slope orbits are the blocks of P.  A subgroup
@@ -371,12 +349,12 @@ def match_pgl_subgroup(p: int, P: SlopePartition) -> PglSubgroup | None:
     """
     perms = _element_perms(p)[1]
     keep = tuple(perms[i] for i in np.flatnonzero((_slope_images(p, P) == P.rgs).all(axis=1)))
-    sub = PglSubgroup(p, None, PermGroup(p + 1, keep, tuple(sorted(keep))))
-    return sub if partition_from_group(sub.group) == P else None
+    K = PermGroup(p + 1, keep, tuple(sorted(keep)))
+    return K if partition_from_group(K) == P else None
 
 
-def match_exceptional_subgroup(p: int, P: SlopePartition) -> PglSubgroup | None:
-    """An alt(4) or alt(5) whose slope orbits are the blocks of P, or None.
+def match_exceptional_subgroup(p: int, P: SlopePartition) -> tuple[str, PermGroup] | None:
+    """(kind, group) for an alt(4) or alt(5) whose slope orbits are the blocks of P, or None.
 
     None for one block.  Such a subgroup lies in K_P, which is then alt(4),
     sym(4) or alt(5) (Dickson: PSL(2,p) and PGL(2,p) are transitive, and an
@@ -388,10 +366,10 @@ def match_exceptional_subgroup(p: int, P: SlopePartition) -> PglSubgroup | None:
     K = match_pgl_subgroup(p, P)
     if K is None or K.order() % 12:
         return None
-    A = group_closure([q for q in K.group.elements if perm_order(q) == 3], p + 1)
+    A = group_closure([q for q in K.elements if perm_order(q) == 3], p + 1)
     for kind in ("alt4", "alt5"):
         if is_exceptional_group(A, kind) and partition_from_group(A) == P:
-            return PglSubgroup(p, SubgroupSpec(kind), A)
+            return kind, A
     return None
 
 

@@ -133,13 +133,14 @@ def check_orbit_tables(primes=(5, 7, 11, 13)) -> tuple[bool, str]:
             sub = find_subgroup(p, spec)
             if sub is None:
                 continue
-            data = sub.orbit_data()
-            if sum(data.sizes) != p + 1:
-                return False, f"p={p} {spec.describe()}: sizes {data.sizes}"
-            if any(sub.order() % s for s in data.size_set):
+            P = partition_from_group(sub)
+            sizes, size_set = sorted(P.block_sizes()), P.lambda_set()
+            if sum(sizes) != p + 1:
+                return False, f"p={p} {spec.describe()}: sizes {sizes}"
+            if any(sub.order() % s for s in size_set):
                 return False, f"p={p} {spec.describe()}: size not dividing order"
-            if not data.size_set <= allowed:
-                return False, (f"p={p} {spec.describe()}: N={sorted(data.size_set)} "
+            if not size_set <= allowed:
+                return False, (f"p={p} {spec.describe()}: N={sorted(size_set)} "
                                f"beyond {sorted(allowed)}")
             built += 1
     return True, f"{built} subgroups within bounds"
@@ -206,7 +207,7 @@ def check_exceptional(primes=(7, 13)) -> tuple[bool, str]:
             sub = find_subgroup(p, SubgroupSpec(kind))
             if sub is None:     # alt(5) needs 5 | p(p^2 - 1); alt(4) is there at every p
                 continue
-            P = partition_from_group(sub.group)
+            P = partition_from_group(sub)
             if P.num_blocks < 2 or not is_primitive(fuse(p, P)):
                 return False, f"p={p} {kind}: {P} is not a primitive fusion of two blocks or more"
             rec = run_sweep(p, [P])[0]

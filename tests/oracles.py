@@ -14,7 +14,7 @@ import numpy as np
 from planeschemes.errors import InconsistentIntersection, NotStarClosed
 from planeschemes.permgroup import group_closure
 from planeschemes.projline import pgl_elements, pgl_inv, pgl_mul, point_permutation
-from planeschemes.subgroups import _slope_images
+from planeschemes.subgroups import _slope_images, generator_matrices
 
 
 def direct_intersection_count(matrix, r, s, alpha, beta) -> int:
@@ -297,10 +297,10 @@ def matrix_conjugates(rep) -> list:
     """(matrices, group) of each distinct conjugate g rep g^-1, in the canonical
     order of g: rep's generator matrices conjugated by matrix products, then closed."""
     out, seen = [], set()
-    for g in pgl_elements(rep.p):
+    for g in pgl_elements(rep.degree - 1):
         ginv = pgl_inv(g)
-        mats = tuple(pgl_mul(pgl_mul(g, x), ginv) for x in rep.matrices)
-        grp = group_closure([point_permutation(x) for x in mats], rep.p + 1)
+        mats = tuple(pgl_mul(pgl_mul(g, x), ginv) for x in generator_matrices(rep))
+        grp = group_closure([point_permutation(x) for x in mats], rep.degree)
         if frozenset(grp.elements) not in seen:
             seen.add(frozenset(grp.elements))
             out.append((mats, grp))

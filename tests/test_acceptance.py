@@ -12,7 +12,12 @@ from planeschemes import verifypaper
 from planeschemes.affine import SlopePartition, fuse, partition_from_group, partitions_iter
 from planeschemes.report import report_digest, run_sweep
 from planeschemes.scheme import Scheme
-from planeschemes.subgroups import exceptional_subgroups, match_pgl_subgroup, pgl_orbit
+from planeschemes.subgroups import (
+    exceptional_subgroups,
+    match_pgl_subgroup,
+    pgl_orbit,
+    witness_generators,
+)
 from planeschemes.verifypaper import (
     check_aaut_full,
     check_affine_laws,
@@ -169,10 +174,10 @@ def test_p7_exceptional_records_are_the_conjugates_orbit_fusions(p7_records):
     want = {}
     for verdict, kind in (("ExceptionalA4", "alt4"), ("ExceptionalA5", "alt5")):
         for sub in exceptional_subgroups(7, kind):
-            P = partition_from_group(sub.group)
+            P = partition_from_group(sub)
             if P.num_blocks > 1:
                 want[P.as_string()] = (verdict, {
-                    "generators": [list(g.entries()) for g in sub.witness_generators()],
+                    "generators": [list(g.entries()) for g in witness_generators(sub)],
                     "order": sub.order()})
     got = {r.partition_rgs: (r.verdict, r.witness) for r in p7_records
            if r.verdict in ("ExceptionalA4", "ExceptionalA5")}

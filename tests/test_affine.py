@@ -138,11 +138,11 @@ def test_fusion_from_group_equals_algebraic_fusion():
             sub = find_subgroup(p, spec)
             if sub is None:
                 continue
-            P = partition_from_group(sub.group)
+            P = partition_from_group(sub)
             direct = fuse(p, P)
             # the induced color group: slope label l acts as color l+1
             color_gens = []
-            for g in sub.group.generators:
+            for g in sub.generators:
                 perm = [0] * (p + 2)
                 for label in range(p + 1):
                     perm[label + 1] = g[label] + 1

@@ -10,12 +10,19 @@ A rename there would break every benchmark run without failing a test.
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from planeschemes import report
 from planeschemes.classify import _Analyzer
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 SPANS = BENCH / "spans.py"
 
 
@@ -68,3 +75,22 @@ def test_every_benchmark_import_resolves():
     for file, names in files.items():
         for module, name in names:
             assert hasattr(importlib.import_module(module), name), (file, module, name)
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_benchmark_setup_runs(trace):
+    """bench/child.py's set-up, with and without spans, in a fresh interpreter.
+
+    It calls library functions with arguments that a check of names alone
+    would not see change.
+    """
+    src = str(ROOT / "src")
+    job = {"src": src, "trace": trace, "jobs": 1, "p": 5, "build_tables": True,
+           "setup_only": True}
+    out = subprocess.run([sys.executable, "-W", "error", str(BENCH / "child.py"), json.dumps(job)],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    ready, line = out.stdout.splitlines()
+    assert ready == "ready"
+    assert set(json.loads(line)) == {"cal_after_ready"}

@@ -50,6 +50,7 @@ from planeschemes.subgroups import (
     find_subgroup,
     match_pgl_subgroup,
     pgl_orbit,
+    witness_generators,
 )
 
 
@@ -93,7 +94,7 @@ def test_classify_flags_consistent():
 
 def test_exceptional_a4_at_p7():
     a4 = find_subgroup(7, SubgroupSpec("alt4"))
-    P = partition_from_group(a4.group)
+    P = partition_from_group(a4)
     res = _Analyzer(7).classify(P)
     assert res.verdict == EXCEPTIONAL_A4
     assert res.primitive and res.pseudocyclic
@@ -104,11 +105,11 @@ def test_exceptional_a4_at_p17_inside_sym4():
     # K_P is a sym(4) keeping both orbits of its alt(4); the verdict and
     # witness are the alt(4)'s, as from a table of its conjugates
     a4 = find_subgroup(17, SubgroupSpec("alt4"))
-    P = partition_from_group(a4.group)
+    P = partition_from_group(a4)
     assert match_pgl_subgroup(17, P).order() == 24
     res = _Analyzer(17).classify(P)
     assert res.verdict == EXCEPTIONAL_A4
-    assert res.witness == {"generators": [list(g.entries()) for g in a4.witness_generators()],
+    assert res.witness == {"generators": [list(g.entries()) for g in witness_generators(a4)],
                            "order": 12}
     assert verify_witness(17, P, res.verdict, res.witness)
 
@@ -130,7 +131,7 @@ def test_exceptional_verdict_builds_no_subgroup_lattice():
 
 def test_involutive_verdict_d6_at_p7():
     d6 = find_subgroup(7, SubgroupSpec("dihedral", 3))
-    P = partition_from_group(d6.group)
+    P = partition_from_group(d6)
     res = _Analyzer(7).classify(P)
     assert res.verdict == INVOLUTIVE
     assert res.witness["inner"]["verdict"] == SUBTENSOR
@@ -175,7 +176,7 @@ def test_involutive_presentation_degenerate_for_transitive_sym4():
     # so its partition is the one-block one; P itself (the degenerate
     # presentation with the identity involution) is not a presentation
     s4 = find_subgroup(5, SubgroupSpec("sym4"))
-    one = partition_from_group(s4.group)
+    one = partition_from_group(s4)
     assert one == SlopePartition.from_string("000000")
     pairs = list(involutive_presentations(one))
     assert one not in [P2 for P2, _ in pairs]
@@ -224,7 +225,7 @@ def test_match_pgl_subgroup_examples():
         sub = match_pgl_subgroup(p, P)
         assert (None if sub is None else sub.order()) == order, (p, rgs)
         if sub is not None:
-            assert partition_from_group(sub.group) == P
+            assert partition_from_group(sub) == P
     # the wrong number of labels, too many or too few
     for fn, p, rgs in ((match_pgl_subgroup, 5, "0123"), (pgl_orbit, 3, "00001"),
                        (pgl_orbit, 5, "0001")):

@@ -3,12 +3,12 @@ import random
 
 import pytest
 
+from planeschemes.affine import partition_from_group
 from planeschemes.errors import ClosureBudgetExceeded
 from planeschemes.permgroup import (
     StabilizerChain,
     compose,
     group_closure,
-    orbit_data,
     orbits,
     perm_order,
 )
@@ -57,11 +57,12 @@ def test_closure_budget():
 
 def test_orbits_union_find():
     neg5 = point_permutation(pgl_canonical(4, 0, 0, 1, 5))   # z -> -z
-    data = orbit_data(group_closure([neg5], 6))
-    assert data.sizes == (1, 1, 2, 2)
-    assert data.size_set == frozenset({1, 2})
-    assert ((0,), (5,)) == tuple(o for o in data.orbit_partition if len(o) == 1)
-    assert ((1, 4), (2, 3)) == tuple(o for o in data.orbit_partition if len(o) == 2)
+    group = group_closure([neg5], 6)
+    P = partition_from_group(group)
+    assert sorted(P.block_sizes()) == [1, 1, 2, 2]
+    assert P.lambda_set() == frozenset({1, 2})
+    assert orbits(group.generators, 6) == [[0], [1, 4], [2, 3], [5]]
+    assert P.blocks() == ((0,), (1, 4), (2, 3), (5,))
 
 
 def test_orbit_partition_trivial():

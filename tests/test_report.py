@@ -52,6 +52,15 @@ def test_report_jobs_deterministic():
     assert report_json_bytes(seq) == report_json_bytes(par)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_progress_counts_each_record(jobs):
+    calls = []
+    records = run_sweep(3, partitions_iter(4), jobs=jobs,
+                        progress=lambda done, total: calls.append((done, total)))
+    n = len(records)
+    assert n == 15 and calls == [(i, n) for i in range(1, n + 1)]
+
+
 def test_csv_round_trip(tmp_path):
     records = run_sweep(3, partitions_iter(4))
     path = tmp_path / "report.csv"
@@ -117,6 +126,21 @@ def test_cache_corruption_recomputes(tmp_path):
         fh.write(b"garbage not json")
     again = _Analyzer(3, cache).classify(P)
     assert again.aut_order == first.aut_order == 362880
+
+
+def test_cache_deeply_nested_entry_is_ignored(tmp_path):
+    # json.loads raises RecursionError, not ValueError, on nesting this deep;
+    # the corrupt entry is ignored, and the sweep that reads it gives the
+    # record of a sweep with no cache
+    P = SlopePartition.from_string("0111")
+    X = fuse(3, P)
+    cache = AutCache(str(tmp_path / "cache"))
+    os.makedirs(cache.directory)
+    with open(os.path.join(cache.directory, scheme_digest(X) + ".json"), "w") as fh:
+        fh.write("[" * 100000)
+    assert cache.load(X) is None
+    got = run_sweep(3, [P], cache=cache)
+    assert [record_to_dict(r) for r in got] == [record_to_dict(r) for r in run_sweep(3, [P])]
 
 
 def test_cache_malformed_entries_recompute(tmp_path, monkeypatch):

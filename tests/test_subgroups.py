@@ -19,6 +19,7 @@ from planeschemes.subgroups import (
     element_order_profile,
     exceptional_subgroups,
     find_subgroup,
+    generator_matrices,
     is_exceptional_group,
     lattice_subgroup,
     lemma_orbit_size_bound,
@@ -27,6 +28,7 @@ from planeschemes.subgroups import (
     parse_spec,
     pgl_orbit,
     subgroup_lattice,
+    witness_generators,
 )
 from test_autsearch import _orbit_representatives
 
@@ -54,7 +56,7 @@ def test_spec_validation():
 def test_cyclic_subgroups():
     sub = find_subgroup(5, SubgroupSpec("cyclic", 1))
     assert sub.order() == 1
-    assert sub.orbit_data().sizes == (1,) * 6
+    assert sorted(partition_from_group(sub).block_sizes()) == [1] * 6
 
     sub = find_subgroup(5, SubgroupSpec("cyclic", 4))
     assert sub.order() == 4
@@ -65,29 +67,28 @@ def test_cyclic_subgroups():
 def test_dihedral_subgroups():
     sub = find_subgroup(7, SubgroupSpec("dihedral", 3))
     assert sub.order() == 6
-    profile = element_order_profile(sub.group)
+    profile = element_order_profile(sub)
     assert profile == {1: 1, 2: 3, 3: 2}
-    data = sub.orbit_data()
-    assert data.size_set <= {2, 3, 6}
+    assert partition_from_group(sub).lambda_set() <= {2, 3, 6}
 
 
 def test_frobenius_subgroups():
     sub = find_subgroup(7, SubgroupSpec("frobenius", 2))
     assert sub.order() == 14
-    assert sub.orbit_data().size_set <= {1, 7}
+    assert partition_from_group(sub).lambda_set() <= {1, 7}
     assert find_subgroup(7, SubgroupSpec("frobenius", 4)) is None   # 4 | 6 fails
 
 
 def test_exceptional_subgroups_found():
     a4 = find_subgroup(7, SubgroupSpec("alt4"))
     assert a4.order() == 12
-    profile = element_order_profile(a4.group)
+    profile = element_order_profile(a4)
     assert profile == {1: 1, 2: 3, 3: 8}
     assert 4 not in profile
 
     s4 = find_subgroup(5, SubgroupSpec("sym4"))
     assert s4.order() == 24
-    assert element_order_profile(s4.group) == {1: 1, 2: 9, 3: 8, 4: 6}
+    assert element_order_profile(s4) == {1: 1, 2: 9, 3: 8, 4: 6}
 
     a5 = find_subgroup(5, SubgroupSpec("alt5"))
     assert a5.order() == 60
@@ -118,7 +119,7 @@ def test_subgroup_lattice_counts():
 def test_lattice_entries_are_groups():
     for ids in subgroup_lattice(3):
         sub = lattice_subgroup(3, ids)
-        assert sub.group.order() == len(ids)
+        assert sub.degree == 4 and sub.order() == len(ids)
         assert (sub.order() == 1) == (len(ids) == 1)
         assert 24 % sub.order() == 0
 
@@ -132,15 +133,14 @@ def test_exceptional_enumeration():
     a4s7 = exceptional_subgroups(7, "alt4")
     assert len(a4s7) == 14
     for sub in a4s7:
-        assert sub.orbit_data().sizes == (4, 4)
+        assert sorted(partition_from_group(sub).block_sizes()) == [4, 4]
     # the conjugates of one representative are exactly the lattice's members
     counts = {}
     for p in (3, 5, 7):
         lattice = [lattice_subgroup(p, ids) for ids in subgroup_lattice(p)]
         for kind in ("alt4", "alt5"):
-            found = {frozenset(s.group.elements) for s in exceptional_subgroups(p, kind)}
-            want = {frozenset(s.group.elements) for s in lattice
-                    if is_exceptional_group(s.group, kind)}
+            found = {frozenset(s.elements) for s in exceptional_subgroups(p, kind)}
+            want = {frozenset(s.elements) for s in lattice if is_exceptional_group(s, kind)}
             assert found == want, (p, kind)
             counts[p, kind] = len(found)
     assert counts == {(3, "alt4"): 1, (3, "alt5"): 0, (5, "alt4"): 5,
@@ -162,9 +162,9 @@ def test_conjugates_equal_matrix_conjugation():
             want = [] if rep is None else matrix_conjugates(rep)
             assert len(got) == len(want), (p, kind)
             for sub, (mats, grp) in zip(got, want):
-                assert sub.matrices == mats, (p, kind)
-                assert sub.group.generators == grp.generators, (p, kind)
-                assert sub.group.elements == grp.elements, (p, kind)
+                assert generator_matrices(sub) == mats, (p, kind)
+                assert sub.generators == grp.generators, (p, kind)
+                assert sub.elements == grp.elements, (p, kind)
             counts[p, kind] = len(got)
     assert counts == {(5, "alt4"): 5, (5, "alt5"): 1, (7, "alt4"): 14, (7, "alt5"): 0,
                       (11, "alt4"): 55, (11, "alt5"): 22, (13, "alt4"): 91, (13, "alt5"): 0}
@@ -177,8 +177,8 @@ def test_block_stabiliser_matrices_are_its_elements_in_canonical_order():
         for P in partitions_iter(p + 1):
             K = match_pgl_subgroup(p, P)
             if K is not None:
-                members = set(K.group.elements)
-                assert K.matrices == tuple(g for g, q in zip(els, perms) if q in members)
+                members = set(K.elements)
+                assert generator_matrices(K) == tuple(g for g, q in zip(els, perms) if q in members)
 
 
 def test_block_stabiliser_realises_exactly_the_lattice_partitions():
@@ -187,16 +187,16 @@ def test_block_stabiliser_realises_exactly_the_lattice_partitions():
         realising = {}
         for ids in subgroup_lattice(p):
             sub = lattice_subgroup(p, ids)
-            realising.setdefault(partition_from_group(sub.group), []).append(sub)
+            realising.setdefault(partition_from_group(sub), []).append(sub)
         matched = {}
         for P in partitions_iter(p + 1):
             sub = match_pgl_subgroup(p, P)
             if sub is not None:
-                matched[P] = set(sub.group.elements)
+                matched[P] = set(sub.elements)
         assert set(matched) == set(realising), p
         for P, subs in realising.items():
             for sub in subs:
-                assert set(sub.group.elements) <= matched[P], (p, P.as_string())
+                assert set(sub.elements) <= matched[P], (p, P.as_string())
         counts[p] = len(matched)
     assert counts == {3: 15, 5: 78, 7: 248}
 
@@ -213,18 +213,18 @@ def test_exceptional_match_is_each_conjugate():
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         for kind in ("alt4", "alt5") if p == 5 or p % 10 in (1, 9) else ("alt4",):
             rep = find_subgroup(p, SubgroupSpec(kind))
-            transitive = partition_from_group(rep.group).num_blocks == 1
+            transitive = partition_from_group(rep).num_blocks == 1
             subs = [rep] if transitive or p > 19 else exceptional_subgroups(p, kind)
             for sub in subs:
-                P = partition_from_group(sub.group)
+                P = partition_from_group(sub)
                 A = match_exceptional_subgroup(p, P)
                 if transitive:
                     assert A is None, (p, kind)
                     continue
-                assert A.spec.kind == kind and A.group.elements == sub.group.elements
+                assert A[0] == kind and A[1].elements == sub.elements
                 K = match_pgl_subgroup(p, P)
                 stabilisers[p, kind] = K.order()
-                assert set(sub.group.elements) <= set(K.group.elements)
+                assert set(sub.elements) <= set(K.elements)
     # only at p = 17 does K_P exceed the subgroup: a sym(4) with the same
     # two orbits, 6 and 12 slopes
     assert stabilisers == {(7, "alt4"): 12, (13, "alt4"): 12, (17, "alt4"): 24,
@@ -240,12 +240,12 @@ def test_exceptional_witness_generates_the_subgroup():
     for p in (5, 7, 11, 13):
         for kind, verdict in (("alt4", EXCEPTIONAL_A4), ("alt5", EXCEPTIONAL_A5)):
             for sub in exceptional_subgroups(p, kind):
-                gens = sub.witness_generators()
+                gens = witness_generators(sub)
                 closed = group_closure([point_permutation(g) for g in gens], p + 1)
-                assert closed.elements == sub.group.elements, (p, kind, gens)
+                assert closed.elements == sub.elements, (p, kind, gens)
                 witness = {"generators": [list(g.entries()) for g in gens],
                            "order": sub.order()}
-                P = partition_from_group(sub.group)
+                P = partition_from_group(sub)
                 holds = verify_witness(p, P, verdict, witness)
                 assert holds == (P.num_blocks > 1), (p, kind, P)
                 verified[p, kind, holds] += 1
@@ -261,9 +261,9 @@ def test_orbit_sizes_divide_group_order():
             sub = find_subgroup(p, spec)
             if sub is None:
                 continue
-            data = sub.orbit_data()
-            assert sum(data.sizes) == p + 1
-            for s in data.size_set:
+            P = partition_from_group(sub)
+            assert sum(P.block_sizes()) == p + 1
+            for s in P.lambda_set():
                 assert sub.order() % s == 0
 
 
