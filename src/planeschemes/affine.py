@@ -87,17 +87,16 @@ class SlopePartition:
                 assign[label] = i
         if sorted(assign) != list(range(n_labels)):
             raise ValueError("blocks do not cover the labels exactly")
-        renum: dict[int, int] = {}
-        rgs = []
-        for label in range(n_labels):
-            b = assign[label]
-            if b not in renum:
-                renum[b] = len(renum)
-            rgs.append(renum[b])
-        return cls(tuple(rgs))
+        return cls(canonical_rgs(assign[label] for label in range(n_labels)))
 
     def __str__(self) -> str:
         return self.as_string()
+
+
+def canonical_rgs(labels) -> tuple[int, ...]:
+    """The block labels renumbered in order of first occurrence: their partition's rgs."""
+    first: dict = {}
+    return tuple(first.setdefault(b, len(first)) for b in labels)
 
 
 def partitions_iter(n: int):

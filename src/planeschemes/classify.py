@@ -38,6 +38,7 @@ from .affine import (
     SlopePartition,
     affine_automorphisms,
     build_affine_scheme,
+    canonical_rgs,
     fuse,
     lambda_criteria,
     partition_from_group,
@@ -104,7 +105,7 @@ class ReportRecord:
     verdict: str
     witness: dict                   # re-checked by `verify_witness`
     error: str | None
-    elapsed_ms: float = 0.0         # not serialized; totals go to the sidecar
+    elapsed_ms: float = 0.0         # set on pool records, 0.0 in a serial sweep; not serialized
 
 
 def make_record(p: int, P: SlopePartition, verdict: str, witness: dict, primitive=None,
@@ -187,15 +188,16 @@ def _point_map(p: int, g: PglElement) -> np.ndarray:
     return (d * x + c * y) % p * p + (b * x + a * y) % p
 
 
-def _carries(sigma: np.ndarray, to_matrix: np.ndarray, from_matrix: np.ndarray) -> bool:
-    """Whether to_matrix[sigma][:, sigma] == lut[from_matrix] for a color bijection lut.
+def _color_map(sigma: np.ndarray, to_matrix: np.ndarray, from_matrix: np.ndarray):
+    """The color bijection lut with to_matrix[sigma][:, sigma] == lut[from_matrix], or None.
 
-    Then sigma is an isomorphism of the two schemes (a bijective lut also
-    makes sigma injective, since color 0 is the diagonal's alone).
+    With one, sigma is an isomorphism of the two schemes (a bijective lut also
+    makes sigma injective, and sends 0 to 0, since color 0 is the diagonal's alone).
     """
     lut = color_lut(from_matrix, to_matrix[np.ix_(sigma, sigma)])
-    return (lut is not None and len(lut) == int(to_matrix.max()) + 1
-            and bool(np.bincount(lut).max() == 1))
+    bijective = (lut is not None and len(lut) == int(to_matrix.max()) + 1
+                 and np.bincount(lut).max() == 1)
+    return lut if bijective else None
 
 
 @lru_cache(maxsize=None)
@@ -207,17 +209,10 @@ def _slope_map(p: int, g: PglElement) -> tuple[int, ...]:
     the canonical form of R.rgs[pi_g] onto the R-fusion, for any partition R.
     """
     A = build_affine_scheme(p).matrix
-    sigma = _point_map(p, g)
-    lut = color_lut(A, A[np.ix_(sigma, sigma)])
-    if lut is None or lut[0] != 0 or sorted(lut.tolist()) != list(range(p + 2)):
+    lut = _color_map(_point_map(p, g), A, A)
+    if lut is None:
         raise InvariantViolated(f"the point map of {g.entries()} permutes no slopes at p={p}")
     return tuple(c - 1 for c in lut[1:].tolist())
-
-
-def _relabelled(rgs: tuple[int, ...], pi: tuple[int, ...]) -> tuple[int, ...]:
-    """The canonical form of rgs[pi]: blocks renumbered in order of first slope."""
-    first: dict[int, int] = {}
-    return tuple(first.setdefault(rgs[s], len(first)) for s in pi)
 
 
 class _OrbitInvariants(NamedTuple):
@@ -270,7 +265,7 @@ class _Analyzer:
         known = self.orbit_memo.get(P.rgs)
         if known is not None:
             g, inv = known
-            if _relabelled(inv.rgs, _slope_map(self.p, g)) != P.rgs:
+            if canonical_rgs(inv.rgs[s] for s in _slope_map(self.p, g)) != P.rgs:
                 raise InvariantViolated(
                     f"the point map of {g.entries()} does not carry the {P}-fusion "
                     f"onto the fusion searched for its orbit at p={self.p}")
@@ -385,7 +380,7 @@ def _witness_holds(p: int, P: SlopePartition, verdict: str, witness: dict,
             return False
         # point a1 * p + c of the wreath is the a1-th least member of class c
         old_of_new = np.argsort(parabolic_classes(X, e), kind="stable").reshape(p, p).T.ravel()
-        return _carries(old_of_new, X.matrix, _trivial_wreath(p).matrix)
+        return _color_map(old_of_new, X.matrix, _trivial_wreath(p).matrix) is not None
     if verdict == SUBTENSOR:
         e1, e2 = (parabolic_from_colors(X, c) for c in witness["parabolic_pair"])
         quotients = e1 is not None and e2 is not None and is_subtensor(X, e1, e2)

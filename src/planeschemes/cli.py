@@ -216,9 +216,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except PlaneSchemesError as exc:
+    except (PlaneSchemesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, OSError) else 1     # OSError: an unwritable output path
 
 
 if __name__ == "__main__":

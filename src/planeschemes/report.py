@@ -229,16 +229,15 @@ def classify_record(analyzer: _Analyzer, P: SlopePartition) -> ReportRecord:
     record's error, under that verdict with flags, aut_order and witness
     cleared.  A failed witness check sets only the error: the record keeps
     the verdict, flags and witness that failed.  Every other exception
-    propagates.  elapsed_ms times the classification and the check.
+    propagates.
     """
-    start = time.perf_counter()
     try:
         rec = analyzer.classify(P)
         if not verify_witness(analyzer.p, P, rec.verdict, rec.witness):
             rec = replace(rec, error=f"witness verification failed for {P} -> {rec.verdict}")
     except UnclassifiableSchurian as exc:
         rec = make_record(analyzer.p, P, UNCLASSIFIABLE, {}, error=str(exc))
-    return replace(rec, elapsed_ms=(time.perf_counter() - start) * 1000.0)
+    return rec
 
 
 _worker_analyzer: _Analyzer | None = None   # one per pool worker
@@ -250,8 +249,11 @@ def _start_worker(p: int, cache: AutCache | None):
 
 
 def _classify_one(rgs: str) -> dict:
-    rec = classify_record(_worker_analyzer, SlopePartition.from_string(rgs))
-    return record_to_dict(rec) | {"_elapsed_ms": rec.elapsed_ms}
+    P = SlopePartition.from_string(rgs)
+    start = time.perf_counter()
+    rec = classify_record(_worker_analyzer, P)
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    return record_to_dict(rec) | {"_elapsed_ms": elapsed_ms}
 
 
 def run_sweep(p: int, partitions, jobs: int = 1,

@@ -58,13 +58,6 @@ class Scheme:
             int(self.tensor[s, self.star[s], 0]) for s in range(self.rank)
         )
 
-    @cached_property
-    def composition_masks(self) -> tuple[tuple[int, ...], ...]:
-        """Exact ints at any rank: bit t of entry [a][b] set iff c(a, b, t) > 0."""
-        packed = np.packbits(self.tensor > 0, axis=2, bitorder="little")
-        return tuple(tuple(int.from_bytes(cell, "little") for cell in row)
-                     for row in packed.tolist())
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Scheme) and np.array_equal(self.matrix, other.matrix)
 
@@ -242,22 +235,25 @@ class ParabolicSet:
         return len(self.colors) == 1 or len(self.colors) == rank
 
 
-def _closure(masks, bits: int, new: int) -> int:
-    """The least composition-closed color set holding bits | new; bits must be closed."""
-    bits |= new
-    while new:
-        fresh = _members(new)
-        grown = 0
-        for a in _members(bits):
-            for b in fresh:
-                grown |= masks[a][b] | masks[b][a]
-        new = grown & ~bits
-        bits |= new
-    return bits
+def _closures(X: Scheme, rows: np.ndarray) -> np.ndarray:
+    """Each row of a (k, rank) color mask grown to the least composition-closed set holding it.
+
+    A set holding colors a and b holds each t with c(a, b, t) > 0: one
+    boolean product over the tensor's support adds them all, until none is new.
+    """
+    meets = (X.tensor > 0).reshape(X.rank ** 2, X.rank)     # row a * rank + b: c(a, b, t) > 0
+    while True:
+        grown = rows | (rows[:, :, None] & rows[:, None, :]).reshape(len(rows), len(meets)) @ meets
+        if np.count_nonzero(grown) == np.count_nonzero(rows):     # grown holds rows
+            return rows
+        rows = grown
 
 
-def _members(bits: int) -> list[int]:
-    return [c for c in range(bits.bit_length()) if bits >> c & 1]
+def _seeds(X: Scheme) -> np.ndarray:
+    """Row s - 1 holds {0, s, s*}, for each nonzero color s."""
+    rows = np.eye(X.rank, dtype=bool)[1:]
+    rows[:, 0] = True
+    return rows | rows[:, list(X.star)]
 
 
 def parabolics(X: Scheme) -> tuple[ParabolicSet, ...]:
@@ -266,21 +262,20 @@ def parabolics(X: Scheme) -> tuple[ParabolicSet, ...]:
 
     Each parabolic is the closure of a smaller one plus one color and its star.
     """
-    masks = X.composition_masks
-    minimal = {_closure(masks, 1, 1 << s | 1 << X.star[s]) for s in range(1, X.rank)}
-    found = [1]                       # {0}: the diagonal alone
+    minimal = _closures(X, _seeds(X))
+    found = [np.arange(X.rank) == 0]          # {0}: the diagonal alone
     for e in found:
-        for g in minimal:
-            f = _closure(masks, e, g & ~e)
-            if f not in found:
+        for f in _closures(X, e | minimal):
+            if f.tobytes() not in [g.tobytes() for g in found]:
                 found.append(f)
-    first = sum(1 << s for s in range(X.rank) if s <= X.star[s])
-    return tuple(_parabolic_set(X, bits) for bits in sorted(found, key=lambda b: b & first))
+    first = np.arange(X.rank) <= np.array(X.star)
+    found.sort(key=lambda f: (f & first)[::-1].tobytes())    # bytes order: the binary number's
+    return tuple(_parabolic_set(X, np.flatnonzero(f).tolist()) for f in found)
 
 
-def _parabolic_set(X: Scheme, bits: int) -> ParabolicSet:
+def _parabolic_set(X: Scheme, colors) -> ParabolicSet:
     """The ParabolicSet of a closed color set, its class size read off the valencies."""
-    colors = frozenset(_members(bits))
+    colors = frozenset(colors)
     class_size = sum(X.valencies[s] for s in colors)
     if X.n % class_size:
         raise InvariantViolated("parabolic classes of unequal size")
@@ -290,18 +285,20 @@ def _parabolic_set(X: Scheme, bits: int) -> ParabolicSet:
 def parabolic_from_colors(X: Scheme, colors) -> ParabolicSet | None:
     """The parabolic with exactly these colors; None when they are none.
 
-    They form one when they hold 0, are star-closed and `_closure` leaves
-    them unchanged: their union is then reflexive, symmetric and
-    transitive.  Only the given set is tested; TypeError for a non-integer
-    color.
+    They form one when they hold 0, are star-closed and every product of two
+    of them meets only colors among them: their union is then reflexive,
+    symmetric and transitive.  Only the given set is tested; TypeError for
+    a non-integer color.
     """
     members = set(colors)
     if 0 not in members or not members <= set(range(X.rank)):
         return None
     if any(X.star[c] not in members for c in members):
         return None
-    bits = sum(1 << c for c in members)
-    return _parabolic_set(X, bits) if _closure(X.composition_masks, 0, bits) == bits else None
+    r = X.rank                  # row a * r + b of the reshaped tensor: c(a, b, t) for each t
+    cells = X.tensor.reshape(r * r, r)[[a * r + b for a in members for b in members]]
+    met = set(np.nonzero(cells)[1].tolist())      # holds the members, as 0 is among them
+    return _parabolic_set(X, met) if met == members else None
 
 
 def is_primitive(X: Scheme) -> bool:
@@ -309,10 +306,7 @@ def is_primitive(X: Scheme) -> bool:
 
     Rank 1 is not primitive: its one parabolic is both trivial ones.
     """
-    masks = X.composition_masks
-    every = (1 << X.rank) - 1
-    return X.rank > 1 and all(_closure(masks, 1, 1 << s | 1 << X.star[s]) == every
-                              for s in range(1, X.rank))
+    return X.rank > 1 and bool(_closures(X, _seeds(X)).all())
 
 
 def parabolic_classes(X: Scheme, e: ParabolicSet) -> np.ndarray:

@@ -30,6 +30,14 @@ def test_partition_encoding():
         SlopePartition((1, 0))
 
 
+@pytest.mark.parametrize("blocks", [[(0, 1), (1, 2, 3)], [(0, 1), (3,)], [(0, 1, 2), (3, -1)],
+                                    [(0, 1, 2), (3, 4)]],
+                         ids=["two-blocks", "missing", "negative", "too-large"])
+def test_from_blocks_rejects_what_is_no_partition_of_the_labels(blocks):
+    with pytest.raises(ValueError):
+        SlopePartition.from_blocks(blocks, 4)
+
+
 def test_partitions_iter_counts_and_order():
     for n in range(1, 10):
         got = [P.rgs for P in partitions_iter(n)]

@@ -11,12 +11,10 @@ import ast
 import importlib
 import importlib.util
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+from conftest import run_fresh
 
 from planeschemes import report
 from planeschemes.classify import _Analyzer
@@ -84,13 +82,8 @@ def test_benchmark_setup_runs(trace):
     It calls library functions with arguments that a check of names alone
     would not see change.
     """
-    src = str(ROOT / "src")
-    job = {"src": src, "trace": trace, "jobs": 1, "p": 5, "build_tables": True,
+    job = {"src": str(ROOT / "src"), "trace": trace, "jobs": 1, "p": 5, "build_tables": True,
            "setup_only": True}
-    out = subprocess.run([sys.executable, "-W", "error", str(BENCH / "child.py"), json.dumps(job)],
-                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-                         timeout=120)
-    assert out.returncode == 0, out.stderr
-    ready, line = out.stdout.splitlines()
+    ready, line = run_fresh([str(BENCH / "child.py"), json.dumps(job)]).splitlines()
     assert ready == "ready"
     assert set(json.loads(line)) == {"cal_after_ready"}

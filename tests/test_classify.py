@@ -1,19 +1,18 @@
 import functools
 import json
-import os
 import random
-import subprocess
-import sys
 from collections import Counter
 from math import factorial
 
 import numpy as np
 import pytest
+from conftest import run_fresh
 
 from planeschemes import classify
 from planeschemes.affine import (
     SlopePartition,
     bell_number,
+    canonical_rgs,
     fuse,
     fusion_matrix,
     lambda_criteria,
@@ -32,9 +31,8 @@ from planeschemes.classify import (
     UNCLASSIFIABLE,
     UNKNOWN,
     _Analyzer,
-    _carries,
+    _color_map,
     _point_map,
-    _relabelled,
     _slope_map,
     _subgroup_witness,
     involutive_presentations,
@@ -52,20 +50,6 @@ from planeschemes.subgroups import (
     pgl_orbit,
     witness_generators,
 )
-
-
-def _run_fresh(code: str, *flags: str) -> str:
-    """Stdout of `code` run in a fresh interpreter on this source tree.
-
-    It runs under -W error: any warning fails it, as the filterwarnings of
-    pyproject.toml fail a test in-process.
-    """
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run([sys.executable, "-W", "error", *flags, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    return out.stdout
 
 
 def test_classify_p3_examples():
@@ -126,7 +110,7 @@ def test_exceptional_verdict_builds_no_subgroup_lattice():
         "res = _Analyzer(7).classify(SlopePartition.from_string('00111010'))\n"
         "print(res.verdict, subgroup_lattice.cache_info().currsize)\n"
     )
-    assert _run_fresh(code).split() == [EXCEPTIONAL_A4, "0"]
+    assert run_fresh(["-c", code]).split() == [EXCEPTIONAL_A4, "0"]
 
 
 def test_involutive_verdict_d6_at_p7():
@@ -412,7 +396,7 @@ def test_lambda_mismatch_raises_under_python_O():
         "except InvariantViolated:\n"
         "    print('raised')\n"
     )
-    assert _run_fresh(code, "-O").strip() == "raised"
+    assert run_fresh(["-O", "-c", code]).strip() == "raised"
 
 
 def _burnside_orbit_count(p: int) -> int:
@@ -473,8 +457,8 @@ def test_point_map_carries_each_orbit_member_onto_the_fusion():
         for rgs, g in orbit.items():
             if (p, rgs) not in matrices:
                 matrices[p, rgs] = fusion_matrix(p, SlopePartition(rgs))
-            assert _carries(_point_map(p, g), XP, matrices[p, rgs]), (p, P, rgs, g)
-            assert _relabelled(P.rgs, _slope_map(p, g)) == rgs, (p, P, rgs, g)
+            assert _color_map(_point_map(p, g), XP, matrices[p, rgs]) is not None, (p, P, rgs, g)
+            assert canonical_rgs(P.rgs[s] for s in _slope_map(p, g)) == rgs, (p, P, rgs, g)
         Q = min(orbit)
         assert _sigma_carries(p, orbit[Q], P, SlopePartition(Q)), (p, P, orbit[Q])
 
@@ -482,14 +466,14 @@ def test_point_map_carries_each_orbit_member_onto_the_fusion():
 def test_carries_needs_a_color_bijection_and_an_isomorphism():
     X = fusion_matrix(3, SlopePartition.from_string("0123"))
     identity = np.arange(9)
-    assert _carries(identity, X, X)
+    assert _color_map(identity, X, X).tolist() == list(range(5))
     # the colors of X_A are a function of themselves, but merge onto 0111's
     # three: a lut, not a bijection
-    assert not _carries(identity, fusion_matrix(3, SlopePartition.from_string("0111")), X)
+    assert _color_map(identity, fusion_matrix(3, SlopePartition.from_string("0111")), X) is None
     # swapping (0,1) and (1,0) alone maps a vertical pair onto a slope-0 pair
     # and another vertical pair onto a vertical one: no lut at all
     swap = np.array([0, 3, 2, 1, 4, 5, 6, 7, 8])
-    assert not _carries(swap, X, X)
+    assert _color_map(swap, X, X) is None
 
 
 def test_wrong_point_map_raises(monkeypatch):
@@ -521,7 +505,7 @@ def test_wrong_point_map_raises_under_python_O():
         "except InvariantViolated:\n"
         "    print('raised')\n"
     )
-    assert _run_fresh(code, "-O").strip() == "raised"
+    assert run_fresh(["-O", "-c", code]).strip() == "raised"
 
 
 def test_tampered_orbit_memo_element_raises():

@@ -87,6 +87,16 @@ def test_out_directory_is_a_usage_error(tmp_path, monkeypatch):
         assert exc.value.code == 2, argv
 
 
+@pytest.mark.parametrize("command", ["build", "sweep"])
+def test_out_below_a_file_is_a_usage_error(command, tmp_path, capsys):
+    # the directory of the output path cannot be made: one error line, no traceback
+    (tmp_path / "file").write_text("")
+    argv = [command, "--p", "3", "--out", str(tmp_path / "file" / "x.out")]
+    code, _, err = run_cli(argv + (["--no-cache"] if command == "sweep" else []), capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_classify_subtensor(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("AFS_CACHE", str(tmp_path / "cache"))
     code, out, _ = run_cli(["classify", "--p", "3", "--partition", "0123"], capsys)

@@ -6,15 +6,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_fresh
 
 from planeschemes import autsearch, scheme
 from planeschemes.affine import SlopePartition, build_affine_scheme, fuse, partitions_iter
 from planeschemes.autsearch import automorphism_group
-from planeschemes.classify import _Analyzer
+from planeschemes.classify import UNCLASSIFIABLE, UNKNOWN, _Analyzer, make_record
 from planeschemes.permgroup import StabilizerChain
 from planeschemes.report import (
     AutCache,
     ReportRecord,
+    classify_record,
     read_csv_report,
     record_from_dict,
     record_to_dict,
@@ -26,7 +28,6 @@ from planeschemes.report import (
 )
 from planeschemes.scheme import scheme_digest
 from planeschemes.subgroups import pgl_orbit
-from test_classify import _run_fresh
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
 
@@ -52,6 +53,17 @@ def test_report_jobs_deterministic():
     assert report_json_bytes(seq) == report_json_bytes(par)
 
 
+def test_a_serial_record_is_the_analysis_record():
+    # timed only in a pool worker: a serial sweep copies no record
+    analyzer, P = _Analyzer(3), SlopePartition.from_string("0111")
+    assert classify_record(analyzer, P) is analyzer.basic_memo[P.rgs]
+
+
+def test_pool_records_are_timed():
+    records = run_sweep(3, partitions_iter(4), jobs=2)
+    assert all(rec.elapsed_ms > 0 for rec in records)
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_sweep_progress_counts_each_record(jobs):
     calls = []
@@ -62,7 +74,13 @@ def test_sweep_progress_counts_each_record(jobs):
 
 
 def test_csv_round_trip(tmp_path):
-    records = run_sweep(3, partitions_iter(4))
+    # and the reader's branches for an undecided schurity and for unset flags
+    P = SlopePartition.from_string("0123")
+    records = run_sweep(3, partitions_iter(4)) + [
+        make_record(3, P, UNKNOWN, {"reason": "budget"}, True, False),
+        make_record(3, P, UNCLASSIFIABLE, {}, error='no case, "quoted"\nsecond line')]
+    assert records[-2].schurian is None and records[-2].aut_order is None
+    assert records[-1].primitive is None and records[-1].pseudocyclic is None
     path = tmp_path / "report.csv"
     write_csv_report(str(path), records)
     back = read_csv_report(str(path))
@@ -383,7 +401,7 @@ def test_report_digest_independent_of_hash_seed_and_optimize(seed, flags, monkey
             "for p in (3, 5):\n"
             "    print(report_digest(run_sweep(p, partitions_iter(p + 1))))\n")
     want = json.loads(REFERENCE.read_text())
-    assert _run_fresh(code, *flags).split() == [want["p3"], want["p5"]]
+    assert run_fresh([*flags, "-c", code]).split() == [want["p3"], want["p5"]]
 
 
 def test_a_sweep_does_not_import_numpy_ma():
@@ -396,5 +414,5 @@ def test_a_sweep_does_not_import_numpy_ma():
             "before = 'numpy.ma' in sys.modules\n"
             "run_sweep(5, partitions_iter(6))\n"
             "print(before, 'numpy.ma' in sys.modules)\n")
-    before, after = _run_fresh(code).split()
+    before, after = run_fresh(["-c", code]).split()
     assert after == before
