@@ -19,7 +19,7 @@ import numpy as np
 from .errors import NonCanonicalPartition
 from .permgroup import PermGroup, orbits
 from .projline import check_prime, fp_inv
-from .scheme import Scheme, merge, verify_scheme
+from .scheme import Scheme, verify_scheme
 
 _RGS_ALPHABET = string.digits + string.ascii_lowercase
 
@@ -172,12 +172,36 @@ def fusion_matrix(p: int, partition: SlopePartition) -> np.ndarray:
     return color_map[base.matrix]
 
 
-def fuse(p: int, partition: SlopePartition) -> Scheme:
-    """The scheme of `fusion_matrix(p, partition)`, merged from AG(2,p)'s tensor.
+def amorphic_tensor(p: int, sizes) -> np.ndarray:
+    """c[I, J, K] of the slope fusion whose blocks I = 1, 2, .. hold sizes[I-1] slopes.
 
-    The merge must succeed for every partition: a failure is an internal error.
+    For x, y of color K, the z with (x, z) in I and (z, y) in J are the meets
+    of the ab - [I=J]a pairs of lines through x and y with slopes s in I, t in J,
+    s != t (one point each), less [K=J](a - [I=J]) at x and [K=I](b - [I=J]) at y,
+    plus the p - 2 other points of the line xy when I = J = K; a = |I|, b = |J|.
     """
-    return merge(build_affine_scheme(p), (0,) + tuple(b + 1 for b in partition.rgs))
+    a = np.array(sizes, dtype=np.int64)
+    I, J, K = np.ix_(*[range(len(a))] * 3)
+    same = I == J
+    tensor = np.zeros((len(a) + 1,) * 3, dtype=np.int64)
+    tensor[1:, 1:, 1:] = (a[I] * a[J] - same * a[I] - (K == J) * (a[I] - same)
+                          - (K == I) * (a[J] - same) + same * (J == K) * (p - 2))
+    tensor[0] = tensor[:, 0] = np.eye(len(a) + 1, dtype=np.int64)     # c_0J^K = c_J0^K = [J=K]
+    tensor[1:, 1:, 0] = np.diag(a * (p - 1))                             # the valencies
+    return tensor
+
+
+_fusion_tensor = lru_cache(maxsize=256)(amorphic_tensor)   # shared read-only; 128 keys at p=7
+
+
+def fuse(p: int, partition: SlopePartition) -> Scheme:
+    """The scheme of `fusion_matrix(p, partition)`, its tensor in closed form.
+
+    `amorphic_tensor` gives the block sums of AG(2,p)'s tensor, which `merge`
+    would prove constant; verify-paper compares it with direct counts.
+    """
+    return Scheme(fusion_matrix(p, partition), tuple(range(partition.num_blocks + 1)),
+                  _fusion_tensor(p, partition.block_sizes()))
 
 
 def lambda_criteria(partition: SlopePartition) -> tuple[bool, bool]:

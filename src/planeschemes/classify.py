@@ -1,14 +1,15 @@
 """The decision procedure for classifying fusions of the affine scheme.
 
-Pipeline per fusion: build the scheme, decide schurity from the 2-orbits of
-the automorphism group, then assign exactly one principal verdict with a
-machine-checkable witness, in the fusion's report record.  The fusions in
-one PGL(2,p) orbit are isomorphic, so the automorphism group is searched
-once per orbit, on the first member analysed, and its order and orbital
-count are carried to each later member along a point map that is checked
-first, on the p+1 slopes it permutes.  The wreath and subtensor candidates
-are read off the partition, and the witness checks test only the color sets
-they are given, on the fusion.  The verdicts are:
+Pipeline per fusion: decide schurity from the 2-orbits of the automorphism
+group, then assign exactly one principal verdict with a machine-checkable
+witness, in the fusion's report record.  The fusions in one PGL(2,p) orbit
+are isomorphic, so the automorphism group is searched once per orbit, on
+the first member analysed, and its order and orbital count are carried to
+each later member along a point map that is checked first, on the p+1
+slopes it permutes.  Primitivity and pseudocyclicity are read once per
+multiset of block sizes, so a carried NonSchurian builds no scheme.  The
+wreath and subtensor candidates are read off the partition, and the witness
+checks test only the color sets they are given, on the fusion.  The verdicts are:
 
   imprimitive   -> wreath of trivial schemes, else subtensor of trivial schemes
   trivial       -> primitive pseudocyclic (rank 2 satisfies both predicates)
@@ -230,7 +231,8 @@ class _Analyzer:
     The analysis of P, basic_memo[P.rgs], is the record of a NonSchurian,
     Unknown, the first of `_basic_candidates` that `_witness_holds` accepts,
     or an unmatched schurian.
-    Each analysis fuses its own partition and no other, and keeps no fusion.
+    An analysis fuses its own partition and no other, at most once, to search
+    its orbit or check a schurian witness, and keeps no fusion.
     Automorphism groups are searched once per PGL(2,p) orbit, on the first
     member analysed: orbit_memo maps each member's rgs to (g, what the
     search decided), g mapping the searched member onto it.  Each search
@@ -245,6 +247,7 @@ class _Analyzer:
         self.cache = cache
         self.basic_memo: dict[tuple[int, ...], ReportRecord] = {}
         self.orbit_memo: dict[tuple[int, ...], tuple[PglElement, _OrbitInvariants]] = {}
+        self.structure_memo: dict[tuple[int, ...], tuple[bool, bool]] = {}
 
     def _automorphisms(self, X: Scheme):
         cached = self.cache.load(X) if self.cache is not None else None
@@ -255,11 +258,19 @@ class _Analyzer:
             self.cache.store(X, aut)
         return aut
 
-    def _orbit_invariants(self, P: SlopePartition, X: Scheme) -> _OrbitInvariants:
+    def _structure(self, P: SlopePartition, X: Scheme | None) -> tuple[bool, bool]:
+        """(primitive, pseudocyclic) of the P-fusion X, read on the first search of each size
+        multiset: the tensor is `amorphic_tensor`'s, and reordering blocks permutes colors."""
+        sizes = tuple(sorted(P.block_sizes()))
+        if sizes not in self.structure_memo:
+            self.structure_memo[sizes] = (is_primitive(X), is_pseudocyclic(X))
+        return self.structure_memo[sizes]
+
+    def _orbit_invariants(self, P: SlopePartition, X: Scheme | None) -> _OrbitInvariants:
         """The invariants of the orbit of P, searched on X, the P-fusion, or carried to it.
 
-        Raises InvariantViolated when the point map does not carry X onto
-        the fusion searched for the orbit: the searched partition, relabelled
+        Raises InvariantViolated when the point map does not carry the P-fusion
+        onto the fusion searched for the orbit: the searched partition, relabelled
         through g's slope map, must be P.
         """
         known = self.orbit_memo.get(P.rgs)
@@ -287,21 +298,21 @@ class _Analyzer:
 
     def _analyze(self, P: SlopePartition) -> ReportRecord:
         p = self.p
-        X = fuse(p, P)
-        prim = is_primitive(X)
-        pc = is_pseudocyclic(X)
+        X = None if P.rgs in self.orbit_memo else fuse(p, P)
+        prim, pc = self._structure(P, X)
         if lambda_criteria(P) != (not prim, pc):
             raise InvariantViolated(
                 f"Lambda criteria disagree with the structural predicates for {P}")
         inv = self._orbit_invariants(P, X)
         if inv.reason is not None:
             return make_record(p, P, UNKNOWN, {"reason": inv.reason}, prim, pc)
-        orbits = inv.orbital_count
+        orbits, rank = inv.orbital_count, P.num_blocks + 1
         flags = dict(primitive=prim, pseudocyclic=pc,
-                     schurian=orbits == X.rank, aut_order=inv.aut_order)
-        if orbits != X.rank:
+                     schurian=orbits == rank, aut_order=inv.aut_order)
+        if orbits != rank:
             return make_record(
-                p, P, NON_SCHURIAN, {"orbital_count": int(orbits), "rank": X.rank}, **flags)
+                p, P, NON_SCHURIAN, {"orbital_count": int(orbits), "rank": rank}, **flags)
+        X = fuse(p, P) if X is None else X
         for verdict, witness in _basic_candidates(p, P):
             if _witness_holds(p, P, verdict, witness, X):
                 return make_record(p, P, verdict, witness, **flags)

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import time
 
 from .affine import (
@@ -111,12 +112,15 @@ def cmd_sweep(args) -> int:
     if args.p not in SWEEP_PRIMES:
         print(f"full sweeps support p in {SWEEP_PRIMES}", file=sys.stderr)
         return 2
+    out = args.out or f"report_p{args.p}.{args.format}"
+    directory = os.path.dirname(os.path.abspath(out))
+    os.makedirs(directory, exist_ok=True)       # an unwritable path fails here, before any work
+    tempfile.TemporaryFile(dir=directory).close()
     cache = None if args.no_cache else AutCache()
     start = time.perf_counter()
     records = run_sweep(args.p, partitions_iter(args.p + 1),
                         jobs=args.jobs, cache=cache)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    out = args.out or f"report_p{args.p}.{args.format}"
     if args.format == "json":
         write_json_report(out, records, elapsed_ms, args.jobs)
     else:

@@ -1,13 +1,13 @@
 """Named verification checks over the desk-scale range.
 
 Each check re-derives one verifiable claim: scheme laws of the affine
-plane, the fusion property, the full algebraic automorphism group, the
-Lambda criteria, subgroup orbit-size tables, the classification sweeps, the
-realization of exactly the schurian fusions by projective subgroups, the
-four large automorphism groups, and the exceptional primitive schemes.
-Each check has one entry in CHECKS, with its quick-level call (p <= 5, and
-the one alt(4) fusion at p=7) and its full-level call (which adds the heavy
-primes).
+plane, its intersection numbers in closed form, the fusion property, the
+full algebraic automorphism group, the Lambda criteria, subgroup orbit-size
+tables, the classification sweeps, the realization of exactly the schurian
+fusions by projective subgroups, the four large automorphism groups, and
+the exceptional primitive schemes.  Each check has one entry in CHECKS,
+with its quick-level call (p <= 5, and p = 7 for the closed form and the
+one alt(4) fusion) and its full-level call (which adds the heavy primes).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 
 from .affine import (
     SlopePartition,
+    amorphic_tensor,
     build_affine_scheme,
     fuse,
     fusion_matrix,
@@ -77,11 +78,19 @@ def check_affine_laws(primes=(3, 5, 7, 11, 13)) -> tuple[bool, str]:
     return True, f"checked p in {tuple(primes)}"
 
 
+def check_amorphic_tensor(primes=(3, 5, 7)) -> tuple[bool, str]:
+    """AG(2,p)'s tensor, counted by `verify_scheme`, is `amorphic_tensor`'s for p+1 blocks of 1."""
+    for p in primes:
+        if not np.array_equal(build_affine_scheme(p).tensor, amorphic_tensor(p, (1,) * (p + 1))):
+            return False, f"p={p}: the direct count differs from the closed form"
+    return True, f"closed form holds for p in {tuple(primes)}"
+
+
 def check_golfand(primes=(3, 5), random_p7: int = 500) -> tuple[bool, str]:
     """Every coarser slope partition yields a scheme (full at 3,5; sampled at 7).
 
     `verify_scheme` proves each by direct count and raises on failure; the
-    block-sum fusion `fuse` builds must serialize to the same bytes.
+    fusion `fuse` builds in closed form must serialize to the same bytes.
     """
     todo = [(p, P) for p in primes for P in partitions_iter(p + 1)]
     if random_p7:
@@ -89,7 +98,7 @@ def check_golfand(primes=(3, 5), random_p7: int = 500) -> tuple[bool, str]:
         todo += [(7, P) for P in rng.sample(list(partitions_iter(8)), random_p7)]
     for p, P in todo:
         if scheme_digest(verify_scheme(fusion_matrix(p, P))) != scheme_digest(fuse(p, P)):
-            return False, f"p={p} {P}: the block sums differ from the direct count"
+            return False, f"p={p} {P}: the closed form differs from the direct count"
     return True, f"{len(todo)} fusions verified"
 
 
@@ -233,6 +242,7 @@ def check_determinism(p: int = 3, jobs: int = 2) -> tuple[bool, str]:
 #: (name, quick-level call, full-level call)
 CHECKS = [
     ("affine-laws", lambda: check_affine_laws((3, 5)), check_affine_laws),
+    ("amorphic-tensor", check_amorphic_tensor, lambda: check_amorphic_tensor((3, 5, 7, 11, 13))),
     ("golfand-fusions", lambda: check_golfand((3, 5), random_p7=0), check_golfand),
     ("aaut-symmetric", check_aaut_full, check_aaut_full),
     ("lambda-criteria", check_lambda_criteria, check_lambda_criteria),

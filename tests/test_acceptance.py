@@ -20,6 +20,7 @@ from planeschemes.subgroups import (
 )
 from planeschemes.verifypaper import (
     check_aaut_full,
+    check_amorphic_tensor,
     check_affine_laws,
     check_determinism,
     check_exceptional,
@@ -35,6 +36,26 @@ from planeschemes.verifypaper import (
 def test_criterion_1_affine_scheme_laws():
     ok, detail = check_affine_laws((3, 5, 7, 11, 13))
     assert ok, detail
+
+
+def test_amorphic_tensor_is_the_direct_count():
+    ok, detail = check_amorphic_tensor((3, 5, 7, 11, 13))
+    assert ok, detail
+
+
+def test_amorphic_tensor_check_does_not_take_the_closed_form_on_trust(monkeypatch):
+    # one wrong intersection number at p=5 fails the check
+    real = verifypaper.amorphic_tensor
+
+    def tampered(p, sizes):
+        tensor = real(p, sizes)
+        if p == 5:
+            tensor[1, 2, 3] += 1
+        return tensor
+
+    monkeypatch.setattr(verifypaper, "amorphic_tensor", tampered)
+    ok, detail = check_amorphic_tensor((3, 5, 7))
+    assert not ok and "p=5" in detail
 
 
 def test_criterion_2_golfand_fusion_property():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,13 @@ from planeschemes.affine import (
 from planeschemes.errors import NonCanonicalPartition, UnsupportedPrime
 from planeschemes.permgroup import group_closure
 from planeschemes.projline import pgl_canonical, point_permutation
-from planeschemes.scheme import algebraic_fusion, is_primitive, is_pseudocyclic
+from planeschemes.scheme import (
+    algebraic_fusion,
+    is_primitive,
+    is_pseudocyclic,
+    merge,
+    scheme_digest,
+)
 from planeschemes.subgroups import SubgroupSpec, find_subgroup
 
 
@@ -163,3 +171,33 @@ def test_fusion_from_group_equals_algebraic_fusion():
 def test_fuse_wrong_length():
     with pytest.raises(ValueError):
         fuse(5, SlopePartition.from_string("0123"))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_closed_form_tensor_is_the_block_sums(p):
+    # the tensor `fuse` builds from the block sizes is the one `merge` proves
+    # from AG(2,p)'s tensor, on every fusion; star and matrix too
+    X = build_affine_scheme(p)
+    for P in partitions_iter(p + 1):
+        merged = merge(X, (0,) + tuple(b + 1 for b in P.rgs))
+        F = fuse(p, P)
+        assert F.tensor.dtype == np.int64 and F.star == merged.star, P
+        assert np.array_equal(F.tensor, merged.tensor), P
+        assert np.array_equal(F.matrix, merged.matrix), P
+
+
+# sha256 over the scheme digests of every fusion in canonical order, as the
+# block-sum fusion gave them: AutCache entries are keyed by these digests
+FUSION_DIGESTS = {
+    3: "9586b9534e0917e97afae7352d432b8a9b0576b8b324e42bb89002082a51ce41",
+    5: "9c678f7cc1231dc5a9783b99f9f0ee1d355da69947f7c6296af0f17354376f87",
+    7: "fa146dc8627249ffd4b4b84f7872cbe911463ba165437c3e23e4a8befa579a3f",
+}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_fusion_scheme_digests_are_unchanged(p):
+    h = hashlib.sha256()
+    for P in partitions_iter(p + 1):
+        h.update(scheme_digest(fuse(p, P)).encode())
+    assert h.hexdigest() == FUSION_DIGESTS[p]

@@ -42,7 +42,13 @@ from planeschemes.errors import BudgetExceeded, InvariantViolated
 from planeschemes.permgroup import group_closure, orbits
 from planeschemes.projline import pgl_canonical, pgl_elements, point_permutation
 from planeschemes.report import record_from_dict, record_to_dict, run_sweep
-from planeschemes.scheme import algebraic_fusion, is_algebraic_map
+from planeschemes.scheme import (
+    algebraic_fusion,
+    is_algebraic_map,
+    is_primitive,
+    is_pseudocyclic,
+    parabolic_from_colors,
+)
 from planeschemes.subgroups import (
     SubgroupSpec,
     find_subgroup,
@@ -568,6 +574,51 @@ def test_classify_fuses_only_its_own_partition(monkeypatch):
     res = _Analyzer(3).classify(SlopePartition.from_string("0111"))
     assert (res.verdict, res.aut_order) == (WREATH, 1296)
     assert fused == {"0111": 1}
+
+
+def test_a_carried_non_schurian_member_fuses_nothing(monkeypatch):
+    analyzer, P = _Analyzer(5), SlopePartition.from_string("000112")
+    assert analyzer.classify(P).verdict == NON_SCHURIAN
+    fused = []
+
+    def counted_fuse(p, partition):
+        fused.append(partition.as_string())
+        return fuse(p, partition)
+
+    monkeypatch.setattr("planeschemes.classify.fuse", counted_fuse)
+    members = [SlopePartition(rgs) for rgs in pgl_orbit(5, P) if rgs != P.rgs]
+    assert len(members) > 1
+    for Q in members:
+        rec = analyzer.classify(Q)
+        assert (rec.verdict, rec.aut_order) == (NON_SCHURIAN, analyzer.basic_memo[P.rgs].aut_order)
+    assert fused == []
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_structure_memo_holds_for_every_fusion(p):
+    # primitivity and pseudocyclicity, read once per multiset of block sizes,
+    # are those of each fusion's own scheme
+    analyzer = _Analyzer(p)
+    for P in partitions_iter(p + 1):
+        X = fuse(p, P)
+        assert analyzer._structure(P, X) == (is_primitive(X), is_pseudocyclic(X)), P
+    assert len(analyzer.structure_memo) == {3: 5, 5: 11, 7: 22}[p]
+
+
+def test_subtensor_check_tests_each_color_set_once(monkeypatch):
+    calls = []
+
+    def counted(X, colors):
+        calls.append(sorted(colors))
+        return parabolic_from_colors(X, colors)
+
+    P = SlopePartition.from_string("0123")
+    rec = run_sweep(3, [P])[0]
+    assert rec.verdict == SUBTENSOR
+    monkeypatch.setattr("planeschemes.classify.parabolic_from_colors", counted)
+    monkeypatch.setattr("planeschemes.scheme.parabolic_from_colors", counted)
+    assert verify_witness(3, P, rec.verdict, rec.witness)
+    assert calls == [sorted(c) for c in rec.witness["parabolic_pair"]]
 
 
 def test_budget_makes_whole_orbit_unknown(monkeypatch):

@@ -88,8 +88,11 @@ def test_out_directory_is_a_usage_error(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["build", "sweep"])
-def test_out_below_a_file_is_a_usage_error(command, tmp_path, capsys):
-    # the directory of the output path cannot be made: one error line, no traceback
+def test_out_below_a_file_is_a_usage_error(command, tmp_path, capsys, monkeypatch):
+    # the directory of the output path cannot be made: one error line, no
+    # traceback, and a sweep fails before it classifies anything
+    monkeypatch.setattr("planeschemes.cli.run_sweep",
+                        lambda *args, **kwargs: pytest.fail("swept before the path was probed"))
     (tmp_path / "file").write_text("")
     argv = [command, "--p", "3", "--out", str(tmp_path / "file" / "x.out")]
     code, _, err = run_cli(argv + (["--no-cache"] if command == "sweep" else []), capsys)
@@ -249,7 +252,7 @@ def test_verify_paper_quick(capsys, tmp_path, monkeypatch):
     code, out, _ = run_cli(["verify-paper", "--level", "quick"], capsys)
     assert code == 0
     assert "all checks passed" in out
-    assert out.count("[PASS]") == 10
+    assert out.count("[PASS]") == 11
     # main-theorem-sweep and theorem-realization read one sweep per prime;
     # report-determinism runs its own three at p=3, and exceptional-schemes
     # classifies its one alt(4) fusion at p=7

@@ -314,12 +314,14 @@ def test_serial_sweep_enumerates_each_orbit_once(monkeypatch, p, orbits):
 
 
 @pytest.mark.parametrize("p", [3, 5])
-def test_serial_sweep_fuses_each_record_once(monkeypatch, p):
+def test_serial_sweep_fuses_only_where_points_are_read(monkeypatch, p):
     # the analyses of a sweep, their orbit searches and involutive searches
-    # included, fuse each partition exactly once; the witness re-check fuses
-    # on its own and is not counted
+    # included, fuse a partition once when its orbit is searched on it or its
+    # record is schurian, and never for a carried NonSchurian record; the
+    # witness re-check fuses on its own and is not counted
     fused = Counter()
     inside = []
+    analyzers = set()
     classify_once = _Analyzer.classify
 
     def counted_fuse(q, partition):
@@ -328,6 +330,7 @@ def test_serial_sweep_fuses_each_record_once(monkeypatch, p):
         return fuse(q, partition)
 
     def counted_classify(analyzer, P):
+        analyzers.add(analyzer)
         inside.append(P)
         try:
             return classify_once(analyzer, P)
@@ -337,7 +340,13 @@ def test_serial_sweep_fuses_each_record_once(monkeypatch, p):
     monkeypatch.setattr("planeschemes.classify.fuse", counted_fuse)
     monkeypatch.setattr(_Analyzer, "classify", counted_classify)
     records = run_sweep(p, partitions_iter(p + 1))
-    assert fused == {rec.partition_rgs: 1 for rec in records}
+    (analyzer,) = analyzers
+    searched = {SlopePartition(rgs).as_string()
+                for rgs, (_, inv) in analyzer.orbit_memo.items() if inv.rgs == rgs}
+    assert len(searched) == {3: 5, 5: 13}[p]
+    assert fused == {rec.partition_rgs: 1 for rec in records
+                     if rec.schurian or rec.partition_rgs in searched}
+    assert any(not rec.schurian for rec in records) == (p == 5)
     assert report_digest(records) == json.loads(REFERENCE.read_text())[f"p{p}"]
 
 
