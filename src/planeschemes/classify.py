@@ -3,13 +3,13 @@
 Pipeline per fusion: decide schurity from the 2-orbits of the automorphism
 group, then assign exactly one principal verdict with a machine-checkable
 witness, in the fusion's report record.  The fusions in one PGL(2,p) orbit
-are isomorphic, so the automorphism group is searched once per orbit, on
-the first member analysed, and its order and orbital count are carried to
-each later member along a point map that is checked first, on the p+1
-slopes it permutes.  Primitivity and pseudocyclicity are read once per
-multiset of block sizes, so a carried NonSchurian builds no scheme.  The
-wreath and subtensor candidates are read off the partition, and the witness
-checks test only the color sets they are given, on the fusion.  The verdicts are:
+are isomorphic (McKay & Piperno 2014: isomorphic structures share every
+invariant), so the first member analysed is searched and its record is
+carried to each later member along a point map that is checked first, on
+the p+1 slopes it permutes; a carried NonSchurian builds no scheme, and only
+a schurian witness is chosen per member.  The wreath and subtensor candidates
+are read off the partition, and the witness checks test only the color sets
+they are given, on the fusion.  The verdicts are:
 
   imprimitive   -> wreath of trivial schemes, else subtensor of trivial schemes
   trivial       -> primitive pseudocyclic (rank 2 satisfies both predicates)
@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from typing import NamedTuple
 
 import numpy as np
 
@@ -216,13 +215,12 @@ def _slope_map(p: int, g: PglElement) -> tuple[int, ...]:
     return tuple(c - 1 for c in lut[1:].tolist())
 
 
-class _OrbitInvariants(NamedTuple):
-    """What the search of an orbit's first analysed member decides for every member."""
-
-    rgs: tuple[int, ...]        # the searched partition, to check each later member's slope map
-    orbital_count: int | None
-    aut_order: int | None
-    reason: str | None          # why the search gave up; None when it finished
+def _witnessed(p: int, P: SlopePartition, X: Scheme, rec: ReportRecord) -> ReportRecord:
+    """rec, a schurian record of P's orbit, for P under the first of `_basic_candidates`
+    that holds on X, the P-fusion, or unmatched."""
+    verdict, witness = next(((v, w) for v, w in _basic_candidates(p, P)
+                             if _witness_holds(p, P, v, w, X)), (_UNMATCHED, {}))
+    return replace(rec, partition_rgs=P.as_string(), verdict=verdict, witness=witness)
 
 
 class _Analyzer:
@@ -230,24 +228,21 @@ class _Analyzer:
 
     The analysis of P, basic_memo[P.rgs], is the record of a NonSchurian,
     Unknown, the first of `_basic_candidates` that `_witness_holds` accepts,
-    or an unmatched schurian.
-    An analysis fuses its own partition and no other, at most once, to search
-    its orbit or check a schurian witness, and keeps no fusion.
-    Automorphism groups are searched once per PGL(2,p) orbit, on the first
-    member analysed: orbit_memo maps each member's rgs to (g, what the
-    search decided), g mapping the searched member onto it.  Each search
-    starts from the affine maps x -> lam*x + v and from the generators
-    `cache` (an AutCache, or None) holds for the fusion; it stays
-    exhaustive, so the cache changes the nodes visited and never |Aut| or
-    the orbital count.  A search the cache held nothing for is stored there.
+    or an unmatched schurian.  The first member of a PGL(2,p) orbit analysed
+    is searched on its own fusion, and orbit_memo maps each member's rgs to
+    (g, the searched record), g mapping the searched member onto it.  A later
+    member is that record under its own rgs; a schurian one fuses itself to
+    choose its witness.  Each search starts from the affine maps x -> lam*x + v
+    and the generators `cache` (an AutCache, or None) holds for the fusion;
+    it stays exhaustive, so the cache changes the nodes visited and never
+    |Aut| or the orbital count.  A search the cache held nothing for is stored.
     """
 
     def __init__(self, p: int, cache=None):
         self.p = p
         self.cache = cache
         self.basic_memo: dict[tuple[int, ...], ReportRecord] = {}
-        self.orbit_memo: dict[tuple[int, ...], tuple[PglElement, _OrbitInvariants]] = {}
-        self.structure_memo: dict[tuple[int, ...], tuple[bool, bool]] = {}
+        self.orbit_memo: dict[tuple[int, ...], tuple[PglElement, ReportRecord]] = {}
 
     def _automorphisms(self, X: Scheme):
         cached = self.cache.load(X) if self.cache is not None else None
@@ -258,38 +253,6 @@ class _Analyzer:
             self.cache.store(X, aut)
         return aut
 
-    def _structure(self, P: SlopePartition, X: Scheme | None) -> tuple[bool, bool]:
-        """(primitive, pseudocyclic) of the P-fusion X, read on the first search of each size
-        multiset: the tensor is `amorphic_tensor`'s, and reordering blocks permutes colors."""
-        sizes = tuple(sorted(P.block_sizes()))
-        if sizes not in self.structure_memo:
-            self.structure_memo[sizes] = (is_primitive(X), is_pseudocyclic(X))
-        return self.structure_memo[sizes]
-
-    def _orbit_invariants(self, P: SlopePartition, X: Scheme | None) -> _OrbitInvariants:
-        """The invariants of the orbit of P, searched on X, the P-fusion, or carried to it.
-
-        Raises InvariantViolated when the point map does not carry the P-fusion
-        onto the fusion searched for the orbit: the searched partition, relabelled
-        through g's slope map, must be P.
-        """
-        known = self.orbit_memo.get(P.rgs)
-        if known is not None:
-            g, inv = known
-            if canonical_rgs(inv.rgs[s] for s in _slope_map(self.p, g)) != P.rgs:
-                raise InvariantViolated(
-                    f"the point map of {g.entries()} does not carry the {P}-fusion "
-                    f"onto the fusion searched for its orbit at p={self.p}")
-            return inv
-        try:
-            aut = self._automorphisms(X)
-        except BudgetExceeded as exc:
-            inv = _OrbitInvariants(P.rgs, None, None, str(exc))
-        else:
-            inv = _OrbitInvariants(P.rgs, orbital_count(X, aut.generators), aut.order, None)
-        self.orbit_memo.update((rgs, (g, inv)) for rgs, g in pgl_orbit(self.p, P).items())
-        return inv
-
     def _analysis(self, P: SlopePartition) -> ReportRecord:
         rec = self.basic_memo.get(P.rgs)
         if rec is None:
@@ -297,26 +260,40 @@ class _Analyzer:
         return rec
 
     def _analyze(self, P: SlopePartition) -> ReportRecord:
+        """The searched record of P's orbit, carried to P: InvariantViolated unless
+        the searched partition, relabelled through g's slope map, is P."""
+        known = self.orbit_memo.get(P.rgs)
+        if known is None:
+            return self._search(P)
+        g, searched = known
+        if canonical_rgs(searched.partition_rgs[s] for s in _slope_map(self.p, g)) != P.rgs:
+            raise InvariantViolated(
+                f"the point map of {g.entries()} does not carry the {P}-fusion "
+                f"onto the fusion searched for its orbit at p={self.p}")
+        if not searched.schurian:
+            return replace(searched, partition_rgs=P.as_string())
+        return _witnessed(self.p, P, fuse(self.p, P), searched)
+
+    def _search(self, P: SlopePartition) -> ReportRecord:
+        """The record of P, read on its own fusion, which its whole orbit carries."""
         p = self.p
-        X = None if P.rgs in self.orbit_memo else fuse(p, P)
-        prim, pc = self._structure(P, X)
+        X = fuse(p, P)
+        prim, pc = is_primitive(X), is_pseudocyclic(X)
         if lambda_criteria(P) != (not prim, pc):
             raise InvariantViolated(
                 f"Lambda criteria disagree with the structural predicates for {P}")
-        inv = self._orbit_invariants(P, X)
-        if inv.reason is not None:
-            return make_record(p, P, UNKNOWN, {"reason": inv.reason}, prim, pc)
-        orbits, rank = inv.orbital_count, P.num_blocks + 1
-        flags = dict(primitive=prim, pseudocyclic=pc,
-                     schurian=orbits == rank, aut_order=inv.aut_order)
-        if orbits != rank:
-            return make_record(
-                p, P, NON_SCHURIAN, {"orbital_count": int(orbits), "rank": rank}, **flags)
-        X = fuse(p, P) if X is None else X
-        for verdict, witness in _basic_candidates(p, P):
-            if _witness_holds(p, P, verdict, witness, X):
-                return make_record(p, P, verdict, witness, **flags)
-        return make_record(p, P, _UNMATCHED, {}, **flags)
+        try:
+            aut = self._automorphisms(X)
+        except BudgetExceeded as exc:
+            rec = make_record(p, P, UNKNOWN, {"reason": str(exc)}, prim, pc)
+        else:
+            orbits, rank = orbital_count(X, aut.generators), P.num_blocks + 1
+            rec = make_record(p, P, NON_SCHURIAN, {"orbital_count": int(orbits), "rank": rank},
+                              prim, pc, orbits == rank, aut.order)
+            if rec.schurian:   # its verdict and witness are those of its basic candidates
+                rec = _witnessed(p, P, X, rec)
+        self.orbit_memo.update((rgs, (g, rec)) for rgs, g in pgl_orbit(p, P).items())
+        return rec
 
     def classify_basic(self, P: SlopePartition) -> ReportRecord | None:
         """Cases (1)-(3) only; None when the fusion is not schurian-basic."""
@@ -353,9 +330,9 @@ class _Analyzer:
 # witness checks: the definition of each verdict
 
 
-# what a malformed or non-algebraic witness raises while it is read; it then
-# fails the check
-_MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError,
+# what a malformed, non-algebraic or too deeply nested witness raises while it
+# is read; it then fails the check
+_MALFORMED = (AttributeError, IndexError, KeyError, RecursionError, TypeError, ValueError,
               NonCanonicalPartition, NotAlgebraic, SingularMatrix)
 
 
@@ -364,12 +341,19 @@ def verify_witness(p: int, P: SlopePartition, verdict: str, witness: dict) -> bo
 
     The pair is read in its published form, the one in the report bytes,
     and the P-fusion is fused here if the verdict needs it.  A malformed
-    witness returns False instead of raising.
+    witness returns False instead of raising; no verdict's witness holds a
+    bool or a float, at any depth.
     """
     try:
-        return _witness_holds(p, P, verdict, witness)
+        return not _holds_bool_or_float(witness) and _witness_holds(p, P, verdict, witness)
     except _MALFORMED:
         return False
+
+
+def _holds_bool_or_float(node) -> bool:
+    if isinstance(node, (dict, list)):
+        return any(map(_holds_bool_or_float, node.values() if isinstance(node, dict) else node))
+    return isinstance(node, (bool, float))
 
 
 def _witness_holds(p: int, P: SlopePartition, verdict: str, witness: dict,

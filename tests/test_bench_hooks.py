@@ -5,6 +5,8 @@ pool results through two functions of planeschemes.report; bench/child.py,
 bench/make_reference.py and bench/test_checks.py import library names for
 their set-up, reference digests and checks.
 A rename there would break every benchmark run without failing a test.
+The benchmark's outside checks, bench/checks.py, must also pass every
+record of a full sweep.
 """
 
 import ast
@@ -17,22 +19,23 @@ import pytest
 from conftest import run_fresh
 
 from planeschemes import report
+from planeschemes.affine import partitions_iter
 from planeschemes.classify import _Analyzer
+from planeschemes.report import record_to_dict, report_digest, run_sweep
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
-SPANS = BENCH / "spans.py"
 
 
-def _targets():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans.TARGETS
+def _bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_trace_target_resolves():
-    targets = _targets()
+    targets = _bench_module("spans").TARGETS
     assert targets
     for module, attr, _ in targets:
         obj = importlib.import_module(f"planeschemes.{module}")
@@ -87,3 +90,17 @@ def test_benchmark_setup_runs(trace):
     ready, line = run_fresh([str(BENCH / "child.py"), json.dumps(job)]).splitlines()
     assert ready == "ready"
     assert set(json.loads(line)) == {"cal_after_ready"}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("p", [3, 5])
+def test_the_outside_checks_pass_a_full_sweep(p, jobs):
+    # bench/checks.py imports no library code: its own PGL(2,p), partitions and
+    # refinement check every record, each orbit's shared fields and the digest
+    checks = _bench_module("checks")
+    records = run_sweep(p, partitions_iter(p + 1), jobs=jobs)
+    reference = json.loads((BENCH / "reference.json").read_text())[f"p{p}"]
+    found = checks.check_pass(checks.PrimeTables(p), checks.set_partitions(p + 1),
+                              [record_to_dict(rec) for rec in records],
+                              report_digest(records), reference, full_sweep=True)
+    assert found == (set(), [])

@@ -41,7 +41,7 @@ from planeschemes.classify import (
 from planeschemes.errors import BudgetExceeded, InvariantViolated
 from planeschemes.permgroup import group_closure, orbits
 from planeschemes.projline import pgl_canonical, pgl_elements, point_permutation
-from planeschemes.report import record_from_dict, record_to_dict, run_sweep
+from planeschemes.report import classify_record, record_from_dict, record_to_dict, run_sweep
 from planeschemes.scheme import (
     algebraic_fusion,
     is_algebraic_map,
@@ -294,8 +294,23 @@ def test_malformed_witness_fails_verification():
         dict(good.witness, inner_partition="000021"),         # not canonical
         no_inner,
         dict(good.witness, inner=non_basic),
+        dict(good.witness, inner={"verdict": SUBTENSOR,                  # a float inside
+                                  "witness": {"parabolic_pair": [[0, 2], [0, 3.0]]}}),
     ]:
         assert verify_witness(5, P, good.verdict, witness) is False, witness
+
+    # each witness holds with integers, and no verdict's witness holds a bool or a float
+    exceptional = _Analyzer(7).classify(SlopePartition.from_string("00111010"))
+    for p, rgs, verdict, witness, bad in [
+        (3, "0111", WREATH, {"parabolic_colors": [0, 1]}, {"parabolic_colors": [0, True]}),
+        (5, "000112", NON_SCHURIAN, {"orbital_count": 5, "rank": 4},
+         {"orbital_count": 5, "rank": 4.0}),
+        (3, "0000", PRIMITIVE_PC, {"lambda": [4]}, {"lambda": [4.0]}),
+        (7, "00111010", EXCEPTIONAL_A4, exceptional.witness, dict(exceptional.witness, order=12.0)),
+    ]:
+        P = SlopePartition.from_string(rgs)
+        assert verify_witness(p, P, verdict, witness), (rgs, verdict)
+        assert verify_witness(p, P, verdict, bad) is False, (rgs, bad)
 
     # well-formed witnesses of verdicts the classifier never gives: a wreath
     # parabolic of a rank-4 and a rank-5 fusion, the trivial parabolic pair
@@ -304,7 +319,6 @@ def test_malformed_witness_fails_verification():
     # rank, and an Unknown without a reason
     a4_p3, a4_p5, a5_p5 = (_subgroup_witness(find_subgroup(p, SubgroupSpec(kind)))
                            for p, kind in ((3, "alt4"), (5, "alt4"), (5, "alt5")))
-    exceptional = _Analyzer(7).classify(SlopePartition.from_string("00111010"))
     assert exceptional.verdict == EXCEPTIONAL_A4
     for p, rgs, verdict, witness in [
         (3, "0112", WREATH, {"parabolic_colors": [0, 1]}),
@@ -594,15 +608,31 @@ def test_a_carried_non_schurian_member_fuses_nothing(monkeypatch):
     assert fused == []
 
 
+@functools.lru_cache(maxsize=None)
+def _sweep(p: int) -> tuple:
+    """The records of a serial sweep of every fusion at p, made once per test session."""
+    return tuple(run_sweep(p, partitions_iter(p + 1)))
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_structure_memo_holds_for_every_fusion(p):
-    # primitivity and pseudocyclicity, read once per multiset of block sizes,
-    # are those of each fusion's own scheme
-    analyzer = _Analyzer(p)
-    for P in partitions_iter(p + 1):
-        X = fuse(p, P)
-        assert analyzer._structure(P, X) == (is_primitive(X), is_pseudocyclic(X)), P
-    assert len(analyzer.structure_memo) == {3: 5, 5: 11, 7: 22}[p]
+def test_every_record_has_its_own_fusions_flags(p):
+    # primitivity and pseudocyclicity, carried from each orbit's search, are
+    # those of each fusion's own scheme
+    records = _sweep(p)
+    assert len(records) == bell_number(p + 1)
+    for rec in records:
+        X = fuse(p, SlopePartition.from_string(rec.partition_rgs))
+        assert (rec.primitive, rec.pseudocyclic) == (is_primitive(X), is_pseudocyclic(X)), rec
+    assert sum(rec.schurian is False for rec in records) == {3: 0, 5: 125, 7: 3892}[p]
+
+
+@pytest.mark.parametrize("p,step", [(3, 1), (5, 1), (7, 20)])
+def test_every_record_is_the_record_of_a_search_on_its_own_fusion(p, step):
+    # a fresh analyzer searches its first partition's orbit on that partition,
+    # so nothing is carried to it: the oracle for every carried record
+    for rec in _sweep(p)[::step]:
+        P = SlopePartition.from_string(rec.partition_rgs)
+        assert classify_record(_Analyzer(p), P) == rec, rec.partition_rgs
 
 
 def test_subtensor_check_tests_each_color_set_once(monkeypatch):

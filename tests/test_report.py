@@ -341,13 +341,30 @@ def test_serial_sweep_fuses_only_where_points_are_read(monkeypatch, p):
     monkeypatch.setattr(_Analyzer, "classify", counted_classify)
     records = run_sweep(p, partitions_iter(p + 1))
     (analyzer,) = analyzers
-    searched = {SlopePartition(rgs).as_string()
-                for rgs, (_, inv) in analyzer.orbit_memo.items() if inv.rgs == rgs}
+    searched = {rec.partition_rgs for rgs, (_, rec) in analyzer.orbit_memo.items()
+                if rec.partition_rgs == SlopePartition(rgs).as_string()}
     assert len(searched) == {3: 5, 5: 13}[p]
     assert fused == {rec.partition_rgs: 1 for rec in records
                      if rec.schurian or rec.partition_rgs in searched}
     assert any(not rec.schurian for rec in records) == (p == 5)
     assert report_digest(records) == json.loads(REFERENCE.read_text())[f"p{p}"]
+
+
+def test_a_sweep_makes_one_record_per_orbit(monkeypatch):
+    # make_record builds the record of each orbit's searched member; every later
+    # member is that record under its own rgs, and a carried NonSchurian record
+    # is never built
+    made = []
+
+    def counted(q, P, *args, **kwargs):
+        made.append(P)
+        return make_record(q, P, *args, **kwargs)
+
+    monkeypatch.setattr("planeschemes.classify.make_record", counted)
+    records = run_sweep(5, partitions_iter(6))
+    assert len(made) == len({min(pgl_orbit(5, P)) for P in made}) == 13
+    assert sum(rec.schurian is False for rec in records) == 125
+    assert report_digest(records) == json.loads(REFERENCE.read_text())["p5"]
 
 
 def test_pool_workers_share_a_cache(tmp_path):
