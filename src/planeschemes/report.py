@@ -12,7 +12,7 @@ import hashlib
 import io
 import json
 import os
-import tempfile
+import secrets
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -95,13 +95,12 @@ def report_digest(records: list[ReportRecord]) -> str:
 def _atomic_write(path: str, data: bytes):
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-report-")
+    tmp = os.path.join(directory, f".tmp-report-{secrets.token_hex(8)}")
+    # created as open() creates a file, so the kernel applies the umask
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
-        mask = os.umask(0)     # mkstemp gives 0600; take the mode open() would
-        os.umask(mask)
-        os.chmod(tmp, 0o666 & ~mask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -256,14 +255,41 @@ def _classify_one(rgs: str) -> dict:
     return record_to_dict(rec) | {"_elapsed_ms": elapsed_ms}
 
 
+def _classify_task(task: list[str]) -> list[dict]:
+    """One record per partition of a task, each through the module-level
+    `_classify_one`, the name a tracer wraps to relay a worker's spans."""
+    return [_classify_one(rgs) for rgs in task]
+
+
+def _halving_class(P: SlopePartition) -> tuple[tuple[int, int], ...]:
+    """For each odd m, the number of slopes in blocks of size m * 2**k, any k.
+
+    PGL(2,p) keeps block sizes, and `involutive_presentations` splits a block
+    of size 2a into two of size a.  Both keep this key, so every orbit that
+    the analysis of P reaches, the inner candidates of its involutive search
+    included, holds only partitions of P's class.
+    """
+    slopes: dict[int, int] = {}
+    for size in P.block_sizes():
+        odd = size // (size & -size)
+        slopes[odd] = slopes.get(odd, 0) + size
+    return tuple(sorted(slopes.items()))
+
+
 def run_sweep(p: int, partitions, jobs: int = 1,
               cache: AutCache | None = None,
               progress=None) -> list[ReportRecord]:
     """Classify the given partitions; records sorted by canonical RGS.
 
-    With jobs > 1 the partitions fan out over a process pool with one
-    analyzer per worker, and no more workers than partitions or CPUs;
-    record content is independent of the worker count.
+    With jobs > 1 each worker of a process pool keeps one analyzer and takes
+    whole halving classes (`_halving_class`), largest first, each in input
+    order; no more workers start than classes or CPUs.  A class holds every
+    orbit its analyses reach, so a worker searches each orbit on the member
+    a serial sweep searches: one search, and one cache entry, per PGL(2,p)
+    orbit at every job count, and a cold cache written with jobs=2 is the
+    serial one.  A class runs on one worker, so the costliest class bounds
+    the speed-up; the largest holds 106 of the 203 partitions at p=5 and
+    1736 of 4140 at p=7.  Record content is independent of the worker count.
     """
     partitions = list(partitions)
     records: list[ReportRecord] = []
@@ -274,14 +300,18 @@ def run_sweep(p: int, partitions, jobs: int = 1,
             if progress:
                 progress(len(records), len(partitions))
     else:
-        rgs = [P.as_string() for P in partitions]
-        workers = min(jobs, len(partitions), os.cpu_count() or 1)
+        classes: dict[tuple[tuple[int, int], ...], list[str]] = {}
+        for P in partitions:
+            classes.setdefault(_halving_class(P), []).append(P.as_string())
+        tasks = sorted(classes.values(), key=len, reverse=True)
+        workers = min(jobs, len(tasks), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
                                  initargs=(p, cache)) as pool:
-            for d in pool.map(_classify_one, rgs, chunksize=16):
-                elapsed = d.pop("_elapsed_ms")
-                records.append(replace(record_from_dict(d), elapsed_ms=elapsed))
-                if progress:
-                    progress(len(records), len(partitions))
+            for task in pool.map(_classify_task, tasks):
+                for d in task:
+                    elapsed = d.pop("_elapsed_ms")
+                    records.append(replace(record_from_dict(d), elapsed_ms=elapsed))
+                    if progress:
+                        progress(len(records), len(partitions))
     records.sort(key=lambda r: r.partition_rgs)
     return records

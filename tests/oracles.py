@@ -7,7 +7,9 @@ partition count is an independent recursion.
 
 from __future__ import annotations
 
-from itertools import permutations
+from functools import lru_cache
+from itertools import permutations, product
+from math import comb, gcd, prod
 
 import numpy as np
 
@@ -154,6 +156,48 @@ def unique_pgl_orbit(p, P):
     members, index = np.unique(canon, axis=0, return_index=True)
     els = pgl_elements(p)
     return {tuple(m): els[i] for m, i in zip(members.tolist(), index)}
+
+
+def pgl_orbit_count(p: int) -> int:
+    """The number of PGL(2,p) orbits on the set partitions of the p+1 slopes.
+
+    Burnside's mean number of fixed partitions, over the four cycle types of
+    PGL(2,p) on the projective line: the identity; p^2 - 1 unipotent elements
+    (one fixed point, one p-cycle); phi(d) p(p+1)/2 elements for each d > 1
+    dividing p - 1 (two fixed points, d-cycles); phi(d) p(p-1)/2 for each
+    d > 1 dividing p + 1 (d-cycles only).  A partition fixed by g groups g's
+    cycles into the unions of its orbits of blocks, and a group S of cycles
+    gives sum over m dividing the gcd of S's lengths of m^(|S| - 1) such
+    unions, m blocks each.  Nothing is enumerated.
+    """
+    def phi(d):
+        return sum(gcd(k, d) == 1 for k in range(1, d + 1))
+
+    @lru_cache(maxsize=None)
+    def fixed(cycles: tuple[tuple[int, int], ...]) -> int:
+        """Fixed partitions for the cycle type ((length, how many), ...)."""
+        cycles = tuple((length, n) for length, n in cycles if n)
+        if not cycles:
+            return 1
+        first, rest = cycles[0][0], ((cycles[0][0], cycles[0][1] - 1),) + cycles[1:]
+        total = 0
+        for took in product(*(range(n + 1) for _, n in rest)):
+            group = [first] + [length for (length, _), t in zip(rest, took) for _ in range(t)]
+            g = gcd(*group)
+            unions = sum(m ** (len(group) - 1) for m in range(1, g + 1) if g % m == 0)
+            ways = prod(comb(n, t) for (_, n), t in zip(rest, took))
+            left = tuple((length, n - t) for (length, n), t in zip(rest, took))
+            total += ways * unions * fixed(left)
+        return total
+
+    total = fixed(((1, p + 1),)) + (p * p - 1) * fixed(((1, 1), (p, 1)))
+    for d in range(2, p + 2):
+        if (p - 1) % d == 0:
+            total += phi(d) * p * (p + 1) // 2 * fixed(((1, 2), (d, (p - 1) // d)))
+        if (p + 1) % d == 0:
+            total += phi(d) * p * (p - 1) // 2 * fixed(((d, (p + 1) // d),))
+    assert total % (p**3 - p) == 0
+    return total // (p**3 - p)
 
 
 def unique_verify_scheme(matrix):

@@ -7,6 +7,7 @@ from math import factorial
 import numpy as np
 import pytest
 from conftest import run_fresh
+from oracles import pgl_orbit_count
 
 from planeschemes import classify
 from planeschemes.affine import (
@@ -446,8 +447,10 @@ def test_orbit_counts_match_burnside():
             assert orbits.setdefault(min(members), members) == members, (p, P)
         counts.append(len(orbits))
         assert sum(len(members) for members in orbits.values()) == bell_number(p + 1)
-        assert counts[-1] == _burnside_orbit_count(p)
+        assert counts[-1] == _burnside_orbit_count(p) == pgl_orbit_count(p)
     assert counts == [5, 13, 47]
+    # the closed form by cycle types enumerates nothing
+    assert pgl_orbit_count(11) == 3864
 
 
 def _sigma_carries(p: int, g, P: SlopePartition, Q: SlopePartition) -> bool:

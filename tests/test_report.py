@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import run_fresh
+from oracles import pgl_orbit_count
 
-from planeschemes import autsearch, scheme
+from planeschemes import autsearch, report, scheme
 from planeschemes.affine import SlopePartition, build_affine_scheme, fuse, partitions_iter
 from planeschemes.autsearch import automorphism_group
 from planeschemes.classify import UNCLASSIFIABLE, UNKNOWN, _Analyzer, make_record
@@ -30,6 +31,7 @@ from planeschemes.scheme import scheme_digest
 from planeschemes.subgroups import pgl_orbit
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
+P7_DIGEST = "e816a80a660ad6a358e85bcd4aac6b1d61b0c701a2bb28701f82e6a669651d67"
 
 
 def test_record_round_trip_json():
@@ -123,6 +125,33 @@ def test_written_files_get_the_mode_open_gives(tmp_path, umask):
     written += [f"cache/{f}" for f in os.listdir(tmp_path / "cache")]
     assert len(written) == 4
     assert {f: (tmp_path / f).stat().st_mode for f in written} == dict.fromkeys(written, want)
+
+
+def test_written_files_leave_the_process_umask_alone(tmp_path, monkeypatch):
+    # a write that set the umask, even for a moment, would take it from
+    # every thread of the process
+    records = run_sweep(3, [SlopePartition.from_string("0111")])
+    cache = AutCache(str(tmp_path / "cache"))
+    X = build_affine_scheme(3)
+
+    def no_umask(mask):
+        raise AssertionError(f"umask({mask:o}) called")
+
+    monkeypatch.setattr(os, "umask", no_umask)
+    write_json_report(str(tmp_path / "report.json"), records, elapsed_ms=1.0, jobs=1)
+    cache.store(X, automorphism_group(X))
+    assert len(os.listdir(tmp_path / "cache")) == 1
+    assert sorted(os.listdir(tmp_path)) == ["cache", "report.json", "report.json.meta.json"]
+
+
+def test_a_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    def no_replace(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", no_replace)
+    with pytest.raises(OSError, match="replace failed"):
+        write_csv_report(str(tmp_path / "report.csv"), [])
+    assert os.listdir(tmp_path) == []
 
 
 def test_cache_hit_and_miss(tmp_path):
@@ -368,11 +397,15 @@ def test_a_sweep_makes_one_record_per_orbit(monkeypatch):
 
 
 def test_pool_workers_share_a_cache(tmp_path):
-    # the workers of a pool read each other's entries while the pass runs
+    # a cold pool pass writes the serial sweep's entries, one per orbit, and
+    # a warm one reads them
     want = json.loads(REFERENCE.read_text())["p5"]
+    run_sweep(5, partitions_iter(6), cache=AutCache(str(tmp_path / "serial")))
     cache = AutCache(str(tmp_path / "cache"))
     for _ in ("cold", "warm"):
         assert report_digest(run_sweep(5, partitions_iter(6), jobs=2, cache=cache)) == want
+        assert sorted(os.listdir(cache.directory)) == sorted(os.listdir(tmp_path / "serial"))
+    assert len(os.listdir(cache.directory)) == 13
 
 
 class _InlinePool:
@@ -394,20 +427,62 @@ class _InlinePool:
         return map(fn, items)
 
 
+class _RoundRobinPool(_InlinePool):
+    """An _InlinePool whose workers each keep their own analyzer; task i goes to
+    worker i mod max_workers."""
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.started.append(max_workers)
+        self.analyzers = []
+        for _ in range(max_workers):
+            initializer(*initargs)
+            self.analyzers.append(report._worker_analyzer)
+
+    def map(self, fn, items, chunksize=1):
+        for i, item in enumerate(items):
+            report._worker_analyzer = self.analyzers[i % len(self.analyzers)]
+            yield fn(item)
+
+
 @pytest.mark.parametrize("jobs,cpus,workers", [
-    (5000, 64, 15),     # no more workers than partitions
-    (5000, 4, 4),       # nor than CPUs
+    (5000, 64, 4),      # no more workers than tasks: four halving classes at p=5
+    (5000, 3, 3),       # nor than CPUs
     (2, 64, 2),
     (3, None, 1),       # an unknown CPU count counts as one
 ])
-def test_pool_starts_at_most_one_worker_per_partition_and_cpu(monkeypatch, jobs, cpus, workers):
+def test_pool_starts_at_most_one_worker_per_task_and_cpu(monkeypatch, jobs, cpus, workers):
     monkeypatch.setattr("planeschemes.report.ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr("planeschemes.report.os.cpu_count", lambda: cpus)
     monkeypatch.setattr("planeschemes.report._worker_analyzer", None)
     monkeypatch.setattr(_InlinePool, "started", [])
-    records = run_sweep(3, partitions_iter(4), jobs=jobs)
+    records = run_sweep(5, partitions_iter(6), jobs=jobs)
     assert _InlinePool.started == [workers]
-    assert report_digest(records) == json.loads(REFERENCE.read_text())["p3"]
+    assert report_digest(records) == json.loads(REFERENCE.read_text())["p5"]
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_a_pool_sweep_searches_each_orbit_once(monkeypatch, p, jobs):
+    # each worker takes whole halving classes, which hold every orbit their
+    # analyses reach, involutive inner candidates included
+    searched = []
+    search = _Analyzer._search
+
+    def counted(analyzer, P):
+        searched.append(P.as_string())
+        return search(analyzer, P)
+
+    monkeypatch.setattr(_Analyzer, "_search", counted)
+    monkeypatch.setattr("planeschemes.report.ProcessPoolExecutor", _RoundRobinPool)
+    monkeypatch.setattr("planeschemes.report.os.cpu_count", lambda: 64)
+    monkeypatch.setattr("planeschemes.report._worker_analyzer", None)
+    monkeypatch.setattr(_RoundRobinPool, "started", [])
+    records = run_sweep(p, partitions_iter(p + 1), jobs=jobs)
+    assert _RoundRobinPool.started == [min(jobs, {3: 2, 5: 4, 7: 6}[p])]
+    assert len(searched) == len({min(pgl_orbit(p, SlopePartition.from_string(rgs)))
+                                 for rgs in searched}) == pgl_orbit_count(p)
+    want = json.loads(REFERENCE.read_text()).get(f"p{p}", P7_DIGEST)
+    assert report_digest(records) == want
 
 
 @pytest.mark.parametrize("p,jobs", [(3, 1), (3, 2), (5, 1), (5, 2)])
