@@ -28,7 +28,7 @@ either a bug or a counterexample, and is never swallowed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
@@ -215,12 +215,23 @@ def _slope_map(p: int, g: PglElement) -> tuple[int, ...]:
     return tuple(c - 1 for c in lut[1:].tolist())
 
 
+def _for_member(rec: ReportRecord, P: SlopePartition, verdict: str, witness: dict) -> ReportRecord:
+    """rec, a record of P's orbit, under P's rgs with this verdict and witness.
+
+    Built positionally: `dataclasses.replace` takes twice as long, and a
+    carried NonSchurian record is little more than this copy.
+    """
+    return ReportRecord(rec.p, P.as_string(), rec.rank, rec.valencies, rec.lambda_set,
+                        rec.primitive, rec.pseudocyclic, rec.schurian, rec.aut_order,
+                        verdict, witness, rec.error, rec.elapsed_ms)
+
+
 def _witnessed(p: int, P: SlopePartition, X: Scheme, rec: ReportRecord) -> ReportRecord:
     """rec, a schurian record of P's orbit, for P under the first of `_basic_candidates`
     that holds on X, the P-fusion, or unmatched."""
     verdict, witness = next(((v, w) for v, w in _basic_candidates(p, P)
                              if _witness_holds(p, P, v, w, X)), (_UNMATCHED, {}))
-    return replace(rec, partition_rgs=P.as_string(), verdict=verdict, witness=witness)
+    return _for_member(rec, P, verdict, witness)
 
 
 class _Analyzer:
@@ -271,7 +282,7 @@ class _Analyzer:
                 f"the point map of {g.entries()} does not carry the {P}-fusion "
                 f"onto the fusion searched for its orbit at p={self.p}")
         if not searched.schurian:
-            return replace(searched, partition_rgs=P.as_string())
+            return _for_member(searched, P, searched.verdict, searched.witness)
         return _witnessed(self.p, P, fuse(self.p, P), searched)
 
     def _search(self, P: SlopePartition) -> ReportRecord:
@@ -315,7 +326,7 @@ class _Analyzer:
         inner_p, phi, inner = found
         witness = {"inner_partition": inner_p.as_string(), "color_involution": list(phi),
                    "inner": {"verdict": inner.verdict, "witness": inner.witness}}
-        return replace(rec, verdict=INVOLUTIVE, witness=witness)
+        return _for_member(rec, P, INVOLUTIVE, witness)
 
     def find_involutive(self, P: SlopePartition):
         """First (inner partition, involution, inner record) in canonical order."""

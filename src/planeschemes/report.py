@@ -223,8 +223,10 @@ class AutCache:
 def classify_record(analyzer: _Analyzer, P: SlopePartition) -> ReportRecord:
     """Classify P and re-check the record's published (verdict, witness) pair.
 
-    The re-check shares nothing with the analysis: `verify_witness` fuses P
-    itself if the verdict reads a scheme.  UnclassifiableSchurian becomes the
+    The re-check may reuse a small quotient scheme that was already verified
+    in this process (`scheme.quotient` verifies each label matrix once), but
+    nothing that depends on P: `verify_witness` fuses P itself if the
+    verdict reads a scheme.  UnclassifiableSchurian becomes the
     record's error, under that verdict with flags, aut_order and witness
     cleared.  A failed witness check sets only the error: the record keeps
     the verdict, flags and witness that failed.  Every other exception

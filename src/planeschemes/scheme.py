@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -339,7 +339,9 @@ def quotient(X: Scheme, e: ParabolicSet) -> Scheme:
     Each class pair gets the least color it meets, and these labels,
     numbered in increasing order, are the quotient's colors.  Raises
     InvariantViolated when a color meets two labels, so that e is no
-    parabolic.
+    parabolic.  The scheme axioms are checked once per distinct label
+    matrix in a process (`_verified_quotient`); the tests above run on
+    every call.
     """
     return _quotient(X, parabolic_classes(X, e), e.num_classes)
 
@@ -354,7 +356,21 @@ def _quotient(X: Scheme, cls: np.ndarray, k: int) -> Scheme:
         raise InvariantViolated("a color meets two quotient colors")
     used = np.zeros(X.rank, dtype=bool)
     used[lut] = True                  # the least colors, numbered by a running count
-    return verify_scheme((np.cumsum(used) - 1)[least].reshape(k, k))
+    return _verified_quotient(k, (np.cumsum(used) - 1).astype(np.int16)[least].tobytes())
+
+
+@lru_cache(maxsize=64)
+def _verified_quotient(k: int, labels: bytes) -> Scheme:
+    """`verify_scheme` on the k x k int16 label matrix, run once per distinct matrix.
+
+    The sweeps' quotients are a handful of small matrices, the trivial
+    scheme's above all, so each is verified the first time it is seen.  Its
+    matrix and tensor are views of immutable bytes, which no caller can write
+    into or make writable; an exception is raised again on every call.
+    """
+    Q = verify_scheme(np.frombuffer(labels, dtype=np.int16).reshape(k, k))
+    tensor = np.frombuffer(Q.tensor.tobytes(), dtype=Q.tensor.dtype).reshape(Q.tensor.shape)
+    return Scheme(Q.matrix, Q.star, tensor)
 
 
 def restriction(X: Scheme, points) -> Scheme:

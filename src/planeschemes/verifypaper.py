@@ -3,11 +3,13 @@
 Each check re-derives one verifiable claim: scheme laws of the affine
 plane, its intersection numbers in closed form, the fusion property, the
 full algebraic automorphism group, the Lambda criteria, subgroup orbit-size
-tables, the classification sweeps, the realization of exactly the schurian
-fusions by projective subgroups, the four large automorphism groups, and
-the exceptional primitive schemes.  Each check has one entry in CHECKS,
-with its quick-level call (p <= 5, and p = 7 for the closed form and the
-one alt(4) fusion) and its full-level call (which adds the heavy primes).
+tables, the number of PGL(2,p) orbits on the slope partitions, the
+classification sweeps, the realization of exactly the schurian fusions by
+projective subgroups, the four large automorphism groups, and the
+exceptional primitive schemes.  Each check has one entry in CHECKS, with
+its quick-level call (p <= 5, and p = 7 for the closed form, the orbit
+count and the one alt(4) fusion) and its full-level call (which adds the
+heavy primes).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,6 +35,9 @@ from .affine import (
 )
 from .autsearch import automorphism_group
 from .classify import EXCEPTIONAL_A4, EXCEPTIONAL_A5, UNCLASSIFIABLE, UNKNOWN, ReportRecord
+from .errors import InvariantViolated
+from .permgroup import orbits
+from .projline import pgl_elements, point_permutation
 from .report import report_digest, run_sweep
 from .scheme import (
     all_color_permutations_fixing_zero,
@@ -47,6 +53,7 @@ from .subgroups import (
     lemma_orbit_size_bound,
     match_pgl_subgroup,
     named_specs,
+    pgl_orbit,
 )
 
 GOLFAND_SEED = 47
@@ -155,6 +162,57 @@ def check_orbit_tables(primes=(5, 7, 11, 13)) -> tuple[bool, str]:
     return True, f"{built} subgroups within bounds"
 
 
+def _kept_partitions(lengths) -> int:
+    """The set partitions kept by a permutation with these cycle lengths.
+
+    The permutation permutes the blocks of a partition it keeps, and an
+    orbit of m blocks covers whole cycles, each of a length divisible by m.
+    Placing the cycles one by one, a cycle of length l opens an orbit of any
+    m dividing l, or joins an open orbit whose m divides l in one of m ways
+    (the block its first point goes into fixes where the rest go).  Each
+    state counts the open orbits per m.
+    """
+    states = Counter({(0,) * (max(lengths) + 1): 1})
+    for length in lengths:
+        grown = Counter()
+        for state, ways in states.items():
+            for m in range(1, length + 1):
+                if length % m == 0:
+                    grown[state[:m] + (state[m] + 1,) + state[m + 1:]] += ways
+                    grown[state] += ways * m * state[m]
+        states = grown
+    return sum(states.values())
+
+
+def burnside_orbit_count(p: int) -> int:
+    """The number of PGL(2,p) orbits on the set partitions of the p+1 slopes.
+
+    Burnside's lemma: the mean number of partitions each element keeps, which
+    depends only on its cycle lengths on the projective line.  No partition
+    is enumerated.
+    """
+    types = Counter(tuple(sorted(map(len, orbits([point_permutation(g)], p + 1))))
+                    for g in pgl_elements(p))
+    kept = sum(n * _kept_partitions(lengths) for lengths, n in types.items())
+    order = sum(types.values())
+    if kept % order:
+        raise InvariantViolated(f"p={p}: {kept} kept partitions over {order} elements")
+    return kept // order
+
+
+def check_orbit_count(enumerated=(3, 5, 7), known=()) -> tuple[bool, str]:
+    """Burnside's orbit count equals the distinct least `pgl_orbit` members at
+    each enumerated p, and the known count at each (p, count) of known."""
+    counts = []
+    todo = [(p, len({min(pgl_orbit(p, P)) for P in partitions_iter(p + 1)})) for p in enumerated]
+    for p, want in todo + list(known):
+        got = burnside_orbit_count(p)
+        if got != want:
+            return False, f"p={p}: Burnside counts {got} orbits, want {want}"
+        counts.append(f"p={p}:{got}")
+    return True, " ".join(counts)
+
+
 @lru_cache(maxsize=None)
 def _serial_sweep(p: int) -> tuple[ReportRecord, ...]:
     """The full serial sweep at p, run once for the checks that read it."""
@@ -247,6 +305,7 @@ CHECKS = [
     ("aaut-symmetric", check_aaut_full, check_aaut_full),
     ("lambda-criteria", check_lambda_criteria, check_lambda_criteria),
     ("orbit-tables", lambda: check_orbit_tables((5,)), check_orbit_tables),
+    ("orbit-count", check_orbit_count, lambda: check_orbit_count(known=((11, 3864),))),
     ("main-theorem-sweep", lambda: check_main_sweep((3, 5)), check_main_sweep),
     ("theorem-realization", lambda: check_theorem_realization((3, 5)),
      check_theorem_realization),

@@ -13,9 +13,10 @@ from math import comb, gcd, prod
 
 import numpy as np
 
-from planeschemes.errors import InconsistentIntersection, NotStarClosed
+from planeschemes.errors import InconsistentIntersection, InvariantViolated, NotStarClosed
 from planeschemes.permgroup import group_closure
 from planeschemes.projline import pgl_elements, pgl_inv, pgl_mul, point_permutation
+from planeschemes.scheme import color_lut, parabolic_classes, verify_scheme
 from planeschemes.subgroups import _slope_images, generator_matrices
 
 
@@ -322,6 +323,42 @@ def union_find_quotient_matrix(X, colors):
     for bid, c in first_color.items():
         qm[bid // k, bid % k] = roots.index(find(c))
     return qm
+
+
+def minimum_at_quotient(X, cls, k):
+    """The quotient scheme on the k classes cls, verified by `verify_scheme` on every call.
+
+    The reference for `scheme.quotient`, which verifies each label matrix
+    once: each class pair gets the least color it meets (np.minimum.at), and
+    these labels, numbered in increasing order, are the quotient's colors.
+    InvariantViolated when a color meets two labels.
+    """
+    block = cls[:, None] * k + cls[None, :]
+    least = np.full(k * k, X.rank, dtype=X.matrix.dtype)
+    np.minimum.at(least, block.ravel(), X.matrix.ravel())
+    lut = color_lut(X.matrix, least[block])
+    if lut is None:
+        raise InvariantViolated("a color meets two quotient colors")
+    used = np.zeros(X.rank, dtype=bool)
+    used[lut] = True
+    return verify_scheme((np.cumsum(used) - 1)[least].reshape(k, k))
+
+
+def minimum_at_is_subtensor(X, e1, e2):
+    """`scheme.is_subtensor` with both quotients from `minimum_at_quotient`."""
+    k1, k2 = e1.num_classes, e2.num_classes
+    if k1 * k2 != X.n:
+        return None
+    cls1 = parabolic_classes(X, e1)
+    cls2 = parabolic_classes(X, e2)
+    if np.bincount(cls1 * k2 + cls2).max() != 1:
+        return None
+    q1 = minimum_at_quotient(X, cls1, k1)
+    q2 = minimum_at_quotient(X, cls2, k2)
+    p1 = q1.matrix[np.ix_(cls1, cls1)]
+    p2 = q2.matrix[np.ix_(cls2, cls2)]
+    key = p1.astype(np.int64) * q2.rank + p2
+    return None if color_lut(X.matrix, key) is None else (q1, q2)
 
 
 def cyclic_scheme(n: int) -> np.ndarray:

@@ -28,6 +28,7 @@ from planeschemes.verifypaper import (
     check_group_orders_p3,
     check_lambda_criteria,
     check_main_sweep,
+    check_orbit_count,
     check_orbit_tables,
     check_theorem_realization,
 )
@@ -100,6 +101,25 @@ def test_criterion_5_orbit_size_tables():
 @pytest.fixture(scope="module")
 def p7_records():
     return run_sweep(7, partitions_iter(8), jobs=2)
+
+
+def test_orbit_count_check_enumerates_and_counts():
+    # quick: the enumerated primes only; full: p=11 by Burnside alone
+    ok, detail = check_orbit_count()
+    assert ok and detail == "p=3:5 p=5:13 p=7:47"
+    ok, detail = check_orbit_count((3,), ((11, 3864),))
+    assert ok and detail == "p=3:5 p=11:3864"
+
+
+def test_orbit_count_check_does_not_take_burnside_on_trust(monkeypatch):
+    # a count off by one at p=5 fails the check, and so does a wrong known count
+    real = verifypaper.burnside_orbit_count
+    monkeypatch.setattr(verifypaper, "burnside_orbit_count", lambda p: real(p) + (p == 5))
+    ok, detail = check_orbit_count((3, 5))
+    assert not ok and detail == "p=5: Burnside counts 14 orbits, want 13"
+    monkeypatch.setattr(verifypaper, "burnside_orbit_count", real)
+    ok, detail = check_orbit_count((), ((11, 3865),))
+    assert not ok and "p=11" in detail
 
 
 def test_criterion_6_main_theorem_sweep(p7_records):

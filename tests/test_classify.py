@@ -57,6 +57,7 @@ from planeschemes.subgroups import (
     pgl_orbit,
     witness_generators,
 )
+from planeschemes.verifypaper import burnside_orbit_count
 
 
 def test_classify_p3_examples():
@@ -448,9 +449,11 @@ def test_orbit_counts_match_burnside():
         counts.append(len(orbits))
         assert sum(len(members) for members in orbits.values()) == bell_number(p + 1)
         assert counts[-1] == _burnside_orbit_count(p) == pgl_orbit_count(p)
+        assert burnside_orbit_count(p) == counts[-1]
     assert counts == [5, 13, 47]
-    # the closed form by cycle types enumerates nothing
-    assert pgl_orbit_count(11) == 3864
+    # the closed forms by cycle types enumerate nothing
+    assert pgl_orbit_count(11) == burnside_orbit_count(11) == 3864
+    assert pgl_orbit_count(13) == burnside_orbit_count(13) == 91578
 
 
 def _sigma_carries(p: int, g, P: SlopePartition, Q: SlopePartition) -> bool:

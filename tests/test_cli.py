@@ -252,7 +252,7 @@ def test_verify_paper_quick(capsys, tmp_path, monkeypatch):
     code, out, _ = run_cli(["verify-paper", "--level", "quick"], capsys)
     assert code == 0
     assert "all checks passed" in out
-    assert out.count("[PASS]") == 11
+    assert out.count("[PASS]") == 12
     # main-theorem-sweep and theorem-realization read one sweep per prime;
     # report-determinism runs its own three at p=3, and exceptional-schemes
     # classifies its one alt(4) fusion at p=7

@@ -396,6 +396,32 @@ def test_a_sweep_makes_one_record_per_orbit(monkeypatch):
     assert report_digest(records) == json.loads(REFERENCE.read_text())["p5"]
 
 
+def test_a_warm_sweep_verifies_each_quotient_matrix_once(monkeypatch):
+    # every subtensor check builds two quotients, all the trivial scheme on 5
+    # points at p=5: with the quotient memo cleared, a warm pass verifies it once
+    run_sweep(5, partitions_iter(6))
+    scheme._verified_quotient.cache_clear()
+    verified, checks = [], []
+    verify, is_subtensor = scheme.verify_scheme, scheme.is_subtensor
+    trivial = scheme.trivial_scheme(5).matrix.tobytes()
+
+    def counted_verify(matrix):
+        verified.append(np.asarray(matrix).tobytes())
+        return verify(matrix)
+
+    def counted_subtensor(X, e1, e2):
+        checks.append(X)
+        return is_subtensor(X, e1, e2)
+
+    for module in ("scheme", "affine"):
+        monkeypatch.setattr(f"planeschemes.{module}.verify_scheme", counted_verify)
+    monkeypatch.setattr("planeschemes.classify.is_subtensor", counted_subtensor)
+    records = run_sweep(5, partitions_iter(6))
+    assert verified == [trivial]
+    assert len(checks) == 71
+    assert report_digest(records) == json.loads(REFERENCE.read_text())["p5"]
+
+
 def test_pool_workers_share_a_cache(tmp_path):
     # a cold pool pass writes the serial sweep's entries, one per orbit, and
     # a warm one reads them

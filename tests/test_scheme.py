@@ -1,6 +1,6 @@
 import random
 import warnings
-from itertools import combinations, takewhile
+from itertools import combinations, product, takewhile
 
 import numpy as np
 import pytest
@@ -8,6 +8,8 @@ import pytest
 from oracles import (
     cyclic_scheme,
     direct_intersection_count,
+    minimum_at_is_subtensor,
+    minimum_at_quotient,
     subset_parabolics,
     union_find_quotient_matrix,
     unique_verify_scheme,
@@ -28,8 +30,10 @@ from planeschemes.errors import (
     NotStarClosed,
 )
 from planeschemes.permgroup import PermGroup, group_closure
+from planeschemes.subgroups import pgl_orbit
 from planeschemes.scheme import (
     ParabolicSet,
+    _verified_quotient,
     algebraic_fusion,
     all_color_permutations_fixing_zero,
     is_algebraic_map,
@@ -117,10 +121,10 @@ def _corrupted(m, rng):
     return (swapped, InconsistentIntersection), (skewed, NotStarClosed)
 
 
-def _outcome(check, m):
+def _outcome(check, *args):
     try:
-        return check(m)
-    except (ValueError, NotStarClosed, InconsistentIntersection) as exc:
+        return check(*args)
+    except (InvariantViolated, ValueError, NotStarClosed, InconsistentIntersection) as exc:
         return exc
 
 
@@ -463,6 +467,106 @@ def test_is_subtensor():
     wp = [e for e in parabolics(w) if not e.is_trivial(w.rank)]
     assert len(wp) == 1
     assert is_subtensor(w, wp[0], wp[0]) is None
+
+
+def _same_scheme(a, b) -> bool:
+    return (a.matrix.dtype == b.matrix.dtype and np.array_equal(a.matrix, b.matrix)
+            and a.star == b.star and np.array_equal(a.tensor, b.tensor))
+
+
+def _same_outcome(got, want) -> bool:
+    """Equal schemes, equal pairs of schemes, both None, or equal exceptions."""
+    if isinstance(want, tuple):
+        return isinstance(got, tuple) and all(map(_same_scheme, got, want))
+    if isinstance(want, Exception):
+        return type(got) is type(want) and got.args == want.args
+    return got is want if want is None else _same_scheme(got, want)
+
+
+def _orbit_representatives(p):
+    """The least member of each PGL(2,p) orbit on the slope partitions."""
+    seen, reps = set(), []
+    for P in partitions_iter(p + 1):
+        if P.rgs not in seen:
+            orbit = pgl_orbit(p, P)
+            seen.update(orbit)
+            reps.append(SlopePartition(min(orbit)))
+    return reps
+
+
+def _nontrivial_products():
+    # factors of rank 5 and 4, so that the quotients have rank above 2
+    x3, z4 = build_affine_scheme(3), verify_scheme(cyclic_scheme(4))
+    return [tensor_product(x3, z4), wreath_product(z4, x3)]
+
+
+_QUOTIENT_CASES = {
+    "p3-fusions": lambda: [fuse(3, P) for P in partitions_iter(4)],
+    "p5-fusions": lambda: [fuse(5, P) for P in partitions_iter(6)],
+    "p7-orbit-representatives": lambda: [fuse(7, P) for P in _orbit_representatives(7)],
+    "products": _nontrivial_products,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_QUOTIENT_CASES))
+def test_quotient_and_is_subtensor_match_the_verify_every_call_oracle(case):
+    # every non-trivial parabolic and every pair of them: the memoized quotient
+    # is the one verified afresh, and so is each pair is_subtensor returns
+    ranks = set()
+    for X in _QUOTIENT_CASES[case]():
+        pars = [e for e in parabolics(X) if not e.is_trivial(X.rank)]
+        for e in pars:
+            want = minimum_at_quotient(X, parabolic_classes(X, e), e.num_classes)
+            assert _same_scheme(quotient(X, e), want), (X, sorted(e.colors))
+        for e1, e2 in product(pars, repeat=2):
+            got, want = is_subtensor(X, e1, e2), minimum_at_is_subtensor(X, e1, e2)
+            assert _same_outcome(got, want), (X, sorted(e1.colors), sorted(e2.colors))
+            ranks.update([(want[0].rank, want[1].rank)] if want else [])
+    # XA3 x Z4 lies in XA3 (x) Z4 and in T3 (x) (T3 (x) Z4); the wreath product in no product
+    want = {(4, 5), (5, 4), (2, 8), (8, 2)} if case == "products" else {(2, 2)}
+    assert ranks == want
+
+
+def test_invariant_violations_are_the_oracles():
+    # any color set holding 0 with any class count: quotient and is_subtensor
+    # raise InvariantViolated exactly where the oracle does, and agree elsewhere
+    violations = 0
+    for X in (verify_scheme(cyclic_scheme(6)), build_affine_scheme(3),
+              tensor_product(trivial_scheme(2), trivial_scheme(3))):
+        sets = [ParabolicSet(frozenset((0,) + rest), k, X.n // k)
+                for size in range(X.rank) for rest in combinations(range(1, X.rank), size)
+                for k in range(1, X.n + 1) if X.n % k == 0]
+        for e in sets:
+            want = _outcome(lambda: minimum_at_quotient(X, parabolic_classes(X, e), e.num_classes))
+            assert _same_outcome(_outcome(quotient, X, e), want), (X, sorted(e.colors))
+            violations += isinstance(want, InvariantViolated)
+        for e1, e2 in product(sets, repeat=2):
+            want = _outcome(minimum_at_is_subtensor, X, e1, e2)
+            assert _same_outcome(_outcome(is_subtensor, X, e1, e2), want)
+    assert violations > 0
+
+
+def test_a_memoized_quotient_cannot_be_written():
+    X = build_affine_scheme(5)
+    e = next(e for e in parabolics(X) if not e.is_trivial(X.rank))
+    q = quotient(X, e)
+    for a in (q.matrix, q.tensor):
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1
+        with pytest.raises(ValueError):
+            a.setflags(write=True)
+    assert quotient(X, e) is q
+    assert _same_scheme(q, trivial_scheme(5))
+
+
+def test_a_label_matrix_that_is_no_scheme_raises_on_every_call():
+    # the memo keeps results only: verify_scheme runs again on a rejected matrix
+    bad = np.array([[0, 1, 1], [1, 0, 2], [1, 2, 0]], dtype=np.int16)
+    size = _verified_quotient.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(InconsistentIntersection):
+            _verified_quotient(3, bad.tobytes())
+    assert _verified_quotient.cache_info().currsize == size
 
 
 def _algebraic_maps(X):
