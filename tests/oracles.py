@@ -13,11 +13,12 @@ from math import comb, gcd, prod
 
 import numpy as np
 
+from planeschemes.affine import SlopePartition, partitions_iter
 from planeschemes.errors import InconsistentIntersection, InvariantViolated, NotStarClosed
 from planeschemes.permgroup import group_closure
 from planeschemes.projline import pgl_elements, pgl_inv, pgl_mul, point_permutation
 from planeschemes.scheme import color_lut, parabolic_classes, verify_scheme
-from planeschemes.subgroups import _slope_images, generator_matrices
+from planeschemes.subgroups import _slope_images, generator_matrices, pgl_orbit
 
 
 def direct_intersection_count(matrix, r, s, alpha, beta) -> int:
@@ -359,6 +360,17 @@ def minimum_at_is_subtensor(X, e1, e2):
     p2 = q2.matrix[np.ix_(cls2, cls2)]
     key = p1.astype(np.int64) * q2.rank + p2
     return None if color_lut(X.matrix, key) is None else (q1, q2)
+
+
+def orbit_representatives(p: int):
+    """The least member of each PGL(2,p) orbit of slope partitions, in rgs order."""
+    seen, reps = set(), []
+    for P in partitions_iter(p + 1):
+        if P.rgs not in seen:
+            orbit = pgl_orbit(p, P)
+            seen.update(orbit)
+            reps.append(SlopePartition(min(orbit)))
+    return sorted(reps, key=lambda P: P.rgs)
 
 
 def cyclic_scheme(n: int) -> np.ndarray:

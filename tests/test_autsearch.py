@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import bfs_orbitals, brute_force_aut_order, unique_refine
+from oracles import bfs_orbitals, brute_force_aut_order, orbit_representatives, unique_refine
 
 from planeschemes import autsearch
 from planeschemes.affine import (
@@ -27,7 +27,6 @@ from planeschemes.autsearch import (
 from planeschemes.errors import BudgetExceeded, InvariantViolated
 from planeschemes.permgroup import StabilizerChain
 from planeschemes.scheme import tensor_product, trivial_scheme, wreath_product
-from planeschemes.subgroups import pgl_orbit
 
 
 def test_refine_examples():
@@ -169,21 +168,10 @@ def test_affine_maps_keep_every_fusion_color():
                 assert np.array_equal(m[np.ix_(g, g)], m), (p, P)
 
 
-def _orbit_representatives(p: int) -> list[SlopePartition]:
-    """The least member of each PGL(2,p) orbit of slope partitions."""
-    seen, reps = set(), []
-    for P in partitions_iter(p + 1):
-        if P.rgs not in seen:
-            orbit = pgl_orbit(p, P)
-            seen.update(orbit)
-            reps.append(SlopePartition(min(orbit)))
-    return sorted(reps, key=lambda P: P.rgs)
-
-
 def test_search_matches_the_unique_refine_reference(monkeypatch):
     # the search over oracles.unique_refine visits the same nodes and finds
     # the same generators, so the signatures, numbering and traces agree
-    cases = [(p, P) for p in (3, 5, 7) for P in _orbit_representatives(p)]
+    cases = [(p, P) for p in (3, 5, 7) for P in orbit_representatives(p)]
     assert len(cases) == 5 + 13 + 47
     for p, P in cases:
         X = fuse(p, P)
@@ -202,7 +190,7 @@ def test_search_matches_the_unique_refine_reference(monkeypatch):
 
 def test_known_automorphisms_keep_the_order():
     cases = [(p, P) for p in (3, 5) for P in partitions_iter(p + 1)]
-    cases += [(7, P) for P in _orbit_representatives(7)]
+    cases += [(7, P) for P in orbit_representatives(7)]
     assert len(cases) == 218 + 47
     for p, P in cases:
         X = fuse(p, P)

@@ -10,6 +10,7 @@ from oracles import (
     direct_intersection_count,
     minimum_at_is_subtensor,
     minimum_at_quotient,
+    orbit_representatives,
     subset_parabolics,
     union_find_quotient_matrix,
     unique_verify_scheme,
@@ -30,7 +31,6 @@ from planeschemes.errors import (
     NotStarClosed,
 )
 from planeschemes.permgroup import PermGroup, group_closure
-from planeschemes.subgroups import pgl_orbit
 from planeschemes.scheme import (
     ParabolicSet,
     _verified_quotient,
@@ -483,17 +483,6 @@ def _same_outcome(got, want) -> bool:
     return got is want if want is None else _same_scheme(got, want)
 
 
-def _orbit_representatives(p):
-    """The least member of each PGL(2,p) orbit on the slope partitions."""
-    seen, reps = set(), []
-    for P in partitions_iter(p + 1):
-        if P.rgs not in seen:
-            orbit = pgl_orbit(p, P)
-            seen.update(orbit)
-            reps.append(SlopePartition(min(orbit)))
-    return reps
-
-
 def _nontrivial_products():
     # factors of rank 5 and 4, so that the quotients have rank above 2
     x3, z4 = build_affine_scheme(3), verify_scheme(cyclic_scheme(4))
@@ -503,7 +492,7 @@ def _nontrivial_products():
 _QUOTIENT_CASES = {
     "p3-fusions": lambda: [fuse(3, P) for P in partitions_iter(4)],
     "p5-fusions": lambda: [fuse(5, P) for P in partitions_iter(6)],
-    "p7-orbit-representatives": lambda: [fuse(7, P) for P in _orbit_representatives(7)],
+    "p7-orbit-representatives": lambda: [fuse(7, P) for P in orbit_representatives(7)],
     "products": _nontrivial_products,
 }
 

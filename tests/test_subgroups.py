@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import matrix_conjugates, matrix_mult_table, unique_pgl_orbit
+from oracles import matrix_conjugates, matrix_mult_table, orbit_representatives, unique_pgl_orbit
 from planeschemes.affine import SlopePartition, partition_from_group, partitions_iter
 from planeschemes.classify import (
     EXCEPTIONAL_A4,
@@ -30,7 +30,6 @@ from planeschemes.subgroups import (
     subgroup_lattice,
     witness_generators,
 )
-from test_autsearch import _orbit_representatives
 
 
 def test_parse_spec():
@@ -277,7 +276,7 @@ def test_pgl_orbit_matches_the_unique_reference():
     # them, each with the same first element; at p=31 a key is 32 bytes
     rng = np.random.default_rng(31)
     cases = [(p, P) for p in (3, 5) for P in partitions_iter(p + 1)]
-    cases += [(7, P) for P in _orbit_representatives(7)]
+    cases += [(7, P) for P in orbit_representatives(7)]
     for p, k in ((11, 20), (31, 4)):
         for _ in range(k):
             labels = rng.integers(0, rng.integers(1, p + 2), size=p + 1)
