@@ -19,7 +19,7 @@ import numpy as np
 from .errors import NonCanonicalPartition
 from .permgroup import PermGroup, orbits
 from .projline import check_prime, fp_inv
-from .scheme import Scheme, verify_scheme
+from .scheme import Scheme, frozen_copy, verify_scheme
 
 _RGS_ALPHABET = string.digits + string.ascii_lowercase
 
@@ -191,7 +191,8 @@ def amorphic_tensor(p: int, sizes) -> np.ndarray:
     return tensor
 
 
-_fusion_tensor = lru_cache(maxsize=256)(amorphic_tensor)   # shared read-only; 128 keys at p=7
+_fusion_tensor = lru_cache(maxsize=256)(       # shared, so frozen; 128 keys at p=7
+    lambda p, sizes: frozen_copy(amorphic_tensor(p, sizes)))
 
 
 def fuse(p: int, partition: SlopePartition) -> Scheme:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, InvariantViolated
-from .permgroup import Perm, orbit_of
+from .permgroup import Perm, is_permutation, orbit_of
 from .scheme import Scheme, color_lut
 
 DEFAULT_NODE_CAP = 10**7
@@ -45,6 +45,12 @@ class AutGroup:
     generators: tuple[Perm, ...]
     order: int
     nodes: int
+
+
+def is_automorphism(M: np.ndarray, g) -> bool:
+    """Whether g permutes the points of the color matrix M and M[g][:, g] == M."""
+    g = np.asarray(g)
+    return is_permutation(g.tolist(), len(M)) and bool(np.array_equal(M[np.ix_(g, g)], M))
 
 
 def _pairs(X: Scheme) -> np.ndarray:
@@ -151,9 +157,6 @@ class _AutSearch:
         nxt[point] = col.max() + 1
         return _refine(self.pairs, self.rank, nxt)
 
-    def _is_automorphism(self, sigma: np.ndarray) -> bool:
-        return bool(np.array_equal(self.M[np.ix_(sigma, sigma)], self.M))
-
     def _leaf_sigma(self, col: np.ndarray) -> np.ndarray:
         order = np.argsort(col)
         sigma = np.empty(self.n, dtype=np.int64)
@@ -209,7 +212,7 @@ class _AutSearch:
         cell = _target_cell(col)
         if cell is None:
             sigma = self._leaf_sigma(col)
-            if self._is_automorphism(sigma):
+            if is_automorphism(self.M, sigma):
                 return sigma
             return None
         for x in cell:
@@ -242,14 +245,14 @@ def automorphism_group(X: Scheme, node_cap: int = DEFAULT_NODE_CAP,
     known = [np.asarray(g, dtype=np.int64) for g in known]
     search = _AutSearch(X, node_cap, known)
     for g in known:
-        if not (np.array_equal(np.sort(g), np.arange(X.n)) and search._is_automorphism(g)):
+        if not is_automorphism(X.matrix, g):
             raise ValueError("a known map is not an automorphism of the scheme")
     col0 = np.zeros(X.n, dtype=np.int64)
     col0, digest0 = _refine(search.pairs, X.rank, col0)
     search.run(col0, digest0)
     gens = []
     for _, g in search.generators:
-        if not search._is_automorphism(g):
+        if not is_automorphism(X.matrix, g):
             raise InvariantViolated("search produced a non-automorphism")
         gens.append(tuple(int(v) for v in g))
     return AutGroup(X.n, tuple(gens), math.prod(search.orbit_lengths), search.nodes)

@@ -28,6 +28,7 @@ either a bug or a counterexample, and is never swallowed.
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -216,14 +217,14 @@ def _slope_map(p: int, g: PglElement) -> tuple[int, ...]:
 
 
 def _for_member(rec: ReportRecord, P: SlopePartition, verdict: str, witness: dict) -> ReportRecord:
-    """rec, a record of P's orbit, under P's rgs with this verdict and witness.
+    """rec, a record of P's orbit, under P's rgs with this verdict and a copy of witness.
 
     Built positionally: `dataclasses.replace` takes twice as long, and a
-    carried NonSchurian record is little more than this copy.
+    carried NonSchurian record, its witness flat, is little more than this copy.
     """
     return ReportRecord(rec.p, P.as_string(), rec.rank, rec.valencies, rec.lambda_set,
                         rec.primitive, rec.pseudocyclic, rec.schurian, rec.aut_order,
-                        verdict, witness, rec.error, rec.elapsed_ms)
+                        verdict, dict(witness), rec.error, rec.elapsed_ms)
 
 
 def _witnessed(p: int, P: SlopePartition, X: Scheme, rec: ReportRecord) -> ReportRecord:
@@ -325,7 +326,7 @@ class _Analyzer:
                 f"schurian fusion {P} at p={self.p} matches no case of the classification")
         inner_p, phi, inner = found
         witness = {"inner_partition": inner_p.as_string(), "color_involution": list(phi),
-                   "inner": {"verdict": inner.verdict, "witness": inner.witness}}
+                   "inner": {"verdict": inner.verdict, "witness": deepcopy(inner.witness)}}
         return _for_member(rec, P, INVOLUTIVE, witness)
 
     def find_involutive(self, P: SlopePartition):

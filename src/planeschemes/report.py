@@ -17,12 +17,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
-import numpy as np
-
 from .affine import SlopePartition
+from .autsearch import is_automorphism
 from .classify import UNCLASSIFIABLE, ReportRecord, _Analyzer, make_record, verify_witness
 from .errors import UnclassifiableSchurian
-from .permgroup import is_permutation
 from .scheme import Scheme, scheme_digest
 
 SCHEMA_VERSION = 1
@@ -190,24 +188,18 @@ class AutCache:
                     or data.get("n") != X.n):
                 return None
             gens = tuple(tuple(g) for g in data["generators"])
-            for g in gens:
-                if not all(type(x) is int for x in g) or not is_permutation(g, X.n):
-                    return None
-                arr = np.array(g)
-                if not np.array_equal(X.matrix[np.ix_(arr, arr)], X.matrix):
-                    return None
-            return gens
+            ok = all(all(type(x) is int for x in g) and is_automorphism(X.matrix, g) for g in gens)
+            return gens if ok else None
         except (OSError, ValueError, KeyError, TypeError, RecursionError):
             return None
 
     def store(self, X: Scheme, aut):
-        """Write the generators and search nodes of `aut`, an AutGroup of X."""
+        """Write the generators of `aut`, an AutGroup of X."""
         digest = scheme_digest(X)
         data = {
             "schema": SCHEMA_VERSION,
             "n": X.n,
             "generators": [list(g) for g in aut.generators],
-            "nodes": aut.nodes,
         }
         try:
             _atomic_write(self._path(digest),

@@ -33,17 +33,23 @@ _VERSION = 1
 _HEADER_SIZE = 13       # magic, version u8, n u32le, r u32le
 
 
+def frozen_copy(a: np.ndarray) -> np.ndarray:
+    """A read-only view of an immutable copy of a, which nothing can make writable."""
+    return np.frombuffer(a.tobytes(), a.dtype).reshape(a.shape)
+
+
 @dataclass(frozen=True, eq=False)
 class Scheme:
-    """A verified association scheme; immutable after construction."""
+    """A verified association scheme.  The one immutability rule: `matrix` and `tensor`
+    become `frozen_copy`s of the given arrays, which no holder can write into."""
 
     matrix: np.ndarray          # (n, n) int16 color matrix
     star: tuple[int, ...]       # color -> transposed color
     tensor: np.ndarray          # (r, r, r) int64, tensor[r, s, t] = c_rs^t
 
     def __post_init__(self):
-        self.matrix.setflags(write=False)
-        self.tensor.setflags(write=False)
+        object.__setattr__(self, "matrix", frozen_copy(self.matrix))
+        object.__setattr__(self, "tensor", frozen_copy(self.tensor))
 
     @property
     def n(self) -> int:
@@ -116,7 +122,8 @@ def verify_scheme(matrix) -> Scheme:
     m[g,b]=s}| is the same over all (a,b) with m[a,b]=t, and stores the
     constant.  Raises ValueError for entries that are not int16 integers or
     not colors 0..r-1 laid out as a scheme's, and NotStarClosed or
-    InconsistentIntersection (with a witness pair of pairs) otherwise.
+    InconsistentIntersection (with a witness pair of pairs) otherwise.  The
+    Scheme holds a frozen copy of `matrix`, which stays writable and its own.
     """
     given = np.asarray(matrix)
     with np.errstate(invalid="ignore"):          # NaN and out-of-range entries fail below
@@ -341,7 +348,7 @@ def quotient(X: Scheme, e: ParabolicSet) -> Scheme:
     InvariantViolated when a color meets two labels, so that e is no
     parabolic.  The scheme axioms are checked once per distinct label
     matrix in a process (`_verified_quotient`); the tests above run on
-    every call.
+    every call.  Like every Scheme, a shared quotient cannot be written into.
     """
     return _quotient(X, parabolic_classes(X, e), e.num_classes)
 
@@ -364,13 +371,11 @@ def _verified_quotient(k: int, labels: bytes) -> Scheme:
     """`verify_scheme` on the k x k int16 label matrix, run once per distinct matrix.
 
     The sweeps' quotients are a handful of small matrices, the trivial
-    scheme's above all, so each is verified the first time it is seen.  Its
-    matrix and tensor are views of immutable bytes, which no caller can write
-    into or make writable; an exception is raised again on every call.
+    scheme's above all, so each is verified the first time it is seen.  The
+    memo can share the result, as no Scheme can be written into; an
+    exception is raised again on every call.
     """
-    Q = verify_scheme(np.frombuffer(labels, dtype=np.int16).reshape(k, k))
-    tensor = np.frombuffer(Q.tensor.tobytes(), dtype=Q.tensor.dtype).reshape(Q.tensor.shape)
-    return Scheme(Q.matrix, Q.star, tensor)
+    return verify_scheme(np.frombuffer(labels, dtype=np.int16).reshape(k, k))
 
 
 def restriction(X: Scheme, points) -> Scheme:

@@ -40,6 +40,7 @@ from .projline import (
     pgl_identity,
     point_permutation,
 )
+from .scheme import frozen_copy
 
 _LATTICE_MAX_PRIME = 7
 
@@ -328,9 +329,7 @@ def conjugates(rep: PermGroup):
 @lru_cache(maxsize=None)
 def _slope_perm_array(p: int) -> np.ndarray:
     """Row i: the slope permutation of the i-th PGL(2,p) element in canonical order."""
-    table = np.array(_element_perms(p)[1])
-    table.flags.writeable = False
-    return table
+    return frozen_copy(np.array(_element_perms(p)[1]))
 
 
 def _slope_images(p: int, P: SlopePartition) -> np.ndarray:

@@ -1,6 +1,7 @@
 """`python -O` strips `assert`, so the library guards its invariants with typed errors,
 and every error type it declares is raised somewhere.  The library also calls
-np.unique only in forms that do not import numpy.ma."""
+np.unique only in forms that do not import numpy.ma, and decides whether an
+array is writable in scheme.py alone."""
 
 import ast
 import pathlib
@@ -51,5 +52,24 @@ def test_no_np_unique_without_a_return_flag():
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "unique"
                     and not any((kw.arg or "").startswith("return_") for kw in node.keywords)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_only_scheme_py_decides_writability():
+    # Scheme.__post_init__ freezes through scheme.frozen_copy, which no caller
+    # can undo; a soft read-only flag set anywhere else can be turned back on
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "scheme.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+            if ((isinstance(node, ast.Attribute) and node.attr == "setflags")
+                    or any(isinstance(t, ast.Attribute) and t.attr == "writeable"
+                           and isinstance(t.value, ast.Attribute) and t.value.attr == "flags"
+                           for t in targets)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []

@@ -61,6 +61,41 @@ def test_a_serial_record_is_the_analysis_record():
     assert classify_record(analyzer, P) is analyzer.basic_memo[P.rgs]
 
 
+def _containers(value):
+    """Each dict and list in value, at any depth, value itself included."""
+    if isinstance(value, (dict, list)):
+        yield value
+        for v in value.values() if isinstance(value, dict) else value:
+            yield from _containers(v)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_records_own_their_witnesses(p):
+    # a carried record copies its orbit's witness, and an InvolutiveOf witness
+    # its inner record's: no dict or list is shared, so editing one record's
+    # witness leaves every other record as a fresh sweep gives it
+    records = run_sweep(p, partitions_iter(p + 1))
+    owner = {}
+    for rec in records:
+        for c in _containers(record_to_dict(rec)["witness"]):
+            assert owner.setdefault(id(c), rec.partition_rgs) == rec.partition_rgs
+    fresh = [record_to_dict(r) for r in run_sweep(p, partitions_iter(p + 1))]
+    first = {}                            # the first record of each verdict
+    for rec in records:
+        first.setdefault(rec.verdict, rec)
+    assert p == 3 or {"NonSchurian", "InvolutiveOf"} <= set(first)
+    edited = {rec.partition_rgs for rec in first.values()}
+    for rec in first.values():
+        for c in list(_containers(record_to_dict(rec)["witness"])):
+            if isinstance(c, list):
+                c.append(-1)
+            else:
+                c["edited"] = True
+    for rec, want in zip(records, fresh):
+        got = record_to_dict(rec)
+        assert (got == want) == (rec.partition_rgs not in edited), rec.partition_rgs
+
+
 def test_pool_records_are_timed():
     records = run_sweep(3, partitions_iter(4), jobs=2)
     assert all(rec.elapsed_ms > 0 for rec in records)
@@ -216,6 +251,23 @@ def test_cache_malformed_entries_recompute(tmp_path, monkeypatch):
         res = _Analyzer(3, cache).classify(P)
         assert loads == [(scheme_digest(X), None)]
         assert (res.verdict, res.aut_order) == ("WreathOfTrivial", 1296)
+
+
+def test_an_entry_holding_nodes_still_loads_and_seeds(tmp_path):
+    # entries used to hold the search's node count too; one written so still
+    # hits, and its generators prune the search without changing the order
+    X = fuse(3, SlopePartition.from_string("0001"))
+    cache = AutCache(str(tmp_path / "cache"))
+    cold = automorphism_group(X)
+    cache.store(X, cold)
+    path = os.path.join(cache.directory, scheme_digest(X) + ".json")
+    entry = json.loads(open(path).read())
+    assert sorted(entry) == ["generators", "n", "schema"]
+    with open(path, "w") as fh:
+        json.dump(dict(entry, nodes=cold.nodes), fh, sort_keys=True)
+    assert cache.load(X) == cold.generators
+    seeded = automorphism_group(X, known=cache.load(X))
+    assert seeded.order == cold.order and seeded.nodes < cold.nodes
 
 
 def test_cache_rejects_wrong_generators(tmp_path):

@@ -18,12 +18,18 @@ from oracles import (
 
 from planeschemes.affine import (
     SlopePartition,
+    _fusion_tensor,
     build_affine_scheme,
     fuse,
     fusion_matrix,
     partitions_iter,
 )
-from planeschemes.classify import WREATH, _basic_candidates, involutive_presentations
+from planeschemes.classify import (
+    WREATH,
+    _basic_candidates,
+    _trivial_wreath,
+    involutive_presentations,
+)
 from planeschemes.errors import (
     InconsistentIntersection,
     InvariantViolated,
@@ -31,6 +37,7 @@ from planeschemes.errors import (
     NotStarClosed,
 )
 from planeschemes.permgroup import PermGroup, group_closure
+from planeschemes.subgroups import _slope_perm_array
 from planeschemes.scheme import (
     ParabolicSet,
     _verified_quotient,
@@ -166,7 +173,7 @@ def test_inconsistent_intersection():
             != direct_intersection_count(m, r, s, *p2))
 
 
-def _same_scheme(got, want):
+def _assert_same_scheme(got, want):
     """Equal bytes, dtypes and read-only flags, as the digests and cache keys need."""
     assert got.star == want.star and all(type(s) is int for s in got.star)
     for a, b in ((got.matrix, want.matrix), (got.tensor, want.tensor)):
@@ -181,7 +188,7 @@ def test_fuse_merges_what_verify_scheme_counts(p):
     fusions = list(partitions_iter(p + 1))
     assert len(fusions) == {3: 15, 5: 203, 7: 4140}[p]
     for P in fusions:
-        _same_scheme(fuse(p, P), verify_scheme(fusion_matrix(p, P)))
+        _assert_same_scheme(fuse(p, P), verify_scheme(fusion_matrix(p, P)))
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -192,7 +199,7 @@ def test_algebraic_fusion_merges_what_verify_scheme_counts(p):
         for P2, phi in involutive_presentations(P):
             X2 = fuse(p, P2)
             fused = algebraic_fusion(X2, group_closure([phi], X2.rank))
-            _same_scheme(fused, verify_scheme(fusion_matrix(p, P)))
+            _assert_same_scheme(fused, verify_scheme(fusion_matrix(p, P)))
             count += 1
     assert count > 0
 
@@ -546,6 +553,38 @@ def test_a_memoized_quotient_cannot_be_written():
             a.setflags(write=True)
     assert quotient(X, e) is q
     assert _same_scheme(q, trivial_scheme(5))
+
+
+def test_verify_scheme_neither_aliases_nor_freezes_its_matrix():
+    m = cyclic_scheme(5)
+    X = verify_scheme(m)
+    assert m.flags.writeable and not np.shares_memory(X.matrix, m)
+    m[0, 1] = 2                       # no scheme any more; X keeps its own copy
+    assert np.array_equal(X.matrix, cyclic_scheme(5))
+    assert scheme_digest(X) == scheme_digest(verify_scheme(cyclic_scheme(5)))
+
+
+def _assert_unwritable(a):
+    with pytest.raises(ValueError):
+        a.setflags(write=True)
+    with pytest.raises(ValueError):
+        a[(0,) * a.ndim] = 1
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_no_holder_of_a_shared_array_can_write_into_it(p):
+    # the memoized schemes, two fusions whose block sizes share one closed-form
+    # tensor entry, a memoized quotient, that entry and the slope permutation table
+    P, Q = SlopePartition.from_string("0" * p + "1"), SlopePartition.from_string("0" * (p - 1) + "10")
+    assert P != Q and P.block_sizes() == Q.block_sizes()
+    X = build_affine_scheme(p)
+    e = next(e for e in parabolics(X) if not e.is_trivial(X.rank))
+    for Y in (X, _trivial_wreath(p), fuse(p, P), fuse(p, Q), quotient(X, e)):
+        _assert_unwritable(Y.matrix)
+        _assert_unwritable(Y.tensor)
+    _assert_unwritable(_fusion_tensor(p, P.block_sizes()))
+    _assert_unwritable(_slope_perm_array(p))
+    assert np.array_equal(fuse(p, P).tensor, fuse(p, Q).tensor)
 
 
 def test_a_label_matrix_that_is_no_scheme_raises_on_every_call():
