@@ -3,16 +3,20 @@
 Color refinement plus individualization backtracking, in the standard
 partition-backtrack shape: the first path of the search tree is the base;
 sibling branches are pruned by refinement-trace mismatch and by orbits of
-the generators found so far; every leaf permutation is verified against the
-full color matrix before it is accepted.
+the generators found so far.  Below a sibling x of b_i, each node whose
+trace matches the base path's offers the map of the base coloring at its
+depth onto its own, cell by cell (McKay & Piperno): it is accepted if it
+fixes b_0..b_{i-1}, maps b_i to x and keeps the full color matrix, and
+otherwise the search goes on below the node.
 
 The group order is the product of the base-orbit lengths (McKay & Piperno's
 group-size rule; a base and strong generating set in Seress's terms).  At
 depth i every sibling of b_i that the generators of deviation depth >= i do
-not already reach is searched exhaustively, so those generators reach the
-whole orbit of b_i under the pointwise stabiliser of b_0..b_{i-1}; the base
-leaf is discrete, so the stabiliser of the whole base is trivial.  No
-Schreier-Sims run is needed.
+not already reach is searched exhaustively (an automorphism g that fixes
+b_0..b_{i-1} and maps b_i to x leads below x to a leaf whose map is g), so
+those generators reach the whole orbit of b_i under the pointwise stabiliser
+of b_0..b_{i-1}; the base leaf is discrete, so the stabiliser of the whole
+base is trivial.  Neither a Schreier-Sims run nor collision-free traces are needed.
 
 The caller may pass automorphisms it already knows.  They are checked up
 front and join the generators when the first descent reaches the base leaf,
@@ -48,9 +52,9 @@ class AutGroup:
 
 
 def is_automorphism(M: np.ndarray, g) -> bool:
-    """Whether g permutes the points of the color matrix M and M[g][:, g] == M."""
+    """Whether g is an integer permutation of the points of M with M[g][:, g] == M."""
     g = np.asarray(g)
-    return is_permutation(g.tolist(), len(M)) and bool(np.array_equal(M[np.ix_(g, g)], M))
+    return is_permutation(g, len(M)) and bool(np.array_equal(M.take(g, 0).take(g, 1), M))
 
 
 def _pairs(X: Scheme) -> np.ndarray:
@@ -136,14 +140,13 @@ class _AutSearch:
         self.M = X.matrix
         self.pairs = _pairs(X)
         self.rank = X.rank
-        self.n = X.n
         self.cap = node_cap
         self.known = known
         self.nodes = 0
         self.base: list[int] = []
         self.base_digests: list[tuple] = []
-        self.base_leaf_order: np.ndarray | None = None
-        self.generators: list[tuple[int, np.ndarray]] = []  # (deviation depth, perm)
+        self.base_ranks: list[np.ndarray] = []  # each point's place in the sorted base coloring
+        self.generators: list[tuple[int, list[int]]] = []  # (deviation depth, perm)
         self.orbit_lengths: list[int] = []  # |orbit of b_i|, deepest base point first
 
     def _tick(self):
@@ -157,20 +160,14 @@ class _AutSearch:
         nxt[point] = col.max() + 1
         return _refine(self.pairs, self.rank, nxt)
 
-    def _leaf_sigma(self, col: np.ndarray) -> np.ndarray:
-        order = np.argsort(col)
-        sigma = np.empty(self.n, dtype=np.int64)
-        sigma[self.base_leaf_order] = order
-        return sigma
-
     def run(self, col0: np.ndarray, digest0: tuple):
         self.base_digests.append(digest0)
         self._base_node(col0, 0)
 
     def _base_node(self, col: np.ndarray, depth: int):
+        self.base_ranks.append(np.argsort(np.argsort(col, kind="stable")))
         cell = _target_cell(col)
         if cell is None:
-            self.base_leaf_order = np.argsort(col)
             self._add_known()
             return
         b = int(cell[0])
@@ -188,9 +185,9 @@ class _AutSearch:
             cand_col, cand_dig = self._child(col, x)
             if cand_dig != self.base_digests[depth + 1]:
                 continue
-            sigma = self._subtree(cand_col, depth + 1)
+            sigma = self._subtree(cand_col, depth + 1, depth, x)
             if sigma is not None:
-                self.generators.append((depth, sigma))
+                self.generators.append((depth, sigma.tolist()))
                 orbit = self._orbit(b, depth)
         self.orbit_lengths.append(len(orbit))
 
@@ -201,25 +198,28 @@ class _AutSearch:
         for g in self.known:
             moved = np.flatnonzero(g[base] != base)
             if moved.size:
-                self.generators.append((int(moved[0]), g))
+                self.generators.append((int(moved[0]), g.tolist()))
 
     def _orbit(self, b: int, depth: int) -> set[int]:
         """Orbit of b under the generators of deviation depth >= depth."""
-        return set(orbit_of([g.tolist() for d, g in self.generators if d >= depth], b))
+        return set(orbit_of([g for d, g in self.generators if d >= depth], b))
 
-    def _subtree(self, col: np.ndarray, depth: int):
-        """First verified automorphism whose leaf lies under this node, or None."""
+    def _subtree(self, col: np.ndarray, depth: int, dev: int, x: int):
+        """First verified automorphism at or below this node, whose trace is the base
+        path's, that fixes b_0..b_{dev-1} and maps b_dev to x; None if there is none."""
+        sigma = np.argsort(col, kind="stable")[self.base_ranks[depth]]
+        base = self.base
+        if (sigma[base[dev]] == x and np.array_equal(sigma[base[:dev]], base[:dev])
+                and is_automorphism(self.M, sigma)):
+            return sigma
         cell = _target_cell(col)
         if cell is None:
-            sigma = self._leaf_sigma(col)
-            if is_automorphism(self.M, sigma):
-                return sigma
             return None
-        for x in cell:
-            cand_col, cand_dig = self._child(col, int(x))
+        for y in cell:
+            cand_col, cand_dig = self._child(col, int(y))
             if cand_dig != self.base_digests[depth + 1]:
                 continue
-            found = self._subtree(cand_col, depth + 1)
+            found = self._subtree(cand_col, depth + 1, dev, x)
             if found is not None:
                 return found
         return None
@@ -236,17 +236,17 @@ def automorphism_group(X: Scheme, node_cap: int = DEFAULT_NODE_CAP,
     automorphisms of X join the generators at the base leaf, so siblings
     they reach are pruned; the result's generators and nodes depend on them,
     its order does not.  Raises ValueError when a known map is not an
-    automorphism of X, and BudgetExceeded when the search tree outgrows
-    `node_cap`.  Every returned generator is re-verified to fix every color
-    class.
+    integer automorphism of X, and BudgetExceeded when the search tree
+    outgrows `node_cap`.  Every returned generator is re-verified to fix
+    every color class.
     """
     if X.n > MAX_AUT_POINTS:
         raise ValueError(f"automorphism search supports at most {MAX_AUT_POINTS} points")
-    known = [np.asarray(g, dtype=np.int64) for g in known]
-    search = _AutSearch(X, node_cap, known)
+    known = [np.asarray(g) for g in known]
     for g in known:
         if not is_automorphism(X.matrix, g):
-            raise ValueError("a known map is not an automorphism of the scheme")
+            raise ValueError("a known map is not an integer automorphism of the scheme")
+    search = _AutSearch(X, node_cap, known)
     col0 = np.zeros(X.n, dtype=np.int64)
     col0, digest0 = _refine(search.pairs, X.rank, col0)
     search.run(col0, digest0)
@@ -254,7 +254,7 @@ def automorphism_group(X: Scheme, node_cap: int = DEFAULT_NODE_CAP,
     for _, g in search.generators:
         if not is_automorphism(X.matrix, g):
             raise InvariantViolated("search produced a non-automorphism")
-        gens.append(tuple(int(v) for v in g))
+        gens.append(tuple(g))
     return AutGroup(X.n, tuple(gens), math.prod(search.orbit_lengths), search.nodes)
 
 

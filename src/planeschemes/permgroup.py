@@ -26,7 +26,8 @@ def compose(a: Perm, b: Perm) -> Perm:
 
 
 def is_permutation(a, n: int) -> bool:
-    return len(a) == n and sorted(a) == list(range(n))
+    a = np.asarray(a)
+    return a.shape == (n,) and a.dtype.kind in "iu" and bool((np.sort(a) == np.arange(n)).all())
 
 
 def perm_order(a: Perm) -> int:

@@ -122,6 +122,21 @@ def test_orbit_count_check_does_not_take_burnside_on_trust(monkeypatch):
     assert not ok and "p=11" in detail
 
 
+def test_orbit_count_check_calls_pgl_orbit_once_per_orbit(monkeypatch):
+    # a member of an orbit already met is skipped, not mapped again
+    calls = []
+    real = verifypaper.pgl_orbit
+
+    def counted(p, P):
+        calls.append((p, P.rgs))
+        return real(p, P)
+
+    monkeypatch.setattr(verifypaper, "pgl_orbit", counted)
+    ok, detail = check_orbit_count()
+    assert ok and detail == "p=3:5 p=5:13 p=7:47"
+    assert len(calls) == 5 + 13 + 47 and len(set(calls)) == len(calls)
+
+
 def test_criterion_6_main_theorem_sweep(p7_records):
     ok, detail = check_main_sweep((3, 5))
     assert ok, detail

@@ -158,6 +158,74 @@ def test_order_from_base_orbits_matches_schreier_sims():
         assert aut.order == StabilizerChain(aut.generators, X.n).order(), (p, P)
 
 
+def test_node_acceptance_keeps_the_search_small():
+    # a candidate is tested at every node whose trace matches the base path,
+    # not only at discrete leaves: the seeded p=7 representatives took 2378
+    # nodes and the one-block fusion 1129 when every candidate came from a leaf
+    seeds = affine_automorphisms(7)
+    total = 0
+    for P in orbit_representatives(7):
+        X = fuse(7, P)
+        aut = automorphism_group(X, known=seeds)
+        assert aut.order == StabilizerChain(aut.generators, X.n).order(), P
+        total += aut.nodes
+    assert total <= 600
+    one_block = fuse(7, SlopePartition.from_string("00000000"))
+    for known in ((), seeds):
+        assert automorphism_group(one_block, known=known).nodes <= 2 * 49
+
+
+def _recorded_searches(monkeypatch) -> list:
+    """Every `_AutSearch` that `automorphism_group` runs from now on, in order."""
+    searches = []
+
+    class Recording(autsearch._AutSearch):
+        def run(self, col0, digest0):
+            searches.append(self)
+            super().run(col0, digest0)
+
+    monkeypatch.setattr(autsearch, "_AutSearch", Recording)
+    return searches
+
+
+def test_generators_deviate_at_the_depth_they_enter(monkeypatch):
+    # the order rule needs each generator entered at depth d to fix
+    # b_0..b_{d-1} and move b_d, whether the search or the caller found it
+    searches = _recorded_searches(monkeypatch)
+    cases = [(p, P) for p in (3, 5) for P in partitions_iter(p + 1)]
+    cases += [(7, P) for P in orbit_representatives(7)]
+    for p, P in cases:
+        X = fuse(p, P)
+        for known in ((), affine_automorphisms(p)):
+            automorphism_group(X, known=known)
+            search = searches.pop()
+            assert len(search.orbit_lengths) == len(search.base)
+            for d, g in search.generators:
+                assert all(g[b] == b for b in search.base[:d]), (p, P, d)
+                assert g[search.base[d]] != search.base[d], (p, P, d)
+
+
+def test_a_subtree_yields_only_maps_that_send_b_dev_to_its_sibling(monkeypatch):
+    # a node whose trace matched by a hash collision could offer an
+    # automorphism that deviates elsewhere; the explicit check refuses it.
+    # In the trivial scheme every map is an automorphism, and every map
+    # offered below the node that individualised v sends b_0 to v.
+    searches = _recorded_searches(monkeypatch)
+    X = trivial_scheme(5)
+    automorphism_group(X)
+    search = searches.pop()
+    b0 = search.base[0]
+    for v in range(5):
+        col = np.zeros(5, dtype=np.int64)
+        col[v] = 1
+        col, digest = _refine(search.pairs, X.rank, col)
+        assert digest == search.base_digests[1]
+        for x in range(5):
+            found = search._subtree(col, 1, 0, x)
+            assert (found is not None) == (x == v), (v, x)
+            assert found is None or found[b0] == x
+
+
 def test_affine_maps_keep_every_fusion_color():
     for p in (3, 5):
         maps = [np.array(g) for g in affine_automorphisms(p)]
@@ -207,6 +275,32 @@ def test_known_maps_are_checked():
         automorphism_group(X, known=[(0, 1, 2)])
     # the identity moves no base point and adds nothing
     assert automorphism_group(X, known=[tuple(range(9))]) == automorphism_group(X)
+
+
+def test_known_maps_with_non_integer_entries_are_rejected():
+    # truncating 0.5, 1.5, ... to 0, 1, ... would seed the search with the identity
+    X = build_affine_scheme(3)
+    with pytest.raises(ValueError):
+        automorphism_group(X, known=[np.arange(9.0) + 0.5])
+    with pytest.raises(ValueError):
+        automorphism_group(X, known=[np.arange(9.0)])
+    assert automorphism_group(X, known=[np.arange(9, dtype=np.uint8)]).order == 18
+
+
+def test_is_automorphism_is_false_for_maps_that_are_no_integer_permutation():
+    M = build_affine_scheme(3).matrix
+    assert autsearch.is_automorphism(M, list(range(9)))
+    assert autsearch.is_automorphism(M, np.arange(9, dtype=np.int16))
+    for bad in ([float(v) for v in range(9)],          # float, even when integral
+                np.arange(9.0) + 0.5,
+                list(range(1, 10)),                    # out of range, above
+                [-1] + list(range(1, 9)),              # out of range, below
+                [0, 0] + list(range(2, 9)),            # a repeated point
+                list(range(8)), list(range(10)),       # wrong length
+                np.arange(9).reshape(3, 3),            # 2-D
+                np.arange(9)[None, :],
+                [True] * 9):
+        assert autsearch.is_automorphism(M, bad) is False, bad
 
 
 def test_generator_soundness_and_determinism():
