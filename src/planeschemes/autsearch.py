@@ -53,7 +53,6 @@ class AutGroup:
 
 def is_automorphism(M: np.ndarray, g) -> bool:
     """Whether g is an integer permutation of the points of M with M[g][:, g] == M."""
-    g = np.asarray(g)
     return is_permutation(g, len(M)) and bool(np.array_equal(M.take(g, 0).take(g, 1), M))
 
 

@@ -5,11 +5,11 @@ group, then assign exactly one principal verdict with a machine-checkable
 witness, in the fusion's report record.  The fusions in one PGL(2,p) orbit
 are isomorphic (McKay & Piperno 2014: isomorphic structures share every
 invariant), so the first member analysed is searched and its record is
-carried to each later member along a point map that is checked first, on
-the p+1 slopes it permutes; a carried NonSchurian builds no scheme, and only
-a schurian witness is chosen per member.  The wreath and subtensor candidates
-are read off the partition, and the witness checks test only the color sets
-they are given, on the fusion.  The verdicts are:
+carried to each later member along the point map of a `pgl_table` row,
+checked first on the p+1 slopes it permutes; a carried NonSchurian builds no
+scheme, and only a schurian witness is chosen per member.  The wreath and
+subtensor candidates are read off the partition, and the witness checks test
+only the color sets they are given, on the fusion.  The verdicts are:
 
   imprimitive   -> wreath of trivial schemes, else subtensor of trivial schemes
   trivial       -> primitive pseudocyclic (rank 2 satisfies both predicates)
@@ -54,7 +54,7 @@ from .errors import (
     UnclassifiableSchurian,
 )
 from .permgroup import PermGroup, group_closure
-from .projline import PglElement, pgl_canonical, point_permutation
+from .projline import pgl_canonical, point_permutation
 from .scheme import (
     Scheme,
     algebraic_fusion,
@@ -71,6 +71,7 @@ from .subgroups import (
     is_exceptional_group,
     match_exceptional_subgroup,
     pgl_orbit,
+    pgl_table,
     witness_generators,
 )
 
@@ -178,13 +179,13 @@ def involutive_presentations(P: SlopePartition):
     yield from out
 
 
-def _point_map(p: int, g: PglElement) -> np.ndarray:
-    """sigma(x, y) = (d*x + c*y, b*x + a*y) for g = [[a, b], [c, d]].
+def _point_map(p: int, row: int) -> np.ndarray:
+    """sigma(x, y) = (d*x + c*y, b*x + a*y) for g = [[a, b], [c, d]] in `pgl_table` row `row`.
 
     sigma maps the direction (dx, dy), as the projective point [dy:dx], to
     g[dy:dx], so it carries the fusion along P.rgs[pi_g] onto the P-fusion.
     """
-    a, b, c, d = g.entries()
+    a, b, c, d = pgl_table(p).elements[row].entries()
     x, y = np.divmod(np.arange(p * p), p)
     return (d * x + c * y) % p * p + (b * x + a * y) % p
 
@@ -202,17 +203,18 @@ def _color_map(sigma: np.ndarray, to_matrix: np.ndarray, from_matrix: np.ndarray
 
 
 @lru_cache(maxsize=None)
-def _slope_map(p: int, g: PglElement) -> tuple[int, ...]:
-    """pi_g: entry s is the slope that sigma = `_point_map(p, g)` maps slope s onto.
+def _slope_map(p: int, row: int) -> tuple[int, ...]:
+    """pi_g: entry s is the slope that sigma = `_point_map(p, row)` maps slope s onto.
 
     Read off the colors of AG(2,p) under sigma, which must permute them and
     fix 0; InvariantViolated otherwise.  Then sigma carries the fusion of
     the canonical form of R.rgs[pi_g] onto the R-fusion, for any partition R.
+    The second path to the row's Moebius permutation, read once per row.
     """
     A = build_affine_scheme(p).matrix
-    lut = _color_map(_point_map(p, g), A, A)
+    lut = _color_map(_point_map(p, row), A, A)
     if lut is None:
-        raise InvariantViolated(f"the point map of {g.entries()} permutes no slopes at p={p}")
+        raise InvariantViolated(f"the point map of row {row} permutes no slopes at p={p}")
     return tuple(c - 1 for c in lut[1:].tolist())
 
 
@@ -242,19 +244,19 @@ class _Analyzer:
     Unknown, the first of `_basic_candidates` that `_witness_holds` accepts,
     or an unmatched schurian.  The first member of a PGL(2,p) orbit analysed
     is searched on its own fusion, and orbit_memo maps each member's rgs to
-    (g, the searched record), g mapping the searched member onto it.  A later
-    member is that record under its own rgs; a schurian one fuses itself to
-    choose its witness.  Each search starts from the affine maps x -> lam*x + v
-    and the generators `cache` (an AutCache, or None) holds for the fusion;
-    it stays exhaustive, so the cache changes the nodes visited and never
-    |Aut| or the orbital count.  A search the cache held nothing for is stored.
+    (row, the searched record), the `pgl_table` row of a g mapping the searched
+    member onto it.  A later member is that record under its own rgs; a schurian
+    one fuses itself to choose its witness.  A search starts from the maps
+    x -> lam*x + v and the generators `cache` (an AutCache, or None) holds for
+    the fusion; it stays exhaustive, so the cache changes the nodes visited,
+    never |Aut| or the orbital count.  A search the cache held nothing for is stored.
     """
 
     def __init__(self, p: int, cache=None):
         self.p = p
         self.cache = cache
         self.basic_memo: dict[tuple[int, ...], ReportRecord] = {}
-        self.orbit_memo: dict[tuple[int, ...], tuple[PglElement, ReportRecord]] = {}
+        self.orbit_memo: dict[tuple[int, ...], tuple[int, ReportRecord]] = {}
 
     def _automorphisms(self, X: Scheme):
         cached = self.cache.load(X) if self.cache is not None else None
@@ -273,14 +275,14 @@ class _Analyzer:
 
     def _analyze(self, P: SlopePartition) -> ReportRecord:
         """The searched record of P's orbit, carried to P: InvariantViolated unless
-        the searched partition, relabelled through g's slope map, is P."""
+        the searched partition, relabelled through its row's slope map, is P."""
         known = self.orbit_memo.get(P.rgs)
         if known is None:
             return self._search(P)
-        g, searched = known
-        if canonical_rgs(searched.partition_rgs[s] for s in _slope_map(self.p, g)) != P.rgs:
+        row, searched = known
+        if canonical_rgs(searched.partition_rgs[s] for s in _slope_map(self.p, row)) != P.rgs:
             raise InvariantViolated(
-                f"the point map of {g.entries()} does not carry the {P}-fusion "
+                f"the point map of row {row} does not carry the {P}-fusion "
                 f"onto the fusion searched for its orbit at p={self.p}")
         if not searched.schurian:
             return _for_member(searched, P, searched.verdict, searched.witness)
@@ -304,7 +306,7 @@ class _Analyzer:
                               prim, pc, orbits == rank, aut.order)
             if rec.schurian:   # its verdict and witness are those of its basic candidates
                 rec = _witnessed(p, P, X, rec)
-        self.orbit_memo.update((rgs, (g, rec)) for rgs, g in pgl_orbit(p, P).items())
+        self.orbit_memo.update((rgs, (row, rec)) for rgs, row in pgl_orbit(p, P).items())
         return rec
 
     def classify_basic(self, P: SlopePartition) -> ReportRecord | None:

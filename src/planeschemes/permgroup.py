@@ -26,7 +26,10 @@ def compose(a: Perm, b: Perm) -> Perm:
 
 
 def is_permutation(a, n: int) -> bool:
-    a = np.asarray(a)
+    try:
+        a = np.asarray(a)
+    except ValueError:      # a ragged sequence
+        return False
     return a.shape == (n,) and a.dtype.kind in "iu" and bool((np.sort(a) == np.arange(n)).all())
 
 

@@ -13,6 +13,8 @@ closures reach all of them.
 
 A subgroup is held as its PermGroup on the p+1 slopes, so p is its degree
 less one; the action is faithful, so each permutation is one element.
+Every reader of the action goes through `pgl_table(p)`, one frozen table of
+the elements, their slope permutations and orders, built once per prime.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -37,7 +40,6 @@ from .projline import (
     check_prime,
     pgl_canonical,
     pgl_elements,
-    pgl_identity,
     point_permutation,
 )
 from .scheme import frozen_copy
@@ -107,9 +109,38 @@ def parse_spec(text: str) -> SubgroupSpec:
     raise ValueError(f"cannot parse subgroup spec {text!r}")
 
 
+@dataclass(frozen=True, eq=False)
+class PglTable:
+    """PGL(2,p) on the p+1 slopes; row i is the i-th element in canonical order."""
+
+    elements: tuple[PglElement, ...]
+    perms: tuple[Perm, ...]         # the Moebius slope permutations
+    array: np.ndarray               # perms as one frozen (p^3 - p, p + 1) array
+    orders: tuple[int, ...]
+    _rows: MappingProxyType
+
+    def row(self, perm) -> int:
+        """The row whose slope permutation is perm; ValueError outside PGL(2,p)."""
+        row = self._rows.get(tuple(perm))
+        if row is None:
+            raise ValueError(f"{tuple(perm)} is no element of PGL(2,{self.elements[0].p})")
+        return row
+
+
+@lru_cache(maxsize=None)
+def pgl_table(p: int) -> PglTable:
+    """The PGL(2,p) table, built once per prime from `pgl_elements` and `point_permutation`."""
+    els = pgl_elements(p)
+    perms = tuple(map(point_permutation, els))
+    array = frozen_copy(np.array(perms, dtype=np.intp))
+    return PglTable(els, perms, array, tuple(map(perm_order, perms)),
+                    MappingProxyType({q: i for i, q in enumerate(perms)}))
+
+
 def generator_matrices(group: PermGroup) -> tuple[PglElement, ...]:
     """The canonical matrices of the group's generators, in their order."""
-    return tuple(map(_element_of_perm(group.degree - 1).__getitem__, group.generators))
+    t = pgl_table(group.degree - 1)
+    return tuple(t.elements[t.row(q)] for q in group.generators)
 
 
 def witness_generators(group: PermGroup) -> tuple[PglElement, ...]:
@@ -118,31 +149,14 @@ def witness_generators(group: PermGroup) -> tuple[PglElement, ...]:
     The first four elements in canonical order; while they generate a
     proper subgroup, the first canonical element outside it is appended.
     """
-    els, perms, _ = _element_perms(group.degree - 1)
-    members = set(group.elements)
-    own = [(g, q) for g, q in zip(els, perms) if q in members]
+    t = pgl_table(group.degree - 1)
+    own = sorted(map(t.row, group.elements))
     gens = own[:4]
     while True:
-        closed = set(group_closure([q for _, q in gens], group.degree).elements)
-        if len(closed) == len(members):
-            return tuple(g for g, _ in gens)
-        gens.append(next((g, q) for g, q in own if q not in closed))
-
-
-@lru_cache(maxsize=None)
-def _element_perms(p: int):
-    """Permutations and orders of all PGL(2,p) elements, in canonical order."""
-    els = pgl_elements(p)
-    perms = tuple(point_permutation(g) for g in els)
-    orders = tuple(perm_order(q) for q in perms)
-    return els, perms, orders
-
-
-@lru_cache(maxsize=None)
-def _element_of_perm(p: int) -> dict[Perm, PglElement]:
-    """Each PGL(2,p) element keyed by its slope permutation."""
-    els, perms, _ = _element_perms(p)
-    return dict(zip(perms, els))
+        closed = set(group_closure([t.perms[i] for i in gens], group.degree).elements)
+        if len(closed) == len(own):
+            return tuple(t.elements[i] for i in gens)
+        gens.append(next(i for i in own if t.perms[i] not in closed))
 
 
 def element_order_profile(group: PermGroup) -> dict[int, int]:
@@ -174,9 +188,9 @@ def _presentation(p: int, a: int, b: int, c: int, size: int) -> PermGroup | None
     it (von Dyck) and is Δ(a,b,c) itself when `size` is its order:
     D_2d = Δ(d,2,2), and alt(4), sym(4), alt(5) = Δ(2,3,c) for c = 3, 4, 5.
     """
-    _, perms, orders = _element_perms(p)
-    ys = [qy for qy, o in zip(perms, orders) if o == b]
-    for qx, o in zip(perms, orders):
+    t = pgl_table(p)
+    ys = [qy for qy, o in zip(t.perms, t.orders) if o == b]
+    for qx, o in zip(t.perms, t.orders):
         if o != a:
             continue
         for qy in ys:
@@ -200,9 +214,9 @@ def find_subgroup(p: int, spec: SubgroupSpec) -> PermGroup | None:
     if spec.kind in EXCEPTIONAL_KINDS:
         c, size, _ = EXCEPTIONAL_KINDS[spec.kind]
         return _presentation(p, 2, 3, c, size)
-    els, _, orders = _element_perms(p)
+    t = pgl_table(p)
     diagonal = spec.kind == "frobenius"
-    g = next((g for g, o in zip(els, orders)
+    g = next((g for g, o in zip(t.elements, t.orders)
               if o == spec.d and not (diagonal and (g.b or g.c))), None)
     if g is None:
         return None
@@ -237,21 +251,14 @@ def lemma_orbit_size_bound(spec: SubgroupSpec, p: int) -> set[int] | None:
 
 
 def _mult_table(p: int) -> np.ndarray:
-    """[i, j]: the canonical index of g_i g_j, which maps z to g_i(g_j(z)).
-
-    PGL(2,p) is sharply 3-transitive on the slopes, so the images of slopes
-    0, 1 and 2 index an element.
-    """
-    q = _slope_perm_array(p)
-    digits = np.array([(p + 1) ** 2, p + 1, 1])     # the three images, base p + 1
-    index = np.zeros((p + 1) ** 3, dtype=np.int32)
-    index[q[:, :3] @ digits] = np.arange(len(q))
-    return index[q[:, q[:, :3]] @ digits]
+    """[i, j]: the table row of g_i g_j, which maps z to g_i(g_j(z))."""
+    t = pgl_table(p)
+    return np.array([[t.row(q) for q in products] for products in t.array[:, t.array].tolist()])
 
 
 @lru_cache(maxsize=None)
 def subgroup_lattice(p: int) -> tuple[frozenset[int], ...]:
-    """Every subgroup of PGL(2,p), as frozensets of element indices.
+    """Every subgroup of PGL(2,p), as frozensets of `pgl_table` rows.
 
     Enumerated by closing all generator pairs; p <= 7 only.
     """
@@ -260,13 +267,12 @@ def subgroup_lattice(p: int) -> tuple[frozenset[int], ...]:
         raise UnsupportedPrime(
             f"subgroup lattice enumeration is limited to p <= {_LATTICE_MAX_PRIME}"
         )
-    table, els = _mult_table(p), _element_perms(p)[0]
-    ident = els.index(pgl_identity(p))
-    m = len(els)
+    table = _mult_table(p)
+    ident = pgl_table(p).row(range(p + 1))
 
     # cyclic subgroups first, deduplicated
     cyclics: dict[frozenset[int], int] = {}
-    for i in range(m):
+    for i in range(len(table)):
         c = _closure_set(table, ident, (i,))
         cyclics.setdefault(c, i)
     subs = set(cyclics)
@@ -294,8 +300,7 @@ def _closure_set(table: np.ndarray, ident: int, gens: tuple[int, ...]) -> frozen
 
 def lattice_subgroup(p: int, ids: frozenset[int]) -> PermGroup:
     """A lattice entry as a group on the slopes (generators = all elements)."""
-    perms = _element_perms(p)[1]
-    gens = tuple(perms[i] for i in sorted(ids))
+    gens = tuple(pgl_table(p).perms[i] for i in sorted(ids))
     return PermGroup(p + 1, gens, tuple(sorted(gens)))
 
 
@@ -318,7 +323,7 @@ def conjugates(rep: PermGroup):
     k = len(rep.generators)
     stack = np.array(rep.generators + rep.elements)
     seen: set[frozenset] = set()
-    for q in _slope_perm_array(rep.degree - 1):
+    for q in pgl_table(rep.degree - 1).array:
         conj = list(map(tuple, q[stack[:, np.argsort(q)]].tolist()))
         key = frozenset(conj[k:])
         if key not in seen:
@@ -326,17 +331,11 @@ def conjugates(rep: PermGroup):
             yield PermGroup(rep.degree, tuple(conj[:k]), tuple(sorted(key)))
 
 
-@lru_cache(maxsize=None)
-def _slope_perm_array(p: int) -> np.ndarray:
-    """Row i: the slope permutation of the i-th PGL(2,p) element in canonical order."""
-    return frozen_copy(np.array(_element_perms(p)[1]))
-
-
 def _slope_images(p: int, P: SlopePartition) -> np.ndarray:
     """Row i: P.rgs[pi_g] for the i-th PGL(2,p) element g in canonical order."""
     if P.n_labels != p + 1:
         raise ValueError(f"partition has {P.n_labels} labels, want {p + 1}")
-    return np.asarray(P.rgs)[_slope_perm_array(p)]
+    return np.asarray(P.rgs)[pgl_table(p).array]
 
 
 def match_pgl_subgroup(p: int, P: SlopePartition) -> PermGroup | None:
@@ -346,7 +345,7 @@ def match_pgl_subgroup(p: int, P: SlopePartition) -> PermGroup | None:
     whose orbits are the blocks lies in K_P, whose orbits lie within the
     blocks, so K_P realises P whenever any subgroup does.
     """
-    perms = _element_perms(p)[1]
+    perms = pgl_table(p).perms
     keep = tuple(perms[i] for i in np.flatnonzero((_slope_images(p, P) == P.rgs).all(axis=1)))
     K = PermGroup(p + 1, keep, tuple(sorted(keep)))
     return K if partition_from_group(K) == P else None
@@ -372,15 +371,15 @@ def match_exceptional_subgroup(p: int, P: SlopePartition) -> tuple[str, PermGrou
     return None
 
 
-def pgl_orbit(p: int, P: SlopePartition) -> dict[tuple[int, ...], PglElement]:
-    """Every member of the PGL(2,p) orbit of P, as rgs, with an element mapping P onto it.
+def pgl_orbit(p: int, P: SlopePartition) -> dict[tuple[int, ...], int]:
+    """Every member of the PGL(2,p) orbit of P, as rgs, with a `pgl_table` row mapping P onto it.
 
     The member g gives is the canonical form of P.rgs[pi_g], computed for the
-    whole group at once; each member comes with the first g in canonical
-    order that gives it, and the members come in increasing order.  Each
-    canonical row packs into a key of one byte per label (labels < p + 1 <
-    256 at every prime whose group table fits in memory), so byte order on
-    the keys is the lexicographic row order.
+    whole group at once; each member comes with the first row that gives it,
+    and the members come in increasing order.  Each canonical row packs into
+    a key of one byte per label (labels < p + 1 < 256 at every prime whose
+    group table fits in memory), so byte order on the keys is the
+    lexicographic row order.
     """
     images = _slope_images(p, P)
     first = (images[:, :, None] == np.arange(P.num_blocks)).argmax(axis=1)
@@ -388,4 +387,4 @@ def pgl_orbit(p: int, P: SlopePartition) -> dict[tuple[int, ...], PglElement]:
     canon = np.take_along_axis(renumber, images, axis=1)
     keys = np.ascontiguousarray(canon, dtype=np.uint8).view(f"S{p + 1}").ravel()
     _, index = np.unique(keys, return_index=True)
-    return {tuple(m): _element_perms(p)[0][i] for m, i in zip(canon[index].tolist(), index)}
+    return dict(zip(map(tuple, canon[index].tolist()), index.tolist()))

@@ -37,7 +37,6 @@ from .autsearch import automorphism_group
 from .classify import EXCEPTIONAL_A4, EXCEPTIONAL_A5, UNCLASSIFIABLE, UNKNOWN, ReportRecord
 from .errors import InvariantViolated
 from .permgroup import orbits
-from .projline import pgl_elements, point_permutation
 from .report import report_digest, run_sweep
 from .scheme import (
     all_color_permutations_fixing_zero,
@@ -54,6 +53,7 @@ from .subgroups import (
     match_pgl_subgroup,
     named_specs,
     pgl_orbit,
+    pgl_table,
 )
 
 GOLFAND_SEED = 47
@@ -191,8 +191,7 @@ def burnside_orbit_count(p: int) -> int:
     depends only on its cycle lengths on the projective line.  No partition
     is enumerated.
     """
-    types = Counter(tuple(sorted(map(len, orbits([point_permutation(g)], p + 1))))
-                    for g in pgl_elements(p))
+    types = Counter(tuple(sorted(map(len, orbits([q], p + 1)))) for q in pgl_table(p).perms)
     kept = sum(n * _kept_partitions(lengths) for lengths, n in types.items())
     order = sum(types.values())
     if kept % order:

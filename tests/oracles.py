@@ -149,15 +149,14 @@ def unique_pgl_orbit(p, P):
     """`subgroups.pgl_orbit` with the canonical rows grouped by np.unique(axis=0).
 
     The reference for the byte-key grouping: the same members in the same
-    order, each with the first element in canonical order that gives it.
+    order, each with the first table row that gives it.
     """
     images = _slope_images(p, P)
     first = (images[:, :, None] == np.arange(P.num_blocks)).argmax(axis=1)
     renumber = np.argsort(np.argsort(first, axis=1), axis=1)
     canon = np.take_along_axis(renumber, images, axis=1)
     members, index = np.unique(canon, axis=0, return_index=True)
-    els = pgl_elements(p)
-    return {tuple(m): els[i] for m, i in zip(members.tolist(), index)}
+    return dict(zip(map(tuple, members.tolist()), index.tolist()))
 
 
 def pgl_orbit_count(p: int) -> int:

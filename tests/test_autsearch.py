@@ -25,7 +25,7 @@ from planeschemes.autsearch import (
     refine,
 )
 from planeschemes.errors import BudgetExceeded, InvariantViolated
-from planeschemes.permgroup import StabilizerChain
+from planeschemes.permgroup import StabilizerChain, is_permutation
 from planeschemes.scheme import tensor_product, trivial_scheme, wreath_product
 
 
@@ -301,6 +301,13 @@ def test_is_automorphism_is_false_for_maps_that_are_no_integer_permutation():
                 np.arange(9)[None, :],
                 [True] * 9):
         assert autsearch.is_automorphism(M, bad) is False, bad
+
+
+def test_a_ragged_map_is_no_permutation_and_no_automorphism():
+    # np.asarray raises ValueError on a ragged sequence: both predicates say False
+    for ragged in ([[0, 1], [2]], [0, [1, 2], 3, 4, 5, 6, 7, 8, 9]):
+        assert is_permutation(ragged, 9) is False, ragged
+        assert autsearch.is_automorphism(build_affine_scheme(3).matrix, ragged) is False, ragged
 
 
 def test_generator_soundness_and_determinism():

@@ -40,8 +40,8 @@ from planeschemes.classify import (
     verify_witness,
 )
 from planeschemes.errors import BudgetExceeded, InvariantViolated
-from planeschemes.permgroup import group_closure, orbits
-from planeschemes.projline import pgl_canonical, pgl_elements, point_permutation
+from planeschemes.permgroup import group_closure, orbits, perm_order
+from planeschemes.projline import pgl_elements, point_permutation
 from planeschemes.report import classify_record, record_from_dict, record_to_dict, run_sweep
 from planeschemes.scheme import (
     algebraic_fusion,
@@ -55,6 +55,7 @@ from planeschemes.subgroups import (
     find_subgroup,
     match_pgl_subgroup,
     pgl_orbit,
+    pgl_table,
     witness_generators,
 )
 from planeschemes.verifypaper import burnside_orbit_count
@@ -456,10 +457,10 @@ def test_orbit_counts_match_burnside():
     assert pgl_orbit_count(13) == burnside_orbit_count(13) == 91578
 
 
-def _sigma_carries(p: int, g, P: SlopePartition, Q: SlopePartition) -> bool:
+def _sigma_carries(p: int, row: int, P: SlopePartition, Q: SlopePartition) -> bool:
     """Point by point: sigma maps each pair of X_Q to a pair of X_P, colors bijectively."""
     XP, XQ = fuse(p, P).matrix, fuse(p, Q).matrix
-    a, b, c, d = g.entries()
+    a, b, c, d = pgl_table(p).elements[row].entries()
     sigma = [(d * x + c * y) % p * p + (b * x + a * y) % p
              for x in range(p) for y in range(p)]
     lut = {}
@@ -472,7 +473,7 @@ def _sigma_carries(p: int, g, P: SlopePartition, Q: SlopePartition) -> bool:
 
 
 def test_point_map_carries_each_orbit_member_onto_the_fusion():
-    # the g given for each member carries the member's fusion onto P's; the
+    # the row given for each member carries the member's fusion onto P's; the
     # least member's is also checked pair by pair
     sample = random.Random(7).sample(list(partitions_iter(8)), 40)
     cases = [(p, P) for p in (3, 5) for P in partitions_iter(p + 1)]
@@ -480,13 +481,27 @@ def test_point_map_carries_each_orbit_member_onto_the_fusion():
     for p, P in cases + [(7, P) for P in sample]:
         XP = fusion_matrix(p, P)
         orbit = pgl_orbit(p, P)
-        for rgs, g in orbit.items():
+        for rgs, row in orbit.items():
             if (p, rgs) not in matrices:
                 matrices[p, rgs] = fusion_matrix(p, SlopePartition(rgs))
-            assert _color_map(_point_map(p, g), XP, matrices[p, rgs]) is not None, (p, P, rgs, g)
-            assert canonical_rgs(P.rgs[s] for s in _slope_map(p, g)) == rgs, (p, P, rgs, g)
+            assert _color_map(_point_map(p, row), XP, matrices[p, rgs]) is not None, (p, P, rgs, row)
+            assert canonical_rgs(P.rgs[s] for s in _slope_map(p, row)) == rgs, (p, P, rgs, row)
         Q = min(orbit)
         assert _sigma_carries(p, orbit[Q], P, SlopePartition(Q)), (p, P, orbit[Q])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_every_table_row_is_its_element_on_both_paths(p):
+    # the Moebius permutation, its order and the row lookup agree for the
+    # whole group, and so does the slope map read off the point map's colours
+    t = pgl_table(p)
+    assert t.elements == pgl_elements(p) and len(t.perms) == len(t.orders) == p**3 - p
+    assert t.array.tolist() == [list(q) for q in t.perms]
+    for i, g in enumerate(t.elements):
+        assert t.perms[i] == point_permutation(g), (p, i)
+        assert t.orders[i] == perm_order(t.perms[i]), (p, i)
+        assert t.row(t.perms[i]) == i, (p, i)
+        assert _slope_map(p, i) == t.perms[i], (p, i)
 
 
 def test_carries_needs_a_color_bijection_and_an_isomorphism():
@@ -505,11 +520,12 @@ def test_carries_needs_a_color_bijection_and_an_isomorphism():
 def test_wrong_point_map_raises(monkeypatch):
     # 0001, analysed first, is searched; 0111 is carried from it, and the
     # identity does not map 0001 onto 0111.  The slope maps are cached per
-    # (p, g): a fresh cache reads them off the patched point map, and the
+    # (p, row): a fresh cache reads them off the patched point map, and the
     # real cache comes back with the real one
     searched, carried = SlopePartition.from_string("0001"), SlopePartition.from_string("0111")
-    assert pgl_orbit(3, searched)[carried.rgs].entries() != (1, 0, 0, 1)
-    monkeypatch.setattr("planeschemes.classify._point_map", lambda p, g: np.arange(p * p))
+    row = pgl_orbit(3, searched)[carried.rgs]
+    assert pgl_table(3).elements[row].entries() != (1, 0, 0, 1)
+    monkeypatch.setattr("planeschemes.classify._point_map", lambda p, row: np.arange(p * p))
     monkeypatch.setattr(classify, "_slope_map", functools.lru_cache(_slope_map.__wrapped__))
     analyzer = _Analyzer(3)
     analyzer.classify(searched)
@@ -523,7 +539,7 @@ def test_wrong_point_map_raises_under_python_O():
         "import planeschemes.classify as c\n"
         "from planeschemes.affine import SlopePartition\n"
         "from planeschemes.errors import InvariantViolated\n"
-        "c._point_map = lambda p, g: np.arange(p * p)\n"
+        "c._point_map = lambda p, row: np.arange(p * p)\n"
         "analyzer = c._Analyzer(3)\n"
         "analyzer.classify(SlopePartition.from_string('0001'))\n"
         "try:\n"
@@ -535,13 +551,13 @@ def test_wrong_point_map_raises_under_python_O():
 
 
 def test_tampered_orbit_memo_element_raises():
-    # the slope maps are right, but the g stored for 0111 is the identity,
+    # the slope maps are right, but the row stored for 0111 is the identity's,
     # which keeps the searched 0001 as it is
     searched, carried = SlopePartition.from_string("0001"), SlopePartition.from_string("0111")
     analyzer = _Analyzer(3)
     analyzer.classify(searched)
     _, inv = analyzer.orbit_memo[carried.rgs]
-    analyzer.orbit_memo[carried.rgs] = (pgl_canonical(1, 0, 0, 1, 3), inv)
+    analyzer.orbit_memo[carried.rgs] = (pgl_table(3).row(range(4)), inv)
     with pytest.raises(InvariantViolated):
         analyzer.classify(carried)
 
@@ -549,7 +565,7 @@ def test_tampered_orbit_memo_element_raises():
 def test_a_point_map_that_permutes_no_slopes_raises(monkeypatch):
     # swapping two points of AG(2,3) maps pairs of one slope onto two slopes
     swap = np.array([0, 3, 2, 1, 4, 5, 6, 7, 8])
-    monkeypatch.setattr("planeschemes.classify._point_map", lambda p, g: swap)
+    monkeypatch.setattr("planeschemes.classify._point_map", lambda p, row: swap)
     monkeypatch.setattr(classify, "_slope_map", functools.lru_cache(_slope_map.__wrapped__))
     analyzer = _Analyzer(3)
     analyzer.classify(SlopePartition.from_string("0001"))

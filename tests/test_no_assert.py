@@ -1,7 +1,8 @@
 """`python -O` strips `assert`, so the library guards its invariants with typed errors,
 and every error type it declares is raised somewhere.  The library also calls
-np.unique only in forms that do not import numpy.ma, and decides whether an
-array is writable in scheme.py alone."""
+np.unique only in forms that do not import numpy.ma, decides whether an
+array is writable in scheme.py alone, and enumerates PGL(2,p) in
+subgroups.pgl_table alone."""
 
 import ast
 import pathlib
@@ -71,5 +72,23 @@ def test_only_scheme_py_decides_writability():
                     or any(isinstance(t, ast.Attribute) and t.attr == "writeable"
                            and isinstance(t.value, ast.Attribute) and t.value.attr == "flags"
                            for t in targets)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_only_pgl_table_enumerates_the_group():
+    # every reader of PGL(2,p) on the slopes goes through the one table per
+    # prime, so no module derives the elements, permutations or orders again
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = {id(call) for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "pgl_table"
+                  and path.name == "subgroups.py"
+                  for call in ast.walk(node)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and id(node) not in inside
+                    and (getattr(node.func, "id", None) == "pgl_elements"
+                         or getattr(node.func, "attr", None) == "pgl_elements")):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []

@@ -37,7 +37,7 @@ from planeschemes.errors import (
     NotStarClosed,
 )
 from planeschemes.permgroup import PermGroup, group_closure
-from planeschemes.subgroups import _slope_perm_array
+from planeschemes.subgroups import pgl_table
 from planeschemes.scheme import (
     ParabolicSet,
     _verified_quotient,
@@ -583,7 +583,7 @@ def test_no_holder_of_a_shared_array_can_write_into_it(p):
         _assert_unwritable(Y.matrix)
         _assert_unwritable(Y.tensor)
     _assert_unwritable(_fusion_tensor(p, P.block_sizes()))
-    _assert_unwritable(_slope_perm_array(p))
+    _assert_unwritable(pgl_table(p).array)
     assert np.array_equal(fuse(p, P).tensor, fuse(p, Q).tensor)
 
 

@@ -12,7 +12,7 @@ from planeschemes.classify import (
 )
 from planeschemes.errors import UnsupportedPrime
 from planeschemes.permgroup import group_closure, perm_order
-from planeschemes.projline import pgl_elements, point_permutation
+from planeschemes.projline import pgl_canonical, pgl_elements, point_permutation
 from planeschemes.subgroups import (
     SubgroupSpec,
     _mult_table,
@@ -27,6 +27,7 @@ from planeschemes.subgroups import (
     match_pgl_subgroup,
     parse_spec,
     pgl_orbit,
+    pgl_table,
     subgroup_lattice,
     witness_generators,
 )
@@ -273,7 +274,7 @@ def test_unsupported_prime_bound():
 
 def test_pgl_orbit_matches_the_unique_reference():
     # the byte keys give the members in the order np.unique(axis=0) sorts
-    # them, each with the same first element; at p=31 a key is 32 bytes
+    # them, each with the same first table row; at p=31 a key is 32 bytes
     rng = np.random.default_rng(31)
     cases = [(p, P) for p in (3, 5) for P in partitions_iter(p + 1)]
     cases += [(7, P) for P in orbit_representatives(7)]
@@ -286,4 +287,16 @@ def test_pgl_orbit_matches_the_unique_reference():
     for p, P in cases:
         got, want = pgl_orbit(p, P), unique_pgl_orbit(p, P)
         assert list(got) == list(want), (p, P)
-        assert [g.entries() for g in got.values()] == [g.entries() for g in want.values()], (p, P)
+        assert list(got.values()) == list(want.values()), (p, P)
+
+
+def test_a_group_outside_pgl_raises_a_value_error_that_names_it():
+    # a transposition of two slopes is no Moebius map: every reader of the
+    # table's row lookup raises ValueError, not KeyError or StopIteration
+    G = group_closure([(1, 0, 2, 3, 4, 5)], 6)
+    for fn in (generator_matrices, witness_generators):
+        with pytest.raises(ValueError, match=r"\(1, 0, 2, 3, 4, 5\) is no element of PGL\(2,5\)"):
+            fn(G)
+    with pytest.raises(ValueError, match="PGL"):
+        pgl_table(5).row((0, 1, 2, 3, 5, 4))
+    assert pgl_table(5).row(range(6)) == pgl_elements(5).index(pgl_canonical(1, 0, 0, 1, 5))
