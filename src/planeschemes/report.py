@@ -14,7 +14,9 @@ import json
 import os
 import secrets
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import replace
 
 from .affine import SlopePartition
@@ -275,15 +277,25 @@ def run_sweep(p: int, partitions, jobs: int = 1,
               progress=None) -> list[ReportRecord]:
     """Classify the given partitions; records sorted by canonical RGS.
 
-    With jobs > 1 each worker of a process pool keeps one analyzer and takes
-    whole halving classes (`_halving_class`), largest first, each in input
-    order; no more workers start than classes or CPUs.  A class holds every
-    orbit its analyses reach, so a worker searches each orbit on the member
-    a serial sweep searches: one search, and one cache entry, per PGL(2,p)
+    With jobs > 1 the partitions fall into halving classes
+    (`_halving_class`), queued largest first, each in input order.  This
+    process and a pool of jobs - 1 workers take whole classes from that
+    queue, each with one analyzer of its own; no more participants take
+    part than classes or CPUs, so one class or one CPU starts no pool.  A
+    class goes to a worker only when the worker is idle, never queued
+    behind a busy one.  This process classifies its own classes record by
+    record and, between records, collects what the workers finished and
+    hands each idle worker the next class.  The workers are forked from this
+    process, so from the second sweep in a process on they inherit the
+    tables and memos that earlier sweeps built here.  A class holds every
+    orbit its analyses reach, so each orbit is searched on the member a
+    serial sweep searches: one search, and one cache entry, per PGL(2,p)
     orbit at every job count, and a cold cache written with jobs=2 is the
-    serial one.  A class runs on one worker, so the costliest class bounds
-    the speed-up; the largest holds 106 of the 203 partitions at p=5 and
-    1736 of 4140 at p=7.  Record content is independent of the worker count.
+    serial one.  A class runs on one participant, so the costliest class
+    bounds the speed-up; the largest holds 106 of the 203 partitions at p=5
+    and 1736 of 4140 at p=7.  Each record carries its `elapsed_ms`, timed
+    around `classify_record` in whichever process ran it.  Record content
+    is independent of the worker count.
     """
     partitions = list(partitions)
     records: list[ReportRecord] = []
@@ -294,18 +306,41 @@ def run_sweep(p: int, partitions, jobs: int = 1,
             if progress:
                 progress(len(records), len(partitions))
     else:
-        classes: dict[tuple[tuple[int, int], ...], list[str]] = {}
+        classes: dict[tuple[tuple[int, int], ...], list[SlopePartition]] = {}
         for P in partitions:
-            classes.setdefault(_halving_class(P), []).append(P.as_string())
-        tasks = sorted(classes.values(), key=len, reverse=True)
-        workers = min(jobs, len(tasks), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
-                                 initargs=(p, cache)) as pool:
-            for task in pool.map(_classify_task, tasks):
-                for d in task:
-                    elapsed = d.pop("_elapsed_ms")
-                    records.append(replace(record_from_dict(d), elapsed_ms=elapsed))
-                    if progress:
-                        progress(len(records), len(partitions))
+            classes.setdefault(_halving_class(P), []).append(P)
+        queue = deque(sorted(classes.values(), key=len, reverse=True))
+        workers = min(jobs, len(queue), os.cpu_count() or 1)
+        analyzer = _Analyzer(p, cache)
+        running = set()
+
+        def add(rec: ReportRecord, elapsed_ms: float):
+            records.append(replace(rec, elapsed_ms=elapsed_ms))
+            if progress:
+                progress(len(records), len(partitions))
+
+        def collect(finished):
+            # refill the workers that finished, then take their records
+            running.difference_update(finished)
+            while queue and len(running) < workers - 1:
+                task = [P.as_string() for P in queue.popleft()]
+                running.add(pool.submit(_classify_task, task))
+            for future in finished:
+                for d in future.result():
+                    elapsed_ms = d.pop("_elapsed_ms")
+                    add(record_from_dict(d), elapsed_ms)
+
+        with (ProcessPoolExecutor(max_workers=workers - 1, initializer=_start_worker,
+                                  initargs=(p, cache))
+              if workers > 1 else nullcontext()) as pool:
+            collect(())
+            while queue:
+                for P in queue.popleft():
+                    start = time.perf_counter()
+                    rec = classify_record(analyzer, P)
+                    add(rec, (time.perf_counter() - start) * 1000.0)
+                    collect([future for future in running if future.done()])
+            while running:
+                collect(wait(running, return_when=FIRST_COMPLETED).done)
     records.sort(key=lambda r: r.partition_rgs)
     return records

@@ -1,7 +1,9 @@
 import json
+import multiprocessing
 import os
 import sys
 from collections import Counter
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from pathlib import Path
 
 import numpy as np
@@ -96,9 +98,46 @@ def test_records_own_their_witnesses(p):
         assert (got == want) == (rec.partition_rgs not in edited), rec.partition_rgs
 
 
-def test_pool_records_are_timed():
-    records = run_sweep(3, partitions_iter(4), jobs=2)
-    assert all(rec.elapsed_ms > 0 for rec in records)
+def test_pool_records_are_timed(monkeypatch):
+    # the benchmark reads a pool sweep's elapsed_ms for its percentiles, so a
+    # record the sweeping process classified is timed as a worker's is; a
+    # serial sweep times none
+    monkeypatch.setattr("planeschemes.report.os.cpu_count", lambda: 2)
+    for p in (3, 5):
+        records = run_sweep(p, partitions_iter(p + 1), jobs=2)
+        assert all(rec.elapsed_ms > 0 for rec in records)
+        assert all(rec.elapsed_ms == 0.0 for rec in run_sweep(p, partitions_iter(p + 1)))
+
+
+class _Failed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("side", ["worker", "sweeper"])
+def test_a_pool_sweep_failure_propagates_and_stops_the_pool(monkeypatch, side):
+    # jobs=2 at p=5: the pool's one worker takes the largest halving class,
+    # the sweeping process the second largest
+    monkeypatch.setattr("planeschemes.report.os.cpu_count", lambda: 2)
+    sweeper = os.getpid()
+    if side == "worker":
+        def failing_one(rgs):
+            raise _Failed(rgs)
+
+        monkeypatch.setattr(report, "_classify_one", failing_one)
+    else:
+        sizes = Counter(report._halving_class(P) for P in partitions_iter(6))
+        own = sorted(sizes, key=sizes.get, reverse=True)[1]
+        classify = report.classify_record
+
+        def failing_record(analyzer, P):
+            if os.getpid() == sweeper and report._halving_class(P) == own:
+                raise _Failed(P.as_string())
+            return classify(analyzer, P)
+
+        monkeypatch.setattr(report, "classify_record", failing_record)
+    with pytest.raises(_Failed):
+        run_sweep(5, partitions_iter(6), jobs=2)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -487,7 +526,8 @@ def test_pool_workers_share_a_cache(tmp_path):
 
 
 class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs items here."""
+    """Stands in for ProcessPoolExecutor: records max_workers, runs each
+    submitted task here and returns its finished future."""
 
     started: list[int] = []
 
@@ -501,13 +541,15 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items, chunksize=1):
-        return map(fn, items)
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
 class _RoundRobinPool(_InlinePool):
-    """An _InlinePool whose workers each keep their own analyzer; task i goes to
-    worker i mod max_workers."""
+    """An _InlinePool whose workers each keep their own analyzer; the i-th
+    submitted task goes to worker i mod max_workers."""
 
     def __init__(self, max_workers, initializer, initargs):
         self.started.append(max_workers)
@@ -515,11 +557,12 @@ class _RoundRobinPool(_InlinePool):
         for _ in range(max_workers):
             initializer(*initargs)
             self.analyzers.append(report._worker_analyzer)
+        self.submitted = 0
 
-    def map(self, fn, items, chunksize=1):
-        for i, item in enumerate(items):
-            report._worker_analyzer = self.analyzers[i % len(self.analyzers)]
-            yield fn(item)
+    def submit(self, fn, *args):
+        report._worker_analyzer = self.analyzers[self.submitted % len(self.analyzers)]
+        self.submitted += 1
+        return super().submit(fn, *args)
 
 
 @pytest.mark.parametrize("jobs,cpus,workers", [
@@ -534,20 +577,61 @@ def test_pool_starts_at_most_one_worker_per_task_and_cpu(monkeypatch, jobs, cpus
     monkeypatch.setattr("planeschemes.report._worker_analyzer", None)
     monkeypatch.setattr(_InlinePool, "started", [])
     records = run_sweep(5, partitions_iter(6), jobs=jobs)
-    assert _InlinePool.started == [workers]
+    # the sweeping process is one of the workers: one worker starts no pool
+    assert _InlinePool.started == ([workers - 1] if workers > 1 else [])
+    assert report_digest(records) == json.loads(REFERENCE.read_text())["p5"]
+
+
+class _HeldPool(_InlinePool):
+    """An _InlinePool whose tasks stay pending, their workers busy, until the
+    sweep waits: each wait runs the oldest pending task."""
+
+    def __init__(self, max_workers, initializer, initargs):
+        super().__init__(max_workers, initializer, initargs)
+        self.max_workers, self.held = max_workers, []
+        _HeldPool.last = self
+
+    def submit(self, fn, *args):
+        busy = sum(not future.done() for future, _, _ in self.held)
+        assert busy < self.max_workers, "a task queued behind a busy worker"
+        self.held.append((Future(), fn, args))
+        return self.held[-1][0]
+
+    @staticmethod
+    def wait(futures, return_when):
+        future, fn, args = next(held for held in _HeldPool.last.held if not held[0].done())
+        assert future in futures and return_when == FIRST_COMPLETED
+        future.set_result(fn(*args))
+        return wait([future])
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_a_pool_sweep_queues_no_class_behind_a_busy_worker(monkeypatch, jobs):
+    # while every worker is busy, the sweeping process takes the next class
+    # itself; at p=5 the workers hold the largest classes to the end
+    monkeypatch.setattr("planeschemes.report.ProcessPoolExecutor", _HeldPool)
+    monkeypatch.setattr("planeschemes.report.wait", _HeldPool.wait)
+    monkeypatch.setattr("planeschemes.report.os.cpu_count", lambda: 64)
+    monkeypatch.setattr("planeschemes.report._worker_analyzer", None)
+    monkeypatch.setattr(_HeldPool, "started", [])
+    parts = list(partitions_iter(6))
+    records = run_sweep(5, parts, jobs=jobs)
+    sizes = sorted(Counter(map(report._halving_class, parts)).values(), reverse=True)
+    assert [len(task) for _, _, (task,) in _HeldPool.last.held] == sizes[:jobs - 1]
     assert report_digest(records) == json.loads(REFERENCE.read_text())["p5"]
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_a_pool_sweep_searches_each_orbit_once(monkeypatch, p, jobs):
-    # each worker takes whole halving classes, which hold every orbit their
-    # analyses reach, involutive inner candidates included
+    # the sweeping process and each pool worker take whole halving classes,
+    # which hold every orbit their analyses reach, involutive inner
+    # candidates included
     searched = []
     search = _Analyzer._search
 
     def counted(analyzer, P):
-        searched.append(P.as_string())
+        searched.append((analyzer, P.as_string()))
         return search(analyzer, P)
 
     monkeypatch.setattr(_Analyzer, "_search", counted)
@@ -556,9 +640,12 @@ def test_a_pool_sweep_searches_each_orbit_once(monkeypatch, p, jobs):
     monkeypatch.setattr("planeschemes.report._worker_analyzer", None)
     monkeypatch.setattr(_RoundRobinPool, "started", [])
     records = run_sweep(p, partitions_iter(p + 1), jobs=jobs)
-    assert _RoundRobinPool.started == [min(jobs, {3: 2, 5: 4, 7: 6}[p])]
+    workers = min(jobs, {3: 2, 5: 4, 7: 6}[p])
+    assert _RoundRobinPool.started == [workers - 1]
+    # every participant searched, so the sweeping process's analyzer too
+    assert len({analyzer for analyzer, _ in searched}) == workers
     assert len(searched) == len({min(pgl_orbit(p, SlopePartition.from_string(rgs)))
-                                 for rgs in searched}) == pgl_orbit_count(p)
+                                 for _, rgs in searched}) == pgl_orbit_count(p)
     want = json.loads(REFERENCE.read_text()).get(f"p{p}", P7_DIGEST)
     assert report_digest(records) == want
 
@@ -573,14 +660,16 @@ def test_report_digest_pinned(p, jobs):
 @pytest.mark.parametrize("seed,flags", [("0", ()), ("1", ()), ("2", ("-O",))])
 def test_report_digest_independent_of_hash_seed_and_optimize(seed, flags, monkeypatch):
     # _refine hashes traces with the salted builtin hash(); no report field may
-    # depend on the salt, and none on whether asserts are compiled out
+    # depend on the salt, and none on whether asserts are compiled out, in a
+    # serial sweep or in a pool's workers and sweeping process
     monkeypatch.setenv("PYTHONHASHSEED", seed)
     code = ("from planeschemes.affine import partitions_iter\n"
             "from planeschemes.report import report_digest, run_sweep\n"
-            "for p in (3, 5):\n"
-            "    print(report_digest(run_sweep(p, partitions_iter(p + 1))))\n")
+            "for jobs in (1, 2):\n"
+            "    for p in (3, 5):\n"
+            "        print(report_digest(run_sweep(p, partitions_iter(p + 1), jobs=jobs)))\n")
     want = json.loads(REFERENCE.read_text())
-    assert run_fresh([*flags, "-c", code]).split() == [want["p3"], want["p5"]]
+    assert run_fresh([*flags, "-c", code]).split() == [want["p3"], want["p5"]] * 2
 
 
 def test_a_sweep_does_not_import_numpy_ma():
