@@ -18,6 +18,16 @@ those generators reach the whole orbit of b_i under the pointwise stabiliser
 of b_0..b_{i-1}; the base leaf is discrete, so the stabiliser of the whole
 base is trivial.  Neither a Schreier-Sims run nor collision-free traces are needed.
 
+The same induction gives the 2-orbit count.  From the discrete base leaf
+upwards, the generators of deviation depth >= i generate the pointwise
+stabiliser of b_0..b_{i-1}: they lie in it and reach the whole orbit of b_i
+under it, and those of depth >= i+1 generate the stabiliser of b_i in it.
+So when the orbit of b_0 is every point, the generators of depth >= 1
+generate the stabiliser of b_0, and the 2-orbits of a transitive group are
+in bijection with the orbits of a point stabiliser (the 2-orbit of (b_0, w)
+meets row b_0 in the suborbit of w).  The count is read off those n points
+instead of the n^2 pairs; an intransitive group is counted by `orbitals`.
+
 The caller may pass automorphisms it already knows.  They are checked up
 front and join the generators when the first descent reaches the base leaf,
 each at its deviation depth: the first i with g[b_i] != b_i, so that it fixes
@@ -34,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, InvariantViolated
-from .permgroup import Perm, is_permutation, orbit_of
+from .permgroup import Perm, is_permutation, orbit_of, orbits
 from .scheme import Scheme, color_lut
 
 DEFAULT_NODE_CAP = 10**7
@@ -43,12 +53,13 @@ MAX_AUT_POINTS = 400
 
 @dataclass(frozen=True)
 class AutGroup:
-    """Automorphism group of a scheme: verified generators and exact order."""
+    """Automorphism group of a scheme: verified generators, exact order and 2-orbit count."""
 
     degree: int
     generators: tuple[Perm, ...]
     order: int
     nodes: int
+    orbital_count: int
 
 
 def is_automorphism(M: np.ndarray, g) -> bool:
@@ -226,18 +237,23 @@ class _AutSearch:
 
 def automorphism_group(X: Scheme, node_cap: int = DEFAULT_NODE_CAP,
                        known=()) -> AutGroup:
-    """Generators and exact order of aut(X), and the search nodes visited.
+    """Generators, exact order and 2-orbit count of aut(X), and the search nodes visited.
 
     The order is the product of the base-orbit lengths the search leaves
     behind: the orbit of b_i under the pointwise stabiliser of b_0..b_{i-1}
     is complete because the sibling loop at depth i is exhaustive, and only
-    the identity fixes the whole base (see the module docstring).  `known`
+    the identity fixes the whole base (see the module docstring).  When
+    aut(X) is transitive, the 2-orbit count is the number of orbits on the
+    points of the generators of deviation depth >= 1, which generate the
+    stabiliser of b_0, and the count is exact for the same reason as the
+    order; otherwise `orbitals` counts the 2-orbits on the pairs.  `known`
     automorphisms of X join the generators at the base leaf, so siblings
     they reach are pruned; the result's generators and nodes depend on them,
-    its order does not.  Raises ValueError when a known map is not an
-    integer automorphism of X, and BudgetExceeded when the search tree
-    outgrows `node_cap`.  Every returned generator is re-verified to fix
-    every color class.
+    its order and count do not.  Raises ValueError when a known map is not
+    an integer automorphism of X, BudgetExceeded when the search tree
+    outgrows `node_cap`, and InvariantViolated when a 2-orbit crosses a
+    color class.  Every returned generator is re-verified to fix every
+    color class.
     """
     if X.n > MAX_AUT_POINTS:
         raise ValueError(f"automorphism search supports at most {MAX_AUT_POINTS} points")
@@ -254,7 +270,26 @@ def automorphism_group(X: Scheme, node_cap: int = DEFAULT_NODE_CAP,
         if not is_automorphism(X.matrix, g):
             raise InvariantViolated("search produced a non-automorphism")
         gens.append(tuple(g))
-    return AutGroup(X.n, tuple(gens), math.prod(search.orbit_lengths), search.nodes)
+    if search.orbit_lengths and search.orbit_lengths[-1] == X.n:
+        count = _suborbit_count(X, search.base[0],
+                                [g for d, g in search.generators if d >= 1])
+    else:
+        count = orbital_count(X, gens)
+    return AutGroup(X.n, tuple(gens), math.prod(search.orbit_lengths), search.nodes, count)
+
+
+def _suborbit_count(X: Scheme, b0: int, stabiliser) -> int:
+    """Number of orbits on the points of `stabiliser`, generators of the
+    stabiliser of b0 in a transitive group of automorphisms of X: its number
+    of 2-orbits.  Raises InvariantViolated when a suborbit crosses a color of
+    row b0, as a 2-orbit crossing a color class would."""
+    suborbits = orbits(stabiliser, X.n)
+    labels = np.empty(X.n, dtype=np.int64)
+    for i, orbit in enumerate(suborbits):
+        labels[orbit] = i
+    if color_lut(labels, X.matrix[b0]) is None:
+        raise InvariantViolated("a suborbit crosses a color class")
+    return len(suborbits)
 
 
 def orbitals(generators, n: int):
@@ -300,5 +335,10 @@ def orbital_count(X: Scheme, generators) -> int:
 
 
 def is_schurian(X: Scheme, node_cap: int = DEFAULT_NODE_CAP) -> bool:
-    """Whether the 2-orbits of aut(X) are exactly the colors of X."""
-    return orbital_count(X, automorphism_group(X, node_cap).generators) == X.rank
+    """Whether the 2-orbits of aut(X) are exactly the colors of X.
+
+    The 2-orbits refine the colors, so this holds exactly when their number,
+    `automorphism_group`'s count (the suborbits of b_0 when aut(X) is
+    transitive), equals the rank.
+    """
+    return automorphism_group(X, node_cap).orbital_count == X.rank

@@ -44,7 +44,7 @@ from .affine import (
     lambda_criteria,
     partition_from_group,
 )
-from .autsearch import automorphism_group, orbital_count
+from .autsearch import automorphism_group
 from .errors import (
     BudgetExceeded,
     InvariantViolated,
@@ -301,8 +301,8 @@ class _Analyzer:
         except BudgetExceeded as exc:
             rec = make_record(p, P, UNKNOWN, {"reason": str(exc)}, prim, pc)
         else:
-            orbits, rank = orbital_count(X, aut.generators), P.num_blocks + 1
-            rec = make_record(p, P, NON_SCHURIAN, {"orbital_count": int(orbits), "rank": rank},
+            orbits, rank = aut.orbital_count, P.num_blocks + 1
+            rec = make_record(p, P, NON_SCHURIAN, {"orbital_count": orbits, "rank": rank},
                               prim, pc, orbits == rank, aut.order)
             if rec.schurian:   # its verdict and witness are those of its basic candidates
                 rec = _witnessed(p, P, X, rec)

@@ -42,8 +42,15 @@ from .verifypaper import run_checks
 SWEEP_PRIMES = (3, 5, 7)
 
 
+def _int_arg(value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{value!r}: want an integer") from None
+
+
 def _prime_arg(value: str) -> int:
-    p = int(value)
+    p = _int_arg(value)
     try:
         check_prime(p)
     except UnsupportedPrime as exc:
@@ -52,9 +59,10 @@ def _prime_arg(value: str) -> int:
 
 
 def _jobs_arg(value: str) -> int:
-    if int(value) < 1:
+    jobs = _int_arg(value)
+    if jobs < 1:
         raise argparse.ArgumentTypeError(f"{value} workers: want at least 1")
-    return int(value)
+    return jobs
 
 
 def _out_arg(value: str) -> str:

@@ -338,16 +338,20 @@ def _slope_images(p: int, P: SlopePartition) -> np.ndarray:
     return np.asarray(P.rgs)[pgl_table(p).array]
 
 
-def match_pgl_subgroup(p: int, P: SlopePartition) -> PermGroup | None:
-    """K_P, the elements of PGL(2,p) keeping each block of P, or None.
-
-    K_P is returned when its slope orbits are the blocks of P.  A subgroup
-    whose orbits are the blocks lies in K_P, whose orbits lie within the
-    blocks, so K_P realises P whenever any subgroup does.
-    """
+def block_keepers(p: int, P: SlopePartition) -> PermGroup:
+    """K_P, the elements of PGL(2,p) keeping each block of P."""
     perms = pgl_table(p).perms
     keep = tuple(perms[i] for i in np.flatnonzero((_slope_images(p, P) == P.rgs).all(axis=1)))
-    K = PermGroup(p + 1, keep, tuple(sorted(keep)))
+    return PermGroup(p + 1, keep, tuple(sorted(keep)))
+
+
+def match_pgl_subgroup(p: int, P: SlopePartition) -> PermGroup | None:
+    """K_P when its slope orbits are the blocks of P, or None.
+
+    A subgroup whose orbits are the blocks lies in K_P, whose orbits lie
+    within the blocks, so K_P realises P whenever any subgroup does.
+    """
+    K = block_keepers(p, P)
     return K if partition_from_group(K) == P else None
 
 

@@ -5,7 +5,8 @@ plane, its intersection numbers in closed form, the fusion property, the
 full algebraic automorphism group, the Lambda criteria, subgroup orbit-size
 tables, the number of PGL(2,p) orbits on the slope partitions, the
 classification sweeps, the realization of exactly the schurian fusions by
-projective subgroups, the four large automorphism groups, and the
+projective subgroups, each automorphism group order and NonSchurian
+orbital count in closed form, the four large automorphism groups, and the
 exceptional primitive schemes.  Each check has one entry in CHECKS, with
 its quick-level call (p <= 5, and p = 7 for the closed form, the orbit
 count and the one alt(4) fusion) and its full-level call (which adds the
@@ -34,7 +35,14 @@ from .affine import (
     partitions_iter,
 )
 from .autsearch import automorphism_group
-from .classify import EXCEPTIONAL_A4, EXCEPTIONAL_A5, UNCLASSIFIABLE, UNKNOWN, ReportRecord
+from .classify import (
+    EXCEPTIONAL_A4,
+    EXCEPTIONAL_A5,
+    NON_SCHURIAN,
+    UNCLASSIFIABLE,
+    UNKNOWN,
+    ReportRecord,
+)
 from .errors import InvariantViolated
 from .permgroup import orbits
 from .report import report_digest, run_sweep
@@ -48,6 +56,7 @@ from .scheme import (
 )
 from .subgroups import (
     SubgroupSpec,
+    block_keepers,
     find_subgroup,
     lemma_orbit_size_bound,
     match_pgl_subgroup,
@@ -254,6 +263,39 @@ def check_theorem_realization(primes=(3, 5, 7)) -> tuple[bool, str]:
     return True, f"schurian iff realised by K_P for p in {tuple(primes)}"
 
 
+def check_aut_orders(primes=(3, 5, 7)) -> tuple[bool, str]:
+    """Each record's aut_order, and each NonSchurian orbital count, in closed form.
+
+    Aut of the P-fusion contains the maps x -> A x + v with A in GL(2,p)
+    whose slope action lies in K_P, which keeps each block of P: p^2 (p-1)
+    |K_P| maps.  The check asserts that they are all of Aut, except for four
+    shapes of P whose schurian fusions have larger groups: the symmetric
+    group on the p^2 points (one block), S_p wr S_p (block sizes 1 and p),
+    S_p x S_p (1, 1 and p-1) and S_p wr S_2 (2 and p-1).  The stabiliser of
+    0 among the maps holds the scalars, which are transitive on the nonzero
+    points of each slope, so their 2-orbits are {0} and one per K_P-orbit
+    on the slopes: the check asserts that count on each NonSchurian record.
+    """
+    checked = 0
+    for p in primes:
+        f = math.factorial(p)
+        shapes = {(p + 1,): math.factorial(p * p), (1, p): f ** (p + 1),
+                  (1, 1, p - 1): f * f, (2, p - 1): 2 * f * f}
+        for rec in _serial_sweep(p):
+            P = SlopePartition.from_string(rec.partition_rgs)
+            K = block_keepers(p, P)
+            want = shapes.get(tuple(sorted(P.block_sizes())), p * p * (p - 1) * K.order())
+            if rec.aut_order != want:
+                return False, f"p={p} {P}: aut_order {rec.aut_order}, want {want}"
+            if rec.verdict == NON_SCHURIAN:
+                count = 1 + partition_from_group(K).num_blocks
+                if rec.witness["orbital_count"] != count:
+                    return False, (f"p={p} {P}: orbital_count "
+                                   f"{rec.witness['orbital_count']}, want {count}")
+                checked += 1
+    return True, f"every aut_order and {checked} NonSchurian orbital counts for p in {tuple(primes)}"
+
+
 def check_group_orders_p3() -> tuple[bool, str]:
     """Aut orders at p=3: trivial 9!, Hamming 72, wreath 1296 (and grid 36)."""
     cases = [
@@ -318,6 +360,7 @@ CHECKS = [
     ("main-theorem-sweep", lambda: check_main_sweep((3, 5)), check_main_sweep),
     ("theorem-realization", lambda: check_theorem_realization((3, 5)),
      check_theorem_realization),
+    ("aut-orders", lambda: check_aut_orders((3, 5)), check_aut_orders),
     ("group-orders-p3", check_group_orders_p3, check_group_orders_p3),
     ("exceptional-schemes", lambda: check_exceptional((7,)), check_exceptional),
     ("report-determinism", check_determinism, check_determinism),

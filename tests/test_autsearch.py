@@ -25,8 +25,9 @@ from planeschemes.autsearch import (
     refine,
 )
 from planeschemes.errors import BudgetExceeded, InvariantViolated
-from planeschemes.permgroup import StabilizerChain, is_permutation
-from planeschemes.scheme import tensor_product, trivial_scheme, wreath_product
+from planeschemes.permgroup import StabilizerChain, is_permutation, orbit_of
+from planeschemes.report import AutCache, run_sweep
+from planeschemes.scheme import tensor_product, trivial_scheme, verify_scheme, wreath_product
 
 
 def test_refine_examples():
@@ -367,6 +368,83 @@ def test_orbital_count_rejects_a_non_automorphism():
     swap = (0, 3, 2, 1, 4, 5, 6, 7, 8)
     with pytest.raises(InvariantViolated):
         orbital_count(X3, [swap])
+
+
+def test_the_search_count_is_the_orbital_count_of_its_generators(tmp_path):
+    # unseeded, seeded with the affine maps, and seeded as a sweep seeds it
+    # from a stored cache entry: the count read off the suborbits of b_0 is
+    # the number of 2-orbits of the generators, by both oracles
+    cases = [(p, P) for p in (3, 5) for P in partitions_iter(p + 1)]
+    cases += [(7, P) for P in orbit_representatives(7)]
+    assert len(cases) == 218 + 47
+    cache = AutCache(str(tmp_path))
+    for p, P in cases:
+        X = fuse(p, P)
+        unseeded = automorphism_group(X)
+        cache.store(X, unseeded)
+        stored = cache.load(X)
+        assert stored == unseeded.generators, (p, P)
+        affine = affine_automorphisms(p)
+        for known in ((), affine, tuple(dict.fromkeys(affine + stored))):
+            aut = automorphism_group(X, known=known)
+            assert len(orbit_of(aut.generators, 0)) == X.n, (p, P)   # transitive
+            want = orbitals(aut.generators, X.n)[1]
+            assert aut.orbital_count == want == bfs_orbitals(aut.generators, X.n)[1], \
+                (p, P, len(known))
+
+
+def test_a_sweep_counts_no_orbitals(monkeypatch):
+    # every slope fusion's group is transitive, so no search falls back to
+    # the pairs
+    def no_orbitals(*args):
+        raise AssertionError("orbitals was called")
+
+    monkeypatch.setattr(autsearch, "orbitals", no_orbitals)
+    records = run_sweep(5, partitions_iter(6))
+    assert sum(rec.schurian is False for rec in records) == 125
+
+
+#: a Latin square of order 5 that is no group table; its Latin square graph
+#: is a rank-3 scheme whose automorphism group (order 72) is intransitive
+_LATIN_5 = ((4, 0, 1, 2, 3), (2, 3, 4, 1, 0), (3, 1, 2, 0, 4), (0, 2, 3, 4, 1), (1, 4, 0, 3, 2))
+
+
+def _latin_square_graph(square) -> np.ndarray:
+    """Color 1 joins two cells that share a row, a column or a symbol; color 2 the rest."""
+    m = len(square)
+    row, col = np.divmod(np.arange(m * m), m)
+    sym = np.asarray(square).ravel()
+    joined = (row[:, None] == row) | (col[:, None] == col) | (sym[:, None] == sym)
+    matrix = np.where(joined, 1, 2)
+    np.fill_diagonal(matrix, 0)
+    return matrix
+
+
+def test_an_intransitive_group_is_counted_on_the_pairs(monkeypatch):
+    X = verify_scheme(_latin_square_graph(_LATIN_5))
+    calls = []
+    counted = autsearch.orbitals
+
+    def spy(generators, n):
+        calls.append(n)
+        return counted(generators, n)
+
+    monkeypatch.setattr(autsearch, "orbitals", spy)
+    aut = automorphism_group(X)
+    assert aut.order == 72 and len(orbit_of(aut.generators, 0)) < X.n
+    assert calls == [X.n]
+    want = counted(aut.generators, X.n)[1]
+    assert aut.orbital_count == want == bfs_orbitals(aut.generators, X.n)[1] == 19
+    assert not is_schurian(X)
+
+
+def test_a_suborbit_across_two_colors_raises():
+    X3 = build_affine_scheme(3)
+    stabiliser = [g for g in automorphism_group(X3).generators if g[0] == 0]
+    assert autsearch._suborbit_count(X3, 0, stabiliser) == X3.rank
+    # swapping 1 = (0, 1) and 3 = (1, 0) alone joins two slopes through 0
+    with pytest.raises(InvariantViolated):
+        autsearch._suborbit_count(X3, 0, [(0, 3, 2, 1, 4, 5, 6, 7, 8)])
 
 
 def test_is_schurian_examples():

@@ -40,7 +40,7 @@ from planeschemes.classify import (
     verify_witness,
 )
 from planeschemes.errors import BudgetExceeded, InvariantViolated
-from planeschemes.permgroup import group_closure, orbits, perm_order
+from planeschemes.permgroup import group_closure, perm_order
 from planeschemes.projline import pgl_elements, point_permutation
 from planeschemes.report import classify_record, record_from_dict, record_to_dict, run_sweep
 from planeschemes.scheme import (
@@ -573,29 +573,40 @@ def test_a_point_map_that_permutes_no_slopes_raises(monkeypatch):
         analyzer.classify(SlopePartition.from_string("0111"))
 
 
-def _block_keepers(p: int, P: SlopePartition) -> list[tuple[int, ...]]:
-    """K_P as slope permutations: every element of PGL(2,p) keeping each block of P."""
-    perms = (point_permutation(g) for g in pgl_elements(p))
-    return [pi for pi in perms if all(P.rgs[pi[s]] == P.rgs[s] for s in range(p + 1))]
+def _block_keepers_per_record(p: int, records) -> tuple[np.ndarray, np.ndarray]:
+    """|K_P| and the number of K_P-orbits on the slopes, for each record's P at once.
+
+    K_P is the set of `pgl_table` rows g with P.rgs[pi_g] == P.rgs, compared
+    for every record and row in one array; slope t is in the orbit of s when
+    some g in K_P maps s to t, and each orbit is counted at its least slope.
+    """
+    table = pgl_table(p).array
+    rgs = np.array([[int(c) for c in rec.partition_rgs] for rec in records], dtype=np.int8)
+    keeps = (rgs[:, table] == rgs[:, None, :]).all(axis=2)             # (records, |PGL|)
+    moves = (table[:, :, None] == np.arange(p + 1)).reshape(len(table), -1)
+    reach = (keeps.astype(np.int64) @ moves.astype(np.int64)).reshape(-1, p + 1, p + 1) > 0
+    least = ~(reach & np.tri(p + 1, k=-1, dtype=bool)).any(axis=2)
+    return keeps.sum(axis=1), least.sum(axis=1)
 
 
-@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("p", [3, 5, 7])
 def test_aut_order_and_orbital_count_from_the_block_keepers(p):
     # a second path to the two numbers the orbit search carries: |Aut| is
     # p^2 (p-1) |K_P| but for four shapes of partition, and a NonSchurian
     # fusion has 1 + (K_P-orbits on slopes) 2-orbits
     shapes = {(p + 1,): factorial(p * p), (1, p): factorial(p) ** (p + 1),
               (1, 1, p - 1): factorial(p) ** 2, (2, p - 1): 2 * factorial(p) ** 2}
+    records = _sweep(p)
+    orders, orbit_counts = _block_keepers_per_record(p, records)
     nonschurian = 0
-    for rec in run_sweep(p, partitions_iter(p + 1)):
+    for rec, order, count in zip(records, orders.tolist(), orbit_counts.tolist()):
         P = SlopePartition.from_string(rec.partition_rgs)
-        K = _block_keepers(p, P)
-        want = shapes.get(tuple(sorted(P.block_sizes())), p * p * (p - 1) * len(K))
+        want = shapes.get(tuple(sorted(P.block_sizes())), p * p * (p - 1) * order)
         assert rec.aut_order == want, (p, P)
         if rec.verdict == NON_SCHURIAN:
             nonschurian += 1
-            assert rec.witness["orbital_count"] == 1 + len(orbits(K, p + 1)), (p, P)
-    assert nonschurian == {3: 0, 5: 125}[p]
+            assert rec.witness["orbital_count"] == 1 + count, (p, P)
+    assert nonschurian == {3: 0, 5: 125, 7: 3892}[p]
 
 
 def test_classify_fuses_only_its_own_partition(monkeypatch):

@@ -75,6 +75,21 @@ def test_build_rejects_composite(capsys, monkeypatch):
         assert exc.value.code == 2, argv
 
 
+def test_a_non_integer_count_is_a_usage_error_that_names_no_function(capsys, monkeypatch):
+    monkeypatch.setattr("planeschemes.cli.build_affine_scheme", _no_scheme)
+    monkeypatch.setattr("planeschemes.cli.run_sweep", _no_scheme)
+    for argv, option in ((["sweep", "--p", "3", "--jobs", "x"], "--jobs"),
+                         (["sweep", "--p", "x"], "--p"),
+                         (["sweep", "--p", "3.0"], "--p"),
+                         (["build", "--p", ""], "--p")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert f"argument {option}: " in err and "want an integer" in err, (argv, err)
+        assert "_arg" not in err, (argv, err)
+
+
 def test_out_directory_is_a_usage_error(tmp_path, monkeypatch):
     # rejected before the scheme is built or the sweep runs, not by the
     # final write
@@ -252,8 +267,8 @@ def test_verify_paper_quick(capsys, tmp_path, monkeypatch):
     code, out, _ = run_cli(["verify-paper", "--level", "quick"], capsys)
     assert code == 0
     assert "all checks passed" in out
-    assert out.count("[PASS]") == 12
-    # main-theorem-sweep and theorem-realization read one sweep per prime;
+    assert out.count("[PASS]") == 13
+    # main-theorem-sweep, theorem-realization and aut-orders read one sweep per prime;
     # report-determinism runs its own three at p=3, and exceptional-schemes
     # classifies its one alt(4) fusion at p=7
     assert sorted(swept) == [3, 3, 3, 3, 5, 7]
