@@ -37,6 +37,8 @@ class SlopePartition:
     _blocks: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.rgs:
+            raise NonCanonicalPartition("an RGS needs at least one label")
         out: list[list[int]] = []
         for label, v in enumerate(self.rgs):
             if v > len(out) or v < 0:

@@ -57,15 +57,13 @@ from .permgroup import PermGroup, group_closure
 from .projline import pgl_canonical, point_permutation
 from .scheme import (
     Scheme,
+    _subtensor_labels,
     algebraic_fusion,
     color_lut,
     is_primitive,
     is_pseudocyclic,
-    is_subtensor,
     parabolic_classes,
     parabolic_from_colors,
-    trivial_scheme,
-    wreath_product,
 )
 from .subgroups import (
     is_exceptional_group,
@@ -387,13 +385,16 @@ def _witness_holds(p: int, P: SlopePartition, verdict: str, witness: dict,
         e = parabolic_from_colors(X, witness["parabolic_colors"]) if X.rank == 3 else None
         if e is None or e.num_classes != p:
             return False
-        # point a1 * p + c of the wreath is the a1-th least member of class c
-        old_of_new = np.argsort(parabolic_classes(X, e), kind="stable").reshape(p, p).T.ravel()
-        return _color_map(old_of_new, X.matrix, _trivial_wreath(p).matrix) is not None
+        # 2 on the diagonal, 1 inside a class, 0 across: the wreath product of two
+        # trivial schemes, onto whose three colors X's three must map one to one
+        cls = parabolic_classes(X, e)
+        pattern = (cls[:, None] == cls[None, :]) + np.eye(X.n, dtype=np.int64)
+        return color_lut(X.matrix, pattern) is not None
     if verdict == SUBTENSOR:
+        # both quotients are trivial: their label matrices are 0 on the diagonal, 1 off it
         e1, e2 = (parabolic_from_colors(X, c) for c in witness["parabolic_pair"])
-        quotients = e1 is not None and e2 is not None and is_subtensor(X, e1, e2)
-        return bool(quotients) and quotients[0].rank == quotients[1].rank == 2
+        labels = e1 is not None and e2 is not None and _subtensor_labels(X, e1, e2)
+        return bool(labels) and [int(m.max()) for m in labels] == [1, 1]
     if verdict == PRIMITIVE_PC:
         return (witness["lambda"] == sorted(P.lambda_set())
                 and is_primitive(X) and is_pseudocyclic(X))
@@ -416,10 +417,4 @@ def _witness_holds(p: int, P: SlopePartition, verdict: str, witness: dict,
         return (inner["verdict"] in BASIC_VERDICTS
                 and _witness_holds(p, inner_p, inner["verdict"], inner["witness"], X2))
     return False
-
-
-@lru_cache(maxsize=None)
-def _trivial_wreath(p: int) -> Scheme:
-    """The wreath product of two rank-2 schemes of degree p, built once per p."""
-    return wreath_product(trivial_scheme(p), trivial_scheme(p))
 

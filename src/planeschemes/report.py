@@ -217,13 +217,11 @@ class AutCache:
 def classify_record(analyzer: _Analyzer, P: SlopePartition) -> ReportRecord:
     """Classify P and re-check the record's published (verdict, witness) pair.
 
-    The re-check may reuse a small quotient scheme that was already verified
-    in this process (`scheme.quotient` verifies each label matrix once), but
-    nothing that depends on P: `verify_witness` fuses P itself if the
-    verdict reads a scheme.  UnclassifiableSchurian becomes the
-    record's error, under that verdict with flags, aut_order and witness
-    cleared.  A failed witness check sets only the error: the record keeps
-    the verdict, flags and witness that failed.  Every other exception
+    The re-check reuses nothing the analysis derived from P: `verify_witness`
+    fuses P itself if the verdict reads a scheme.  UnclassifiableSchurian
+    becomes the record's error, under that verdict with flags, aut_order and
+    witness cleared.  A failed witness check sets only the error: the record
+    keeps the verdict, flags and witness that failed.  Every other exception
     propagates.
     """
     try:
@@ -277,25 +275,27 @@ def run_sweep(p: int, partitions, jobs: int = 1,
               progress=None) -> list[ReportRecord]:
     """Classify the given partitions; records sorted by canonical RGS.
 
-    With jobs > 1 the partitions fall into halving classes
-    (`_halving_class`), queued largest first, each in input order.  This
-    process and a pool of jobs - 1 workers take whole classes from that
-    queue, each with one analyzer of its own; no more participants take
-    part than classes or CPUs, so one class or one CPU starts no pool.  A
-    class goes to a worker only when the worker is idle, never queued
-    behind a busy one.  This process classifies its own classes record by
-    record and, between records, collects what the workers finished and
-    hands each idle worker the next class.  The workers are forked from this
-    process, so from the second sweep in a process on they inherit the
-    tables and memos that earlier sweeps built here.  A class holds every
-    orbit its analyses reach, so each orbit is searched on the member a
-    serial sweep searches: one search, and one cache entry, per PGL(2,p)
-    orbit at every job count, and a cold cache written with jobs=2 is the
-    serial one.  A class runs on one participant, so the costliest class
-    bounds the speed-up; the largest holds 106 of the 203 partitions at p=5
-    and 1736 of 4140 at p=7.  Each record carries its `elapsed_ms`, timed
-    around `classify_record` in whichever process ran it.  Record content
-    is independent of the worker count.
+    With jobs <= 1 this process classifies them one by one in the order
+    given, and `progress` follows that order: the benchmark reads the i-th
+    record's time as the i-th partition's.  With jobs > 1 the partitions fall
+    into halving classes (`_halving_class`), queued largest first, each in
+    input order.  This process and a pool of jobs - 1 workers take whole
+    classes from that queue, each with one analyzer of its own; no more
+    participants take part than classes or CPUs, so one class or one CPU
+    starts no pool.  A class goes to a worker only when the worker is idle,
+    never queued behind a busy one.  This process classifies its own classes
+    record by record and, between records, collects what the workers
+    finished and hands each idle worker the next class.  The workers are
+    forked from this process, so from the second sweep in a process on they
+    inherit the tables and memos that earlier sweeps built here.  A class
+    holds every orbit its analyses reach, so each orbit is searched on the
+    member a serial sweep searches: one search, and one cache entry, per
+    PGL(2,p) orbit at every job count, and a cold cache written with jobs=2
+    is the serial one.  A class runs on one participant, so the costliest
+    class bounds the speed-up; the largest holds 106 of the 203 partitions
+    at p=5 and 1736 of 4140 at p=7.  Each record carries its `elapsed_ms`,
+    timed around `classify_record` in whichever process ran it.  Record
+    content is independent of the worker count.
     """
     partitions = list(partitions)
     records: list[ReportRecord] = []

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -344,17 +344,17 @@ def quotient(X: Scheme, e: ParabolicSet) -> Scheme:
     """Quotient scheme on the classes of e.
 
     Each class pair gets the least color it meets, and these labels,
-    numbered in increasing order, are the quotient's colors.  Raises
-    InvariantViolated when a color meets two labels, so that e is no
-    parabolic.  The scheme axioms are checked once per distinct label
-    matrix in a process (`_verified_quotient`); the tests above run on
-    every call.  Like every Scheme, a shared quotient cannot be written into.
+    numbered in increasing order, are the quotient's colors
+    (`_quotient_labels`).  Raises InvariantViolated when a color meets two
+    labels, so that e is no parabolic, and `verify_scheme` checks the
+    axioms on the label matrix on every call.
     """
-    return _quotient(X, parabolic_classes(X, e), e.num_classes)
+    return verify_scheme(_quotient_labels(X, parabolic_classes(X, e), e.num_classes))
 
 
-def _quotient(X: Scheme, cls: np.ndarray, k: int) -> Scheme:
-    """`quotient` on the k classes cls, as `parabolic_classes` numbers them."""
+def _quotient_labels(X: Scheme, cls: np.ndarray, k: int) -> np.ndarray:
+    """The k x k int16 label matrix of `quotient` on the k classes cls, as
+    `parabolic_classes` numbers them."""
     block = cls[:, None] * k + cls[None, :]
     least = np.full(k * k, X.rank, dtype=X.matrix.dtype)
     np.minimum.at(least, block.ravel(), X.matrix.ravel())
@@ -363,19 +363,7 @@ def _quotient(X: Scheme, cls: np.ndarray, k: int) -> Scheme:
         raise InvariantViolated("a color meets two quotient colors")
     used = np.zeros(X.rank, dtype=bool)
     used[lut] = True                  # the least colors, numbered by a running count
-    return _verified_quotient(k, (np.cumsum(used) - 1).astype(np.int16)[least].tobytes())
-
-
-@lru_cache(maxsize=64)
-def _verified_quotient(k: int, labels: bytes) -> Scheme:
-    """`verify_scheme` on the k x k int16 label matrix, run once per distinct matrix.
-
-    The sweeps' quotients are a handful of small matrices, the trivial
-    scheme's above all, so each is verified the first time it is seen.  The
-    memo can share the result, as no Scheme can be written into; an
-    exception is raised again on every call.
-    """
-    return verify_scheme(np.frombuffer(labels, dtype=np.int16).reshape(k, k))
+    return (np.cumsum(used) - 1).astype(np.int16)[least].reshape(k, k)
 
 
 def restriction(X: Scheme, points) -> Scheme:
@@ -420,10 +408,22 @@ def tensor_product(x1: Scheme, x2: Scheme) -> Scheme:
 def is_subtensor(X: Scheme, e1: ParabolicSet, e2: ParabolicSet) -> tuple[Scheme, Scheme] | None:
     """The quotients (X/e1, X/e2) when X lies inside their tensor product, else None.
 
-    Takes e1 and e2 as `parabolic_from_colors` gives them, untested, and requires
-    their class systems to form a grid (each point determined by its pair of
-    classes) and every color of X to lie inside one product of quotient colors.
-    The classes of each are computed once, for the grid test and the quotient alike.
+    `_subtensor_labels` runs the tests on e1 and e2, and `verify_scheme`
+    checks both label matrices it gives on every call.
+    """
+    labels = _subtensor_labels(X, e1, e2)
+    return None if labels is None else (verify_scheme(labels[0]), verify_scheme(labels[1]))
+
+
+def _subtensor_labels(X: Scheme, e1: ParabolicSet,
+                      e2: ParabolicSet) -> tuple[np.ndarray, np.ndarray] | None:
+    """The label matrices of X/e1 and X/e2 when X lies inside their tensor product, else None.
+
+    Takes e1 and e2 as `parabolic_from_colors` gives them, untested, and
+    requires their class systems to form a grid (each point determined by its
+    pair of classes) and every color of X to lie inside one product of
+    quotient labels; `l2.max() + 1` is the rank of X/e2.  The classes of each
+    are computed once, for the grid test and the labels alike.
     """
     k1, k2 = e1.num_classes, e2.num_classes
     if k1 * k2 != X.n:
@@ -432,12 +432,10 @@ def is_subtensor(X: Scheme, e1: ParabolicSet, e2: ParabolicSet) -> tuple[Scheme,
     cls2 = parabolic_classes(X, e2)
     if np.bincount(cls1 * k2 + cls2).max() != 1:     # two points share a class pair
         return None
-    q1 = _quotient(X, cls1, k1)
-    q2 = _quotient(X, cls2, k2)
-    p1 = q1.matrix[np.ix_(cls1, cls1)]
-    p2 = q2.matrix[np.ix_(cls2, cls2)]
-    key = p1.astype(np.int64) * q2.rank + p2
-    return None if color_lut(X.matrix, key) is None else (q1, q2)
+    l1 = _quotient_labels(X, cls1, k1)
+    l2 = _quotient_labels(X, cls2, k2)
+    key = l1[np.ix_(cls1, cls1)].astype(np.int64) * (l2.max() + 1) + l2[np.ix_(cls2, cls2)]
+    return None if color_lut(X.matrix, key) is None else (l1, l2)
 
 
 # ---------------------------------------------------------------------------

@@ -99,13 +99,15 @@ def parse_spec(text: str) -> SubgroupSpec:
         return SubgroupSpec("sym4")
     if low in ("a5", "alt5"):
         return SubgroupSpec("alt5")
-    if ":" in t:
-        name, _, arg = t.partition(":")
+    name, _, arg = t.partition(":")
+    key = {"cyclic": "cyclic", "dihedral": "dihedral",
+           "frobeniuspd": "frobenius"}.get(name.lower())
+    try:
         d = int(arg)
-        key = {"cyclic": "cyclic", "dihedral": "dihedral",
-               "frobeniuspd": "frobenius"}.get(name.lower())
-        if key:
-            return SubgroupSpec(key, d)
+    except ValueError:              # no number after the colon, or no colon
+        key = None
+    if key:
+        return SubgroupSpec(key, d)
     raise ValueError(f"cannot parse subgroup spec {text!r}")
 
 

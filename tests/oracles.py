@@ -17,7 +17,15 @@ from planeschemes.affine import SlopePartition, partitions_iter
 from planeschemes.errors import InconsistentIntersection, InvariantViolated, NotStarClosed
 from planeschemes.permgroup import group_closure
 from planeschemes.projline import pgl_elements, pgl_inv, pgl_mul, point_permutation
-from planeschemes.scheme import color_lut, parabolic_classes, verify_scheme
+from planeschemes.classify import _color_map
+from planeschemes.scheme import (
+    color_lut,
+    parabolic_classes,
+    parabolic_from_colors,
+    trivial_scheme,
+    verify_scheme,
+    wreath_product,
+)
 from planeschemes.subgroups import _slope_images, generator_matrices, pgl_orbit
 
 
@@ -328,10 +336,10 @@ def union_find_quotient_matrix(X, colors):
 def minimum_at_quotient(X, cls, k):
     """The quotient scheme on the k classes cls, verified by `verify_scheme` on every call.
 
-    The reference for `scheme.quotient`, which verifies each label matrix
-    once: each class pair gets the least color it meets (np.minimum.at), and
-    these labels, numbered in increasing order, are the quotient's colors.
-    InvariantViolated when a color meets two labels.
+    The reference for `scheme.quotient` and `scheme.is_subtensor`, which
+    share one label step: each class pair gets the least color it meets
+    (np.minimum.at), and these labels, numbered in increasing order, are the
+    quotient's colors.  InvariantViolated when a color meets two labels.
     """
     block = cls[:, None] * k + cls[None, :]
     least = np.full(k * k, X.rank, dtype=X.matrix.dtype)
@@ -342,6 +350,28 @@ def minimum_at_quotient(X, cls, k):
     used = np.zeros(X.rank, dtype=bool)
     used[lut] = True
     return verify_scheme((np.cumsum(used) - 1)[least].reshape(k, k))
+
+
+@lru_cache(maxsize=None)
+def _trivial_wreath(p: int):
+    return wreath_product(trivial_scheme(p), trivial_scheme(p))
+
+
+def wreath_by_isomorphism(p: int, X, colors) -> bool:
+    """Whether X is the wreath product of two trivial schemes of degree p, with
+    parabolic `colors` (a list) as its classes: an explicit isomorphism test.
+
+    The reference for the WreathOfTrivial check, which reads the class pattern
+    off X's labels instead: the stable argsort of the class indices sends point
+    a1 * p + c of `wreath_product(trivial_scheme(p), trivial_scheme(p))` to the
+    a1-th least member of class c, and `_color_map` asks for a color bijection
+    along that point map.
+    """
+    e = parabolic_from_colors(X, colors) if X.rank == 3 else None
+    if e is None or e.num_classes != p:
+        return False
+    old_of_new = np.argsort(parabolic_classes(X, e), kind="stable").reshape(p, p).T.ravel()
+    return _color_map(old_of_new, X.matrix, _trivial_wreath(p).matrix) is not None
 
 
 def minimum_at_is_subtensor(X, e1, e2):

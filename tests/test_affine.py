@@ -38,6 +38,14 @@ def test_partition_encoding():
         SlopePartition((1, 0))
 
 
+def test_an_empty_rgs_is_no_partition():
+    # it has no blocks, so its string, block count and Lambda would be undefined
+    for make in (lambda: SlopePartition(()), lambda: SlopePartition.from_string(""),
+                 lambda: SlopePartition.from_blocks([], 0)):
+        with pytest.raises(NonCanonicalPartition, match="at least one label"):
+            make()
+
+
 @pytest.mark.parametrize("blocks", [[(0, 1), (1, 2, 3)], [(0, 1), (3,)], [(0, 1, 2), (3, -1)],
                                     [(0, 1, 2), (3, 4)]],
                          ids=["two-blocks", "missing", "negative", "too-large"])

@@ -278,6 +278,28 @@ def test_known_maps_are_checked():
     assert automorphism_group(X, known=[tuple(range(9))]) == automorphism_group(X)
 
 
+def test_no_automorphism_is_verified_twice_in_one_search(monkeypatch):
+    # a known map passes is_automorphism up front and a found one in _subtree,
+    # and neither is checked again on the way out; a rejected candidate may
+    # be offered again at a node further down
+    accepted = []
+
+    def counted(M, g):
+        ok = is_automorphism(M, g)
+        accepted.extend([tuple(int(x) for x in g)] if ok else [])
+        return ok
+
+    is_automorphism = autsearch.is_automorphism
+    monkeypatch.setattr(autsearch, "is_automorphism", counted)
+    cases = [(p, P) for p in (3, 5) for P in partitions_iter(p + 1)]
+    cases += [(7, P) for P in orbit_representatives(7)]
+    for p, P in cases:
+        accepted.clear()
+        aut = automorphism_group(fuse(p, P), known=affine_automorphisms(p))
+        assert len(set(accepted)) == len(accepted), (p, P)
+        assert set(aut.generators) <= set(accepted), (p, P)
+
+
 def test_known_maps_with_non_integer_entries_are_rejected():
     # truncating 0.5, 1.5, ... to 0, 1, ... would seed the search with the identity
     X = build_affine_scheme(3)

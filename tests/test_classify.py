@@ -2,12 +2,13 @@ import functools
 import json
 import random
 from collections import Counter
+from itertools import product
 from math import factorial
 
 import numpy as np
 import pytest
 from conftest import run_fresh
-from oracles import pgl_orbit_count
+from oracles import pgl_orbit_count, wreath_by_isomorphism
 
 from planeschemes import classify
 from planeschemes.affine import (
@@ -44,6 +45,7 @@ from planeschemes.permgroup import group_closure, perm_order
 from planeschemes.projline import pgl_elements, point_permutation
 from planeschemes.report import classify_record, record_from_dict, record_to_dict, run_sweep
 from planeschemes.scheme import (
+    Scheme,
     algebraic_fusion,
     is_algebraic_map,
     is_primitive,
@@ -666,6 +668,51 @@ def test_every_record_is_the_record_of_a_search_on_its_own_fusion(p, step):
     for rec in _sweep(p)[::step]:
         P = SlopePartition.from_string(rec.partition_rgs)
         assert classify_record(_Analyzer(p), P) == rec, rec.partition_rgs
+
+
+def _with_a_swap(X, a, b):
+    """X with the colors of the pairs a and b swapped, and those of their
+    transposes: still symmetric, but under X's star and tensor unchecked."""
+    m = X.matrix.copy()
+    for (i, j), (k, l) in ((a, b), (a[::-1], b[::-1])):
+        m[i, j], m[k, l] = m[k, l], m[i, j]
+    return Scheme(m, X.star, X.tensor)
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except InvariantViolated as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_the_wreath_check_is_the_isomorphism_to_the_wreath_product(p):
+    # on every rank-3 fusion and either color, and on copies with the colors of
+    # two random pairs of points swapped, and of their transposes; a copy keeps
+    # the fusion's tensor, so only a check that reads the labels rejects it
+    rng = random.Random(p)
+    outcomes = Counter()        # (outcome on the fusion, outcome on its copy)
+    for P in partitions_iter(p + 1):
+        if P.num_blocks != 2:
+            continue
+        X = fuse(p, P)
+        for _ in range(3):
+            a, b = (tuple(rng.sample(range(p * p), 2)) for _ in range(2))
+            while X.matrix[a] == X.matrix[b]:
+                b = tuple(rng.sample(range(p * p), 2))
+            Y = _with_a_swap(X, a, b)
+            for c in (1, 2):
+                wants = tuple(_outcome(wreath_by_isomorphism, p, Z, [0, c]) for Z in (X, Y))
+                gots = tuple(_outcome(classify._witness_holds, p, P, WREATH,
+                                      {"parabolic_colors": [0, c]}, Z) for Z in (X, Y))
+                assert gots == wants, (P, c)
+                outcomes[wants] += 1
+    # one parabolic of each wreath fusion, three copies each; no copy is a wreath
+    assert sum(n for (want, _), n in outcomes.items() if want is True) == 3 * (p + 1)
+    assert all(copy is not True for _, copy in outcomes)
+    # some copy of a wreath keeps its classes and is rejected on the labels alone
+    assert outcomes[True, False] > 0
 
 
 def test_subtensor_check_tests_each_color_set_once(monkeypatch):

@@ -165,6 +165,12 @@ def test_classify_wrong_length(capsys):
     assert code == 2
 
 
+def test_classify_an_empty_partition(capsys):
+    code, _, err = run_cli(["classify", "--p", "5", "--partition", ""], capsys)
+    assert code == 2
+    assert "error: an RGS needs at least one label" in err
+
+
 def test_classify_beyond_the_search_bound(capsys, monkeypatch):
     # 23^2 = 529 points exceed the automorphism search's bound: a usage
     # error before anything is fused

@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import random
 import sys
 from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, Future, wait
@@ -147,6 +148,22 @@ def test_sweep_progress_counts_each_record(jobs):
                         progress=lambda done, total: calls.append((done, total)))
     n = len(records)
     assert n == 15 and calls == [(i, n) for i in range(1, n + 1)]
+
+
+def test_a_serial_sweep_classifies_in_the_order_given(monkeypatch):
+    # the benchmark reads the i-th time of a serial sweep as the i-th partition's
+    given = list(partitions_iter(6))
+    random.Random(5).shuffle(given)
+    seen, classify = [], report.classify_record
+
+    def recorded(analyzer, P):
+        seen.append(P)
+        return classify(analyzer, P)
+
+    monkeypatch.setattr(report, "classify_record", recorded)
+    records = run_sweep(5, given, jobs=1)
+    assert seen == given != sorted(given, key=lambda P: P.rgs)
+    assert report_digest(records) == json.loads(REFERENCE.read_text())["p5"]
 
 
 def test_csv_round_trip(tmp_path):
@@ -487,30 +504,45 @@ def test_a_sweep_makes_one_record_per_orbit(monkeypatch):
     assert report_digest(records) == json.loads(REFERENCE.read_text())["p5"]
 
 
-def test_a_warm_sweep_verifies_each_quotient_matrix_once(monkeypatch):
-    # every subtensor check builds two quotients, all the trivial scheme on 5
-    # points at p=5: with the quotient memo cleared, a warm pass verifies it once
-    run_sweep(5, partitions_iter(6))
-    scheme._verified_quotient.cache_clear()
+def test_a_sweep_verifies_nothing(monkeypatch):
+    # the wreath and subtensor witnesses are read off the fusion's labels: a
+    # pass builds no reference scheme and verifies no quotient, and makes 71
+    # subtensor checks at p=5; only the affine scheme itself is verified
+    build_affine_scheme(5)
     verified, checks = [], []
-    verify, is_subtensor = scheme.verify_scheme, scheme.is_subtensor
-    trivial = scheme.trivial_scheme(5).matrix.tobytes()
+    verify, labels = scheme.verify_scheme, scheme._subtensor_labels
 
     def counted_verify(matrix):
         verified.append(np.asarray(matrix).tobytes())
         return verify(matrix)
 
-    def counted_subtensor(X, e1, e2):
+    def counted_labels(X, e1, e2):
         checks.append(X)
-        return is_subtensor(X, e1, e2)
+        return labels(X, e1, e2)
 
     for module in ("scheme", "affine"):
         monkeypatch.setattr(f"planeschemes.{module}.verify_scheme", counted_verify)
-    monkeypatch.setattr("planeschemes.classify.is_subtensor", counted_subtensor)
+    monkeypatch.setattr("planeschemes.classify._subtensor_labels", counted_labels)
     records = run_sweep(5, partitions_iter(6))
-    assert verified == [trivial]
+    assert verified == []
     assert len(checks) == 71
     assert report_digest(records) == json.loads(REFERENCE.read_text())["p5"]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_a_fresh_sweep_calls_verify_scheme_only_for_the_affine_scheme(p):
+    # in a new interpreter no cache of an earlier test hides a call
+    code = (
+        "from planeschemes import affine, scheme\n"
+        "from planeschemes.affine import build_affine_scheme, partitions_iter\n"
+        "from planeschemes.report import run_sweep\n"
+        f"build_affine_scheme({p})\n"
+        "calls, verify = [], scheme.verify_scheme\n"
+        "for module in (affine, scheme):\n"
+        "    module.verify_scheme = lambda m: calls.append(m) or verify(m)\n"
+        f"run_sweep({p}, partitions_iter({p + 1}))\n"
+        "print(len(calls))\n")
+    assert run_fresh(["-c", code]).strip() == "0"
 
 
 def test_pool_workers_share_a_cache(tmp_path):

@@ -27,7 +27,6 @@ from planeschemes.affine import (
 from planeschemes.classify import (
     WREATH,
     _basic_candidates,
-    _trivial_wreath,
     involutive_presentations,
 )
 from planeschemes.errors import (
@@ -40,7 +39,6 @@ from planeschemes.permgroup import PermGroup, group_closure
 from planeschemes.subgroups import pgl_table
 from planeschemes.scheme import (
     ParabolicSet,
-    _verified_quotient,
     algebraic_fusion,
     all_color_permutations_fixing_zero,
     is_algebraic_map,
@@ -506,8 +504,8 @@ _QUOTIENT_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_QUOTIENT_CASES))
 def test_quotient_and_is_subtensor_match_the_verify_every_call_oracle(case):
-    # every non-trivial parabolic and every pair of them: the memoized quotient
-    # is the one verified afresh, and so is each pair is_subtensor returns
+    # every non-trivial parabolic and every pair of them: the quotient and each
+    # pair is_subtensor returns are the oracle's
     ranks = set()
     for X in _QUOTIENT_CASES[case]():
         pars = [e for e in parabolics(X) if not e.is_trivial(X.rank)]
@@ -542,19 +540,6 @@ def test_invariant_violations_are_the_oracles():
     assert violations > 0
 
 
-def test_a_memoized_quotient_cannot_be_written():
-    X = build_affine_scheme(5)
-    e = next(e for e in parabolics(X) if not e.is_trivial(X.rank))
-    q = quotient(X, e)
-    for a in (q.matrix, q.tensor):
-        with pytest.raises(ValueError):
-            a[(0,) * a.ndim] = 1
-        with pytest.raises(ValueError):
-            a.setflags(write=True)
-    assert quotient(X, e) is q
-    assert _same_scheme(q, trivial_scheme(5))
-
-
 def test_verify_scheme_neither_aliases_nor_freezes_its_matrix():
     m = cyclic_scheme(5)
     X = verify_scheme(m)
@@ -573,28 +558,18 @@ def _assert_unwritable(a):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_no_holder_of_a_shared_array_can_write_into_it(p):
-    # the memoized schemes, two fusions whose block sizes share one closed-form
-    # tensor entry, a memoized quotient, that entry and the slope permutation table
+    # the memoized affine scheme, two fusions whose block sizes share one
+    # closed-form tensor entry, a quotient, that entry and the slope permutation table
     P, Q = SlopePartition.from_string("0" * p + "1"), SlopePartition.from_string("0" * (p - 1) + "10")
     assert P != Q and P.block_sizes() == Q.block_sizes()
     X = build_affine_scheme(p)
     e = next(e for e in parabolics(X) if not e.is_trivial(X.rank))
-    for Y in (X, _trivial_wreath(p), fuse(p, P), fuse(p, Q), quotient(X, e)):
+    for Y in (X, fuse(p, P), fuse(p, Q), quotient(X, e)):
         _assert_unwritable(Y.matrix)
         _assert_unwritable(Y.tensor)
     _assert_unwritable(_fusion_tensor(p, P.block_sizes()))
     _assert_unwritable(pgl_table(p).array)
     assert np.array_equal(fuse(p, P).tensor, fuse(p, Q).tensor)
-
-
-def test_a_label_matrix_that_is_no_scheme_raises_on_every_call():
-    # the memo keeps results only: verify_scheme runs again on a rejected matrix
-    bad = np.array([[0, 1, 1], [1, 0, 2], [1, 2, 0]], dtype=np.int16)
-    size = _verified_quotient.cache_info().currsize
-    for _ in range(3):
-        with pytest.raises(InconsistentIntersection):
-            _verified_quotient(3, bad.tobytes())
-    assert _verified_quotient.cache_info().currsize == size
 
 
 def _algebraic_maps(X):

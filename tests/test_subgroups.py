@@ -40,8 +40,12 @@ def test_parse_spec():
     assert parse_spec("A4") == SubgroupSpec("alt4")
     assert parse_spec("S4") == SubgroupSpec("sym4")
     assert parse_spec("A5") == SubgroupSpec("alt5")
-    with pytest.raises(ValueError):
-        parse_spec("B7")
+    assert parse_spec(" cyclic: 4 ") == SubgroupSpec("cyclic", 4)
+    for bad in ("B7", "Cyclic", "Cyclic:", "Cyclic:x", "Dihedral:3.5", "Nonsense:3"):
+        with pytest.raises(ValueError, match=f"cannot parse subgroup spec {bad!r}"):
+            parse_spec(bad)
+    with pytest.raises(ValueError, match="cyclic requires d >= 1"):
+        parse_spec("Cyclic:0")
 
 
 def test_spec_validation():
